@@ -25,11 +25,13 @@ from .csvio import (
     CLASSICAL_COLUMNS,
     CsvFormatError,
     LINDBLAD_COLUMNS,
+    PARAMS,
     SBTH_BASE_COLUMNS,
     SBTH_XY_COLUMNS,
+    from_config,
     parse_config_text,
-    params_from_config,
     read_csv,
+    run_config,
     trajectory_from_columns,
     write_csv,
 )
@@ -55,63 +57,11 @@ class ConfigError(ValueError):
     """Unusable run configuration."""
 
 
-DEFAULTS = {
-    "model": None,
-    "m": 1.0,
-    "hbar": 1.0,
-    "lambda": 0.04,
-    "big-omega": 1.5,
-    "omega0": None,
-    "gamma": 0.08,
-    "omega": 1.5,
-    "omega-prime": 1.5,
-    "nbar": 0.0,
-    "n-level": 3,
-    "dt": 1e-3,
-    "t-end": 80.0,
-    "sample-every": 100,
-    "emit-xy": False,
-}
+# the three figure presets are the standard run, i.e. the package defaults,
+# with the XY columns on; they differ only in which columns one plots
+PRESETS = {name: {"emit-xy": True} for name in ("paper-fig1", "paper-fig2", "paper-fig3")}
 
-# the three figure presets share one parameter point (the standard run:
-# gamma = 0.08, omega = omega' = Omega = 1.5, m = hbar = 1, n = 3, and
-# lambda = gamma/2); they differ only in which columns one plots
-_PRESET_RUN = {
-    "m": 1.0,
-    "hbar": 1.0,
-    "lambda": 0.04,
-    "big-omega": 1.5,
-    "gamma": 0.08,
-    "omega": 1.5,
-    "omega-prime": 1.5,
-    "n-level": 3,
-    "dt": 1e-3,
-    "t-end": 80.0,
-    "sample-every": 100,
-    "emit-xy": True,
-}
-
-PRESETS = {
-    "paper-fig1": dict(_PRESET_RUN),
-    "paper-fig2": dict(_PRESET_RUN),
-    "paper-fig3": dict(_PRESET_RUN),
-}
-
-_FLAG_KEYS = [
-    ("m", "m"),
-    ("hbar", "hbar"),
-    ("lambda_damp", "lambda"),
-    ("big_omega", "big-omega"),
-    ("omega0", "omega0"),
-    ("gamma", "gamma"),
-    ("omega", "omega"),
-    ("omega_prime", "omega-prime"),
-    ("nbar", "nbar"),
-    ("n_level", "n-level"),
-    ("dt", "dt"),
-    ("t_end", "t-end"),
-    ("sample_every", "sample-every"),
-]
+_CONFIG_KEYS = {"model", *(p.key for p in PARAMS), "emit-xy", "preset", "out", "tol"}
 
 
 def _load_config_file(path: str) -> dict:
@@ -122,7 +72,7 @@ def _load_config_file(path: str) -> dict:
             cfg = parse_config_text(fh)
         except CsvFormatError as exc:
             raise ConfigError(str(exc)) from None
-    unknown = set(cfg) - set(DEFAULTS) - {"preset", "out", "tol"}
+    unknown = set(cfg) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return cfg
@@ -130,7 +80,8 @@ def _load_config_file(path: str) -> dict:
 
 def _resolve(args, extra_file: str | None = None) -> dict:
     """Defaults <- preset <- config file <- explicit flags."""
-    cfg = dict(DEFAULTS)
+    cfg = {p.key: getattr(p.owner, p.field) for p in PARAMS}  # the field defaults
+    cfg.update({"model": None, "emit-xy": False})
     preset = getattr(args, "preset", None)
     if preset is not None:
         if preset not in PRESETS:
@@ -146,10 +97,10 @@ def _resolve(args, extra_file: str | None = None) -> dict:
                 raise ConfigError(f"unknown preset {name!r}")
             cfg.update(PRESETS[name])
         cfg.update(file_cfg)
-    for attr, key in _FLAG_KEYS:
-        value = getattr(args, attr, None)
+    for p in PARAMS:
+        value = getattr(args, p.field, None)
         if value is not None:
-            cfg[key] = value
+            cfg[p.key] = value
     if getattr(args, "model", None) is not None:
         cfg["model"] = args.model
     if getattr(args, "emit_xy", False):
@@ -163,38 +114,7 @@ def _resolve(args, extra_file: str | None = None) -> dict:
 
 
 def _params_and_grid(cfg: dict) -> tuple[ModelParams, IntegratorConfig]:
-    try:
-        params = params_from_config(cfg)
-        grid = IntegratorConfig(
-            dt=float(cfg["dt"]),
-            t_end=float(cfg["t-end"]),
-            sample_every=int(cfg["sample-every"]),
-        )
-    except (ValueError, CsvFormatError) as exc:
-        raise ConfigError(str(exc)) from None
-    return params, grid
-
-
-def _echo_config(model: str, params: ModelParams, grid: IntegratorConfig, emit_xy: bool) -> dict:
-    cfg = {
-        "model": model,
-        "m": params.m,
-        "hbar": params.hbar,
-        "lambda": params.lambda_damp,
-        "big-omega": params.big_omega,
-        "omega0": params.omega0,
-        "gamma": params.gamma,
-        "omega": params.omega,
-        "omega-prime": params.omega_prime,
-        "nbar": params.nbar,
-        "n-level": params.n_level,
-        "dt": grid.dt,
-        "t-end": grid.t_end,
-        "sample-every": grid.sample_every,
-    }
-    if model == "sbth":
-        cfg["emit-xy"] = emit_xy
-    return cfg
+    return from_config(ModelParams, cfg), from_config(IntegratorConfig, cfg)
 
 
 def _run_model(model: str, params: ModelParams, grid: IntegratorConfig) -> Trajectory:
@@ -240,7 +160,10 @@ def cmd_simulate(args) -> int:
     emit_xy = bool(cfg.get("emit-xy")) and model == "sbth"
     traj = _run_model(model, params, grid)
     out = args.out or cfg.get("out") or f"{model}.csv"
-    write_csv(out, _echo_config(model, params, grid, emit_xy), _csv_columns(model, traj, emit_xy))
+    echo = {"model": model, **run_config(params, grid)}
+    if model == "sbth":
+        echo["emit-xy"] = emit_xy
+    write_csv(out, echo, _csv_columns(model, traj, emit_xy))
     print(f"wrote {out} ({traj.n_samples} samples, t in [0, {traj.ts[-1]:g}])")
     if model != "classical":
         tol = args.tol if args.tol is not None else float(cfg.get("tol") or 1e-9)
@@ -307,9 +230,8 @@ def cmd_check(args) -> int:
     if traj is None:
         print(f"{args.csv}: classical run, no quantum moments to audit")
         return 0
-    params = params_from_config(config)
     tol = args.tol if args.tol is not None else float(config.get("tol") or 1e-9)
-    result = audit(traj, params, tol=tol)
+    result = audit(traj, traj.params, tol=tol)
     print(f"audit of {args.csv}")
     print(result.summary())
     return 0 if result.ok else 1
@@ -365,19 +287,9 @@ _TAGGED_BRACKET_PAIRS = frozenset(
 def _add_param_flags(sub) -> None:
     sub.add_argument("--preset", choices=sorted(PRESETS), help="named parameter preset")
     sub.add_argument("--config", help=f"config file (default: ${ENV_CONFIG})")
-    sub.add_argument("--m", type=float, dest="m", help="mass")
-    sub.add_argument("--hbar", type=float, dest="hbar", help="action scale")
-    sub.add_argument("--lambda", type=float, dest="lambda_damp", help="damping rate")
-    sub.add_argument("--big-omega", type=float, dest="big_omega", help="effective frequency")
-    sub.add_argument("--omega0", type=float, dest="omega0", help="natural frequency")
-    sub.add_argument("--gamma", type=float, dest="gamma", help="thermal damping rate")
-    sub.add_argument("--omega", type=float, dest="omega", help="oscillator frequency")
-    sub.add_argument("--omega-prime", type=float, dest="omega_prime", help="shifted frequency")
-    sub.add_argument("--nbar", type=float, dest="nbar", help="reservoir occupation")
-    sub.add_argument("--n-level", type=int, dest="n_level", help="initial excitation level")
-    sub.add_argument("--dt", type=float, dest="dt", help="integrator step")
-    sub.add_argument("--t-end", type=float, dest="t_end", help="final time")
-    sub.add_argument("--sample-every", type=int, dest="sample_every", help="output decimation")
+    for p in PARAMS:
+        # dest is the field name, which also keeps the help's metavars
+        sub.add_argument(f"--{p.key}", type=p.type, dest=p.field, help=p.help)
 
 
 def build_parser() -> argparse.ArgumentParser:

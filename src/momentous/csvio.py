@@ -20,8 +20,12 @@ classical runs
 
 from __future__ import annotations
 
+import re
+from typing import NamedTuple
+
 import numpy as np
 
+from .integrator import IntegratorConfig
 from .model import BT1, L1, ModelParams, Trajectory, moment_order
 
 __all__ = [
@@ -30,6 +34,10 @@ __all__ = [
     "SBTH_XY_COLUMNS",
     "LINDBLAD_COLUMNS",
     "CLASSICAL_COLUMNS",
+    "Param",
+    "PARAMS",
+    "run_config",
+    "from_config",
     "write_csv",
     "read_csv",
     "config_lines",
@@ -48,24 +56,34 @@ SBTH_XY_COLUMNS = ["x", "p_x", "G20", "G02", "G11", "E_mean", "E_plus", "E_minus
 LINDBLAD_COLUMNS = ["t", "x", "p", "G20", "G02", "G11", "E_mean", "E_analytic", "U"]
 CLASSICAL_COLUMNS = ["t", "x", "p"]
 
-# echo order is fixed so identical configs give identical bytes
-CONFIG_KEY_ORDER = [
-    "model",
-    "m",
-    "hbar",
-    "lambda",
-    "big-omega",
-    "omega0",
-    "gamma",
-    "omega",
-    "omega-prime",
-    "nbar",
-    "n-level",
-    "dt",
-    "t-end",
-    "sample-every",
-    "emit-xy",
-]
+
+class Param(NamedTuple):
+    """One run parameter: its config key (the long flag is ``--<key>``), the
+    field of ``owner`` it sets, the flag's type and its help text."""
+
+    key: str
+    owner: type
+    field: str
+    type: type
+    help: str
+
+
+# the run parameters; row order is the order of the echoed configuration
+PARAMS = (
+    Param("m", ModelParams, "m", float, "mass"),
+    Param("hbar", ModelParams, "hbar", float, "action scale"),
+    Param("lambda", ModelParams, "lambda_damp", float, "damping rate"),
+    Param("big-omega", ModelParams, "big_omega", float, "effective frequency"),
+    Param("omega0", ModelParams, "omega0", float, "natural frequency"),
+    Param("gamma", ModelParams, "gamma", float, "thermal damping rate"),
+    Param("omega", ModelParams, "omega", float, "oscillator frequency"),
+    Param("omega-prime", ModelParams, "omega_prime", float, "shifted frequency"),
+    Param("nbar", ModelParams, "nbar", float, "reservoir occupation"),
+    Param("n-level", ModelParams, "n_level", int, "initial excitation level"),
+    Param("dt", IntegratorConfig, "dt", float, "integrator step"),
+    Param("t-end", IntegratorConfig, "t_end", float, "final time"),
+    Param("sample-every", IntegratorConfig, "sample_every", int, "output decimation"),
+)
 
 
 def _format_value(value) -> str:
@@ -94,15 +112,11 @@ def _parse_value(text: str):
 
 
 def config_lines(config: dict) -> list[str]:
-    """Render a configuration as ``key = value`` lines in canonical order."""
-    lines = []
-    for key in CONFIG_KEY_ORDER:
-        if key in config and config[key] is not None:
-            lines.append(f"{key} = {_format_value(config[key])}")
-    for key in sorted(k for k in config if k not in CONFIG_KEY_ORDER):
-        if config[key] is not None:
-            lines.append(f"{key} = {_format_value(config[key])}")
-    return lines
+    """Render a configuration as ``key = value`` lines in dict order,
+    skipping None values."""
+    return [
+        f"{key} = {_format_value(value)}" for key, value in config.items() if value is not None
+    ]
 
 
 def parse_config_text(lines) -> dict:
@@ -163,23 +177,26 @@ def read_csv(path) -> tuple[dict, dict[str, np.ndarray]]:
     return config, {name: data[:, k] for k, name in enumerate(header)}
 
 
-def params_from_config(config: dict) -> ModelParams:
-    """Rebuild model parameters from an echoed configuration."""
+def run_config(params: ModelParams, grid: IntegratorConfig) -> dict:
+    """The echoed configuration of a run, one key per parameter row."""
+    return {p.key: getattr(params if p.owner is ModelParams else grid, p.field) for p in PARAMS}
+
+
+def from_config(owner: type, config: dict):
+    """Build ``owner`` (:class:`ModelParams` or :class:`IntegratorConfig`)
+    from config keys; a missing key is passed as None.
+
+    Validation is the dataclass's own; its ``ValueError`` is re-raised with
+    field names replaced by config keys.
+    """
+    rows = [p for p in PARAMS if p.owner is owner]
     try:
-        return ModelParams(
-            m=float(config["m"]),
-            hbar=float(config["hbar"]),
-            lambda_damp=float(config["lambda"]),
-            gamma=float(config["gamma"]),
-            omega=float(config["omega"]),
-            omega_prime=float(config["omega-prime"]),
-            nbar=float(config["nbar"]),
-            n_level=int(config["n-level"]),
-            big_omega=float(config["big-omega"]) if config.get("big-omega") is not None else None,
-            omega0=float(config["omega0"]) if config.get("omega0") is not None else None,
-        )
-    except KeyError as exc:
-        raise CsvFormatError(f"config is missing key {exc.args[0]!r}") from None
+        return owner(**{p.field: config.get(p.key) for p in rows})
+    except ValueError as exc:
+        message = str(exc)
+        for p in rows:
+            message = re.sub(rf"\b{p.field}\b", p.key, message)
+        raise ValueError(message) from None
 
 
 def trajectory_from_columns(config: dict, columns: dict[str, np.ndarray]) -> Trajectory | None:
@@ -189,7 +206,7 @@ def trajectory_from_columns(config: dict, columns: dict[str, np.ndarray]) -> Tra
     the single-pair state. Classical files carry no moments and return
     None. Raises :class:`CsvFormatError` when required columns are absent.
     """
-    params = params_from_config(config)
+    params = from_config(ModelParams, config)
     model = config.get("model")
     ts = columns.get("t")
     if ts is None:

@@ -25,7 +25,7 @@ from .model import (
     exponents_to_indices,
     transform_state,
 )
-from .systems import lindblad_diffusion, xy_view
+from .systems import lindblad_margin, xy_view
 
 __all__ = [
     "coherent_initial_state",
@@ -241,8 +241,6 @@ def audit(
         final_energy = float(energy_report(traj, params).e_mean[-1])
     except ValueError:
         final_energy = math.nan  # corrupted moments; already flagged above
-    d_xx, d_pp, d_px = lindblad_diffusion(params)
-    lindblad_margin = d_xx * d_pp - d_px**2 - (0.5 * hb * params.gamma) ** 2
     return InvariantAudit(
         tol=tol,
         hbar=hb,
@@ -254,7 +252,7 @@ def audit(
         min_uncertainty=float(
             min(u_pair1.min(), u_xy.min()) if u_xy is not None else u_pair1.min()
         ),
-        margin_lindblad=lindblad_margin,
+        margin_lindblad=lindblad_margin(params),
         margin_moment_min=margin_moment_min,
         final_mean_energy=final_energy,
         ground_state_bound=0.5 * hb * omega_e,

@@ -10,14 +10,21 @@ platform. The covariance is re-symmetrized after every step,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import CovarianceMatrix, FrameError, MeanVector, Trajectory
+from .model import CovarianceMatrix, FrameError, MeanVector, Trajectory, finite_real
 from .systems import ModelSystem
 
-__all__ = ["IntegratorConfig", "IntegrationError", "integrate", "convergence_order"]
+__all__ = ["MAX_STEPS", "IntegratorConfig", "IntegrationError", "integrate", "convergence_order"]
+
+
+# Largest accepted step count t_end/dt: 50 times the largest grid the tests
+# and the benchmark run (200 000 steps). At sample_every = 1 a two-oscillator
+# run this long already holds 1.7 GB of samples, so larger grids are refused
+# before anything is allocated.
+MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -25,7 +32,9 @@ class IntegratorConfig:
     """Step size, final time, and output decimation.
 
     ``sample_every = k`` emits every k-th step (plus the initial state), so
-    the output interval is ``k*dt``.
+    the output interval is ``k*dt``. ``dt`` and ``t_end`` must be finite and
+    > 0, ``sample_every`` an integer >= 1, and ``t_end/dt`` between 1 and
+    :data:`MAX_STEPS`; a violation raises ``ValueError`` naming the field.
     """
 
     dt: float = 1e-3
@@ -33,14 +42,20 @@ class IntegratorConfig:
     sample_every: int = 100
 
     def __post_init__(self):
+        for f in fields(self):
+            value = finite_real(f.name, getattr(self, f.name), integral=f.name == "sample_every")
+            object.__setattr__(self, f.name, value)
         if not self.dt > 0.0:
-            raise ValueError("dt must be > 0")
+            raise ValueError(f"dt must be > 0, got {self.dt!r}")
         if not self.t_end > 0.0:
-            raise ValueError("t_end must be > 0")
-        if self.t_end / self.dt < 1.0:
+            raise ValueError(f"t_end must be > 0, got {self.t_end!r}")
+        steps = self.t_end / self.dt
+        if steps < 1.0:
             raise ValueError("t_end/dt must be >= 1")
-        if self.sample_every < 1 or self.sample_every != int(self.sample_every):
-            raise ValueError("sample_every must be an integer >= 1")
+        if steps > MAX_STEPS:
+            raise ValueError(f"t_end/dt = {steps:.4g} exceeds the bound of {MAX_STEPS:.0e} steps")
+        if not self.sample_every >= 1:
+            raise ValueError(f"sample_every must be >= 1, got {self.sample_every!r}")
 
     @property
     def n_steps(self) -> int:

@@ -20,7 +20,8 @@ Frames provided here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -54,6 +55,23 @@ def _frozen_array(values, shape=None) -> np.ndarray:
         raise ValueError(f"expected array of shape {shape}, got {arr.shape}")
     arr.setflags(write=False)
     return arr
+
+
+def finite_real(name: str, value, integral: bool = False) -> float | int:
+    """``value`` as a finite float, or as an int when ``integral``.
+
+    Raises ``ValueError`` naming ``name`` for non-numbers, NaN, infinities
+    and, when ``integral``, values with a fractional part.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if not integral:
+        return float(value)
+    if value != int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -119,14 +137,17 @@ class ModelParams:
     omega : float
         Lindblad oscillator frequency, > 0.
     omega_prime : float
-        Shifted Lindblad frequency; a free parameter, equal to ``omega`` in
-        all presets.
+        Shifted Lindblad frequency, > 0; a free parameter, equal to ``omega``
+        in all presets.
     nbar : float
         Reservoir mean occupation number, >= 0.
     n_level : int
         Initial excitation level used by the coherent initial state, >= 0.
     big_omega, omega0 : float, optional
         Effective and natural frequency; exactly one may be omitted.
+
+    Every given value must be a finite real number, and ``n_level`` an
+    integral one; a violation raises ``ValueError`` naming the field.
     """
 
     m: float = 1.0
@@ -141,6 +162,12 @@ class ModelParams:
     omega0: float | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.name in ("big_omega", "omega0"):
+                continue
+            value = finite_real(f.name, value, integral=f.name == "n_level")
+            object.__setattr__(self, f.name, value)
         if self.big_omega is None and self.omega0 is None:
             raise ValueError("one of big_omega or omega0 is required")
         lam = self.lambda_damp
@@ -161,14 +188,12 @@ class ModelParams:
                     "inconsistent frequencies: omega0**2 - big_omega**2 - lambda_damp**2 = "
                     f"{gap!r}"
                 )
-        for name in ("m", "hbar", "big_omega", "omega"):
+        for name in ("m", "hbar", "big_omega", "omega", "omega_prime"):
             if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0")
-        for name in ("gamma", "lambda_damp", "nbar"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.n_level < 0 or self.n_level != int(self.n_level):
-            raise ValueError("n_level must be a non-negative integer")
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        for name in ("gamma", "lambda_damp", "nbar", "n_level"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
     @property
     def equivalence_mode(self) -> bool:

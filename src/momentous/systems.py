@@ -52,6 +52,7 @@ __all__ = [
     "classical_analytic",
     "diffusion_report",
     "lindblad_diffusion",
+    "lindblad_margin",
     "xy_view",
     "xy_variance_rate_residual",
 ]
@@ -283,6 +284,13 @@ def lindblad_diffusion(params: ModelParams) -> tuple[float, float, float]:
     return d_xx, d_pp, 0.0
 
 
+def lindblad_margin(params: ModelParams) -> float:
+    """Determinant margin ``d_xx*d_pp - d_px**2 - (hbar*gamma/2)**2`` of the
+    thermal diffusion; non-negative for every ``nbar >= 0``."""
+    d_xx, d_pp, d_px = lindblad_diffusion(params)
+    return d_xx * d_pp - d_px**2 - (0.5 * params.hbar * params.gamma) ** 2
+
+
 @dataclass(frozen=True)
 class DiffusionReport:
     """Diffusion coefficients of both models and their determinant margins.
@@ -326,7 +334,7 @@ def diffusion_report(params: ModelParams, cov_bt1: CovarianceMatrix) -> Diffusio
         d_gxx=d_gxx,
         d_gpp=d_gpp,
         d_gpx=d_gpx,
-        margin_lindblad=d_xx * d_pp - d_px**2 - (0.5 * hb * params.gamma) ** 2,
+        margin_lindblad=lindblad_margin(params),
         margin_moment=d_gxx * d_gpp - d_gpx**2 - (lam * hb) ** 2,
     )
 

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from momentous import cli
-from momentous.csvio import read_csv, SBTH_BASE_COLUMNS, SBTH_XY_COLUMNS, LINDBLAD_COLUMNS
+from momentous.csvio import read_csv, PARAMS, SBTH_BASE_COLUMNS, SBTH_XY_COLUMNS, LINDBLAD_COLUMNS
 
 
 def run(*argv):
@@ -83,6 +84,77 @@ def test_config_echo_round_trip(tmp_path):
     cfg.write_text("\n".join(config_lines) + "\n")
     assert run("simulate", "--config", str(cfg), "--out", str(second)) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def _echoed_config(path):
+    lines = []
+    for line in path.read_text().splitlines():
+        if not line.startswith("# "):
+            break
+        lines.append(line[2:])
+    return "\n".join(lines) + "\n"
+
+
+# every parameter off its default; omega0 agrees with big-omega and lambda
+_OFF_DEFAULT = {
+    "m": "1.25", "hbar": "0.75", "lambda": "0.03", "big-omega": "1.2",
+    "omega0": repr(math.hypot(1.2, 0.03)), "gamma": "0.1", "omega": "1.3",
+    "omega-prime": "1.4", "nbar": "0.5", "n-level": "2", "dt": "0.002",
+    "t-end": "1.5", "sample-every": "7",
+}
+
+
+@pytest.mark.parametrize("model,values,flags", [
+    ("sbth", _OFF_DEFAULT, ["--emit-xy"]),
+    ("lindblad", _OFF_DEFAULT, []),
+    ("classical", _OFF_DEFAULT, []),
+    # only omega0 given: big-omega is derived and echoed
+    ("sbth", {"omega0": "1.6", "lambda": "0.05", "t-end": "1"}, []),
+])
+def test_every_parameter_round_trips_through_the_echo(tmp_path, model, values, flags):
+    assert {p.key for p in PARAMS} == set(_OFF_DEFAULT)
+    first = tmp_path / "a.csv"
+    second = tmp_path / "b.csv"
+    argv = ["simulate", "--model", model, "--out", str(first), *flags]
+    for key, value in values.items():
+        argv += [f"--{key}", value]
+    assert run(*argv) == 0
+    cfg = tmp_path / "echo.cfg"
+    cfg.write_text(_echoed_config(first))
+    assert run("simulate", "--config", str(cfg), "--out", str(second)) == 0
+    assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("param", PARAMS, ids=lambda p: p.key)
+def test_bad_parameter_value_is_exit_2_naming_it(tmp_path, capsys, param):
+    """NaN for a float parameter and 2.7 for an integer one are rejected
+    before any work, from a config file and from a flag."""
+    bad = "nan" if param.type is float else "2.7"
+    named = re.compile(rf"(?<![\w-]){re.escape(param.key)}(?![\w-])")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"model = lindblad\nt-end = 1\n{param.key} = {bad}\n")
+    out = str(tmp_path / "run.csv")
+    assert run("simulate", "--config", str(cfg), "--out", out) == 2
+    assert named.search(capsys.readouterr().err)
+    if param.type is float:
+        assert run("simulate", "--model", "sbth", "--t-end", "1",
+                   f"--{param.key}", bad, "--out", out) == 2
+        assert named.search(capsys.readouterr().err)
+    else:
+        with pytest.raises(SystemExit) as err:
+            run("simulate", "--model", "sbth", f"--{param.key}", bad)
+        assert err.value.code == 2
+        assert f"--{param.key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--t-end", "inf"), ("--t-end", "1e13"), ("--dt", "1e-300"),
+])
+def test_grid_bound_is_exit_2(tmp_path, capsys, flag, value):
+    assert run("simulate", "--model", "classical", flag, value,
+               "--out", str(tmp_path / "run.csv")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag[2:] in err
 
 
 def test_env_var_supplies_config(tmp_path, monkeypatch):

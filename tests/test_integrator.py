@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import momentous as mm
-from momentous.integrator import IntegrationError
+from momentous.integrator import MAX_STEPS, IntegrationError
 
 RNG = np.random.default_rng(7)
 
@@ -23,6 +23,22 @@ def test_config_validation():
         mm.IntegratorConfig(dt=1.0, t_end=0.5)
     with pytest.raises(ValueError):
         mm.IntegratorConfig(dt=1e-3, t_end=1.0, sample_every=0)
+    with pytest.raises(ValueError, match="sample_every must be an integer"):
+        mm.IntegratorConfig(dt=1e-3, t_end=1.0, sample_every=10.9)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt must be finite"):
+            mm.IntegratorConfig(dt=bad, t_end=1.0)
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            mm.IntegratorConfig(dt=1e-3, t_end=bad)
+
+
+def test_step_count_bounded_before_allocation():
+    limit = MAX_STEPS
+    assert limit >= 200_000  # the largest grid the tests and benchmark run
+    assert mm.IntegratorConfig(dt=1.0, t_end=float(limit)).n_steps == limit
+    for dt, t_end in ((1.0, limit + 1.0), (1e-3, 1e13), (1e-300, 80.0), (1e-300, 1e300)):
+        with pytest.raises(ValueError, match="exceeds the bound"):
+            mm.IntegratorConfig(dt=dt, t_end=t_end)
 
 
 def test_step_count_snaps_to_integer():

@@ -40,6 +40,9 @@ def test_overdamped_rejected():
 @pytest.mark.parametrize("field,value", [
     ("m", 0.0), ("hbar", -1.0), ("gamma", -0.1), ("lambda_damp", -0.1),
     ("nbar", -0.5), ("omega", 0.0), ("n_level", -1),
+    ("lambda_damp", math.nan), ("nbar", math.nan), ("m", math.inf),
+    ("omega_prime", math.nan), ("omega_prime", math.inf), ("omega_prime", 0.0),
+    ("n_level", 2.7), ("gamma", "0.1"), ("hbar", True),
 ])
 def test_invalid_parameter_values(field, value):
     with pytest.raises(ValueError):
