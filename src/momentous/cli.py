@@ -190,14 +190,19 @@ def cmd_compare(args) -> int:
         sides.append((model, _run_model(model, params, grid)))
 
     (model_a, traj_a), (model_b, traj_b) = sides
-    if args.columns:
+    if args.columns is not None:
         columns = [c.strip() for c in args.columns.split(",") if c.strip()]
+        if not columns:
+            raise ConfigError(f"--columns names no column: {args.columns!r}")
     elif "classical" in (model_a, model_b):
         columns = ["x", "p"]
     else:
         columns = ["x", "p", "G20", "G02", "G11", "E_mean"]
 
-    metrics = compare(traj_a, traj_b, columns)
+    try:
+        metrics = compare(traj_a, traj_b, columns)
+    except KeyError as exc:  # a --columns name no frame defines
+        raise ConfigError(f"--columns: {exc.args[0]}") from None
     tol = args.tol if args.tol is not None else float(
         configs[0].get("tol") or configs[1].get("tol") or 1e-6
     )

@@ -7,6 +7,7 @@ parameters) and return reports, never mutating their inputs.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,8 +93,19 @@ def _default_energy_omega(frame: CanonicalFrame, params: ModelParams) -> float:
     return params.big_omega if frame in (BT1, XY) else params.omega
 
 
+# XY views of BT1 trajectories, each taken once. Trajectory hashes by
+# identity (eq=False) and its arrays are read-only, so a view never goes
+# stale; the weak key lets it go with its trajectory.
+_XY_VIEWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _xy_or_self(traj: Trajectory) -> Trajectory:
-    return xy_view(traj) if traj.frame == BT1 else traj
+    if traj.frame != BT1:
+        return traj
+    view = _XY_VIEWS.get(traj)
+    if view is None:
+        view = _XY_VIEWS[traj] = xy_view(traj)
+    return view
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +235,7 @@ def audit(
     margin_moment_min = None
     neg_diag = (covs[:, 0, 0] < 0.0) | (covs[:, 1, 1] < 0.0)
     if traj.frame == BT1:
-        view = xy_view(traj)
+        view = _xy_or_self(traj)
         u_xy = view.covs[:, 0, 0] * view.covs[:, 1, 1] - view.covs[:, 0, 1] ** 2
         neg_diag = neg_diag | (view.covs[:, 0, 0] < 0.0) | (view.covs[:, 1, 1] < 0.0)
         # moment-side diffusion margin equals 4*lam^2*(U1 - hbar^2/4)

@@ -218,6 +218,22 @@ def test_check_malformed_csv(tmp_path):
     assert run("check", str(tmp_path / "missing.csv")) == 2
 
 
+def test_check_rejects_non_uniform_grid(tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    assert run("simulate", "--model", "sbth", "--preset", "paper-fig1",
+               "--t-end", "2", "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    data_start = next(i for i, l in enumerate(lines) if not l.startswith("#")) + 1
+    row = lines[data_start + 6].split(",")
+    row[0] = repr(float(row[0]) + 0.03)  # 0.63, still between 0.5 and 0.7
+    lines[data_start + 6] = ",".join(row)
+    out.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run("check", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "non-uniform time grid at data row 7" in err
+
+
 def test_check_classical_is_trivially_ok(tmp_path):
     out = tmp_path / "run.csv"
     assert run("simulate", "--model", "classical", "--t-end", "2",
@@ -256,6 +272,18 @@ def test_compare_joint_csv_and_columns(tmp_path):
                "--columns", "x,p", "--out", str(out)) == 0
     _, columns = read_csv(out)
     assert list(columns) == ["t", "x_a", "x_b", "p_a", "p_b"]
+
+
+@pytest.mark.parametrize("columns, message", [
+    ("x,foo", "unknown column 'foo'"),
+    (",", "--columns names no column"),
+    ("", "--columns names no column"),
+])
+def test_compare_bad_columns_is_exit_2(capsys, columns, message):
+    assert run("compare", "sbth", "lindblad", "--t-end", "1", "--columns", columns) == 2
+    out = capsys.readouterr()
+    assert message in out.err
+    assert "PASS" not in out.out
 
 
 def test_compare_unknown_spec(tmp_path):
