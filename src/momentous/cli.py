@@ -43,7 +43,7 @@ from .diagnostics import (
     trajectory_columns,
 )
 from .integrator import IntegrationError, IntegratorConfig, integrate
-from .model import BT1, L1, FrameError, ModelParams, Trajectory
+from .model import BT1, L1, FrameError, ModelParams, Trajectory, finite_real
 from .systems import build_lindblad, build_sbth, classical_analytic
 
 __all__ = ["main", "ConfigError", "PRESETS"]
@@ -82,11 +82,8 @@ def _resolve(args, extra_file: str | None = None) -> dict:
     """Defaults <- preset <- config file <- explicit flags."""
     cfg = {p.key: getattr(p.owner, p.field) for p in PARAMS}  # the field defaults
     cfg.update({"model": None, "emit-xy": False})
-    preset = getattr(args, "preset", None)
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}")
-        cfg.update(PRESETS[preset])
+    if getattr(args, "preset", None) is not None:  # a name argparse has checked
+        cfg.update(PRESETS[args.preset])
     file_cfg = {}
     path = extra_file or getattr(args, "config", None) or os.environ.get(ENV_CONFIG)
     if path:
@@ -115,6 +112,15 @@ def _resolve(args, extra_file: str | None = None) -> dict:
 
 def _params_and_grid(cfg: dict) -> tuple[ModelParams, IntegratorConfig]:
     return from_config(ModelParams, cfg), from_config(IntegratorConfig, cfg)
+
+
+def _tolerance(flag, configs, default: float) -> float:
+    """The flag, else the first config's ``tol``, else ``default``; finite, >= 0."""
+    values = [flag, *(cfg.get("tol") for cfg in configs)]
+    tol = finite_real("tol", next((v for v in values if v is not None), default))
+    if tol < 0.0:
+        raise ConfigError(f"tol must be >= 0, got {tol!r}")
+    return tol
 
 
 def _run_model(model: str, params: ModelParams, grid: IntegratorConfig) -> Trajectory:
@@ -157,6 +163,7 @@ def cmd_simulate(args) -> int:
     if model not in MODELS:
         raise ConfigError(f"--model must be one of {MODELS}, got {model!r}")
     params, grid = _params_and_grid(cfg)
+    tol = _tolerance(args.tol, [cfg], 1e-9)
     emit_xy = bool(cfg.get("emit-xy")) and model == "sbth"
     traj = _run_model(model, params, grid)
     out = args.out or cfg.get("out") or f"{model}.csv"
@@ -166,13 +173,11 @@ def cmd_simulate(args) -> int:
     write_csv(out, echo, _csv_columns(model, traj, emit_xy))
     print(f"wrote {out} ({traj.n_samples} samples, t in [0, {traj.ts[-1]:g}])")
     if model != "classical":
-        tol = args.tol if args.tol is not None else float(cfg.get("tol") or 1e-9)
         print(audit(traj, params, tol=tol).summary())
     return 0
 
 
 def cmd_compare(args) -> int:
-    sides = []
     configs = []
     for spec in (args.run_a, args.run_b):
         if spec in MODELS:
@@ -185,9 +190,9 @@ def cmd_compare(args) -> int:
         model = side_cfg.get("model")
         if model not in MODELS:
             raise ConfigError(f"run spec {spec!r} resolves to no model")
-        params, grid = _params_and_grid(side_cfg)
         configs.append(side_cfg)
-        sides.append((model, _run_model(model, params, grid)))
+    tol = _tolerance(args.tol, configs, 1e-6)
+    sides = [(cfg["model"], _run_model(cfg["model"], *_params_and_grid(cfg))) for cfg in configs]
 
     (model_a, traj_a), (model_b, traj_b) = sides
     if args.columns is not None:
@@ -203,9 +208,6 @@ def cmd_compare(args) -> int:
         metrics = compare(traj_a, traj_b, columns)
     except KeyError as exc:  # a --columns name no frame defines
         raise ConfigError(f"--columns: {exc.args[0]}") from None
-    tol = args.tol if args.tol is not None else float(
-        configs[0].get("tol") or configs[1].get("tol") or 1e-6
-    )
     print(f"comparing {model_a} vs {model_b} on {traj_a.n_samples} samples (tol {tol:g})")
     print(f"{'column':>10}  {'max_abs':>12}  {'rms':>12}  {'at_time':>9}")
     worst = 0.0
@@ -231,11 +233,11 @@ def cmd_compare(args) -> int:
 
 def cmd_check(args) -> int:
     config, columns = read_csv(args.csv)
+    tol = _tolerance(args.tol, [config], 1e-9)
     traj = trajectory_from_columns(config, columns)
     if traj is None:
         print(f"{args.csv}: classical run, no quantum moments to audit")
         return 0
-    tol = args.tol if args.tol is not None else float(config.get("tol") or 1e-9)
     result = audit(traj, traj.params, tol=tol)
     print(f"audit of {args.csv}")
     print(result.summary())

@@ -27,8 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .diagnostics import G1_COLUMNS
 from .integrator import IntegratorConfig
-from .model import BT1, L1, ModelParams, Trajectory, moment_order
+from .model import BT1, L1, ModelParams, Trajectory, covariances_from_moments
 
 __all__ = [
     "CsvFormatError",
@@ -54,11 +55,17 @@ class CsvFormatError(ValueError):
     """File is not a simulation CSV produced by this package."""
 
 
-_G1_NAMES = ["G1_" + "".join(str(e) for e in exps) for exps in moment_order(4)]
-SBTH_BASE_COLUMNS = ["t", "x1", "p1", "p2", "x2", *_G1_NAMES]
+SBTH_BASE_COLUMNS = ["t", *BT1.labels, *G1_COLUMNS]
 SBTH_XY_COLUMNS = ["x", "p_x", "G20", "G02", "G11", "E_mean", "E_plus", "E_minus", "U1", "Ux"]
 LINDBLAD_COLUMNS = ["t", "x", "p", "G20", "G02", "G11", "E_mean", "E_analytic", "U"]
 CLASSICAL_COLUMNS = ["t", "x", "p"]
+
+# per quantum model: its frame, whose labels name the mean columns, and its
+# moment columns in moment_order
+_STATE_COLUMNS = {
+    "sbth": (BT1, tuple(G1_COLUMNS)),
+    "lindblad": (L1, ("G20", "G11", "G02")),
+}
 
 # data rows formatted per write
 WRITE_BLOCK = 4096
@@ -196,16 +203,33 @@ def read_csv(path) -> tuple[dict, dict[str, np.ndarray]]:
         rows = itertools.chain([line], filter(None, map(str.strip, fh)))
         try:
             data = np.loadtxt(rows, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            if "number of columns changed" in str(exc):
-                problem = "data does not match header width"
-            else:
-                problem = "non-numeric data row"
-            raise CsvFormatError(f"{path}: {problem} ({exc})") from None
-    if data.shape[1] != len(header):
-        raise CsvFormatError(f"{path}: data does not match header width")
+        except ValueError:
+            data = None
+    if data is None or data.shape[1] != len(header):
+        raise CsvFormatError(f"{path}: {_bad_row(path, len(header)) or 'non-numeric data row'}")
     config = parse_config_text(config_text)
     return config, {name: data[:, k] for k, name in enumerate(header)}
+
+
+def _bad_row(path, width: int) -> str | None:
+    """The fault of the first data row that is not ``width`` numbers, naming
+    its file line (``np.loadtxt`` counts data rows only); None if no row has
+    one. A second pass over the file, taken only after a failed read."""
+    with open(path) as fh:
+        lines = ((n, raw.split("#", 1)[0].strip()) for n, raw in enumerate(fh, 1))
+        for number, text in itertools.islice(filter(lambda nl: nl[1], lines), 1, None):
+            fields = text.split(",")  # a data row: the header was skipped
+            if len(fields) != width:
+                return (f"data does not match header width at line {number} "
+                        f"({len(fields)} fields, header has {width})")
+            for field in fields:
+                try:
+                    if "_" in field:  # float() takes digit separators, loadtxt not
+                        raise ValueError(field)
+                    float(field)
+                except ValueError:
+                    return f"non-numeric data row at line {number} (field {field.strip()!r})"
+    return None
 
 
 def run_config(params: ModelParams, grid: IntegratorConfig) -> dict:
@@ -251,33 +275,14 @@ def trajectory_from_columns(config: dict, columns: dict[str, np.ndarray]) -> Tra
             f"{float(ts[row - 2])!r}, expected step {step!r} (relative tolerance {GRID_RTOL:g})"
         )
 
-    if model == "sbth":
-        missing = [c for c in SBTH_BASE_COLUMNS if c not in columns]
-        if missing:
-            raise CsvFormatError(f"missing columns: {missing}")
-        n = len(ts)
-        means = np.column_stack([columns[c] for c in ("x1", "p1", "p2", "x2")])
-        covs = np.empty((n, 4, 4))
-        for exps, name in zip(moment_order(4), _G1_NAMES):
-            i = [k for k, e in enumerate(exps) for _ in range(e)]
-            covs[:, i[0], i[1]] = columns[name]
-            covs[:, i[1], i[0]] = columns[name]
-        return Trajectory(BT1, ts, means, covs, step, params)
-
-    if model == "lindblad":
-        missing = [c for c in ("x", "p", "G20", "G02", "G11") if c not in columns]
-        if missing:
-            raise CsvFormatError(f"missing columns: {missing}")
-        n = len(ts)
-        means = np.column_stack([columns["x"], columns["p"]])
-        covs = np.empty((n, 2, 2))
-        covs[:, 0, 0] = columns["G20"]
-        covs[:, 1, 1] = columns["G02"]
-        covs[:, 0, 1] = columns["G11"]
-        covs[:, 1, 0] = columns["G11"]
-        return Trajectory(L1, ts, means, covs, step, params)
-
     if model == "classical":
         return None
-
-    raise CsvFormatError(f"unknown or missing model in config: {model!r}")
+    if model not in _STATE_COLUMNS:
+        raise CsvFormatError(f"unknown or missing model in config: {model!r}")
+    frame, moment_columns = _STATE_COLUMNS[model]
+    missing = [c for c in (*frame.labels, *moment_columns) if c not in columns]
+    if missing:
+        raise CsvFormatError(f"missing columns: {missing}")
+    means = np.column_stack([columns[c] for c in frame.labels])
+    moments = np.column_stack([columns[c] for c in moment_columns])
+    return Trajectory(frame, ts, means, covariances_from_moments(moments, frame.dim), step, params)

@@ -6,6 +6,7 @@ parameters) and return reports, never mutating their inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -24,9 +25,10 @@ from .model import (
     Trajectory,
     build_transform,
     exponents_to_indices,
+    moment_order,
     transform_state,
 )
-from .systems import lindblad_margin, xy_view
+from .systems import lindblad_margin, moment_margin, xy_view
 
 __all__ = [
     "coherent_initial_state",
@@ -38,6 +40,7 @@ __all__ = [
     "ColumnMetrics",
     "compare",
     "trajectory_columns",
+    "G1_COLUMNS",
     "GridMismatchError",
 ]
 
@@ -230,19 +233,15 @@ def audit(
     bound = 0.25 * hb * hb
 
     covs = traj.covs
-    u_pair1 = covs[:, 0, 0] * covs[:, 1, 1] - covs[:, 0, 1] ** 2
+    u_pair1 = _pair_determinant(covs)
     u_xy = None
     margin_moment_min = None
     neg_diag = (covs[:, 0, 0] < 0.0) | (covs[:, 1, 1] < 0.0)
     if traj.frame == BT1:
         view = _xy_or_self(traj)
-        u_xy = view.covs[:, 0, 0] * view.covs[:, 1, 1] - view.covs[:, 0, 1] ** 2
+        u_xy = _pair_determinant(view.covs)
         neg_diag = neg_diag | (view.covs[:, 0, 0] < 0.0) | (view.covs[:, 1, 1] < 0.0)
-        # moment-side diffusion margin equals 4*lam^2*(U1 - hbar^2/4)
-        lam2 = (2.0 * params.lambda_damp) ** 2
-        g20, g02, g11 = covs[:, 0, 0], covs[:, 1, 1], covs[:, 0, 1]
-        margins = lam2 * (g20 * g02 - g11**2) - (params.lambda_damp * hb) ** 2
-        margin_moment_min = float(margins.min())
+        margin_moment_min = float(moment_margin(params, u_pair1).min())
 
     flags = (u_pair1 < bound - tol) | neg_diag
     if u_xy is not None:
@@ -278,7 +277,42 @@ class GridMismatchError(ValueError):
     """Two runs do not share one sampling grid."""
 
 
-_XY_DERIVED = {"x", "p", "p_x", "y", "p_y", "G20", "G02", "G11"}
+# BT1 moment columns in moment_order, each with the covariance entry it holds
+G1_COLUMNS = {"G1_" + "".join(map(str, e)): exponents_to_indices(e) for e in moment_order(4)}
+
+
+def _pair_determinant(covs: np.ndarray) -> np.ndarray:
+    """Uncertainty determinant of the first canonical pair, per sample."""
+    return covs[:, 0, 0] * covs[:, 1, 1] - covs[:, 0, 1] ** 2
+
+
+def _view_mean(traj: Trajectory, label: str) -> np.ndarray:
+    view = _xy_or_self(traj)
+    if label in ("p", "p_x"):  # the physical momentum, under either name
+        label = "p_x" if "p_x" in view.frame.labels else "p"
+    return view.means[:, view.frame.index(label)]
+
+
+# columns by name, as f(traj, energy) with energy() the run's EnergyReport;
+# the means and moments here are a BT1 run's XY view, else the run's own
+_COLUMNS = {
+    "t": lambda traj, energy: traj.ts,
+    "x": lambda traj, energy: _view_mean(traj, "x"),
+    "p": lambda traj, energy: _view_mean(traj, "p"),
+    "p_x": lambda traj, energy: _view_mean(traj, "p_x"),
+    "y": lambda traj, energy: _view_mean(traj, "y"),
+    "p_y": lambda traj, energy: _view_mean(traj, "p_y"),
+    "G20": lambda traj, energy: _xy_or_self(traj).covs[:, 0, 0],
+    "G02": lambda traj, energy: _xy_or_self(traj).covs[:, 1, 1],
+    "G11": lambda traj, energy: _xy_or_self(traj).covs[:, 0, 1],
+    "E_mean": lambda traj, energy: energy().e_mean,
+    "E_plus": lambda traj, energy: energy().e_plus,
+    "E_minus": lambda traj, energy: energy().e_minus,
+    "E_analytic": lambda traj, energy: energy().e_analytic,
+    "U": lambda traj, energy: _pair_determinant(traj.covs),
+    "U1": lambda traj, energy: _pair_determinant(traj.covs),
+    "Ux": lambda traj, energy: _pair_determinant(_xy_or_self(traj).covs),
+}
 
 
 def trajectory_columns(traj: Trajectory, names) -> dict[str, np.ndarray]:
@@ -290,65 +324,22 @@ def trajectory_columns(traj: Trajectory, names) -> dict[str, np.ndarray]:
     ``E_mean``, ``E_plus``, ``E_minus``, ``E_analytic``, ``U1``, ``Ux`` and
     ``t``. For BT1 runs the XY-view names (``x``, ``p_x``/``p``, ``G20``,
     ...) are computed on the fly, so columns of different models are
-    directly comparable.
+    directly comparable. An unknown name raises ``KeyError``.
     """
-    view = None
-    energies = None
-
-    def xy() -> Trajectory:
-        nonlocal view
-        if view is None:
-            view = _xy_or_self(traj)
-        return view
-
-    def energy() -> EnergyReport:
-        nonlocal energies
-        if energies is None:
-            energies = energy_report(traj)
-        return energies
-
+    frame = traj.frame
+    energy = functools.cache(lambda: energy_report(traj))
     out: dict[str, np.ndarray] = {}
     for name in names:
-        out[name] = _resolve_column(traj, name, xy, energy)
+        if name in frame.labels:
+            out[name] = traj.means[:, frame.index(name)]
+        elif frame == BT1 and name in G1_COLUMNS:
+            i, j = G1_COLUMNS[name]
+            out[name] = traj.covs[:, i, j]
+        elif name in _COLUMNS:
+            out[name] = _COLUMNS[name](traj, energy)
+        else:
+            raise KeyError(f"unknown column {name!r} for frame {frame.name}")
     return out
-
-
-def _resolve_column(traj, name, xy, energy) -> np.ndarray:
-    frame = traj.frame
-    if name == "t":
-        return traj.ts
-    if name in frame.labels:
-        return traj.means[:, frame.index(name)]
-    if frame == BT1 and name.startswith("G1_") and len(name) == 7:
-        i, j = exponents_to_indices(tuple(int(ch) for ch in name[3:]))
-        return traj.covs[:, i, j]
-    if name in _XY_DERIVED:
-        v = xy()
-        if name in ("x", "p", "p_x", "y", "p_y"):
-            label = name
-            if label in ("p", "p_x"):
-                label = "p_x" if "p_x" in v.frame.labels else "p"
-            return v.means[:, v.frame.index(label)]
-        return {
-            "G20": v.covs[:, 0, 0],
-            "G02": v.covs[:, 1, 1],
-            "G11": v.covs[:, 0, 1],
-        }[name]
-    if name == "E_mean":
-        return energy().e_mean
-    if name == "E_plus":
-        return energy().e_plus
-    if name == "E_minus":
-        return energy().e_minus
-    if name == "E_analytic":
-        return energy().e_analytic
-    if name in ("U", "U1"):
-        c = traj.covs
-        return c[:, 0, 0] * c[:, 1, 1] - c[:, 0, 1] ** 2
-    if name == "Ux":
-        v = xy()
-        return v.covs[:, 0, 0] * v.covs[:, 1, 1] - v.covs[:, 0, 1] ** 2
-    raise KeyError(f"unknown column {name!r} for frame {frame.name}")
 
 
 @dataclass(frozen=True)

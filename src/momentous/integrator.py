@@ -3,8 +3,10 @@
 The models here are linear and non-stiff at the parameters of interest, so
 a fixed-step classical RK4 is used: it is fourth-order accurate, has no
 adaptivity state, and therefore reproduces results bit-for-bit on one
-platform. The covariance is re-symmetrized after every step,
-``S <- (S + S^T)/2``, to keep round-off asymmetry from accumulating.
+platform. The state is ``[means, moments, 1]``: the independent second
+moments in ``moment_order``, and a coordinate fixed at 1 that carries the
+diffusion source (Van Loan, IEEE TAC 23(3), 1978). The covariance is
+unpacked from the moments, so it is symmetric by construction.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import CovarianceMatrix, FrameError, MeanVector, Trajectory, finite_real
-from .systems import ModelSystem
+from .model import CovarianceMatrix, FrameError, MeanVector, Trajectory
+from .model import covariances_from_moments, finite_real
+from .systems import ModelSystem, moment_rows
 
 __all__ = ["MAX_STEPS", "IntegratorConfig", "IntegrationError", "integrate", "convergence_order"]
 
@@ -76,17 +79,15 @@ class IntegrationError(RuntimeError):
         self.t = t
 
 
-def _packed_operator(system: ModelSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Affine operator (M, c) for the packed state [means, cov.ravel()]."""
+def _rate_matrix(system: ModelSystem) -> np.ndarray:
+    """Rate matrix of the state [means, moments, 1]."""
     d = system.frame.dim
-    n = d + d * d
-    m = np.zeros((n, n))
-    m[:d, :d] = system.a_classical
-    eye = np.eye(d)
-    m[d:, d:] = np.kron(system.a_moment, eye) + np.kron(eye, system.a_moment)
-    c = np.zeros(n)
-    c[d:] = system.diffusion.ravel()
-    return m, c
+    rows, cols = np.triu_indices(d)  # moment_order
+    mat = np.zeros((d + len(rows) + 1,) * 2)
+    mat[:d, :d] = system.a_classical
+    mat[d:-1, d:-1] = moment_rows(system.a_moment)
+    mat[d:-1, -1] = system.diffusion[rows, cols]
+    return mat
 
 
 def integrate(
@@ -107,22 +108,13 @@ def integrate(
             f"initial state frame does not match system frame {system.frame.name}"
         )
     d = system.frame.dim
-    mat, const = _packed_operator(system)
-    y = np.concatenate([means0.values, cov0.entries.ravel()])
-
-    # packed positions of the (i, j)/(j, i) covariance mirrors
-    iu = np.array([d + i * d + j for i in range(d) for j in range(i + 1, d)], dtype=int)
-    il = np.array([d + j * d + i for i in range(d) for j in range(i + 1, d)], dtype=int)
+    mat = _rate_matrix(system)
+    y = np.concatenate([means0.values, cov0.entries[np.triu_indices(d)], [1.0]])
 
     n_steps = cfg.n_steps
     every = cfg.sample_every
-    n_samples = n_steps // every + 1
-    ts = np.empty(n_samples)
-    means = np.empty((n_samples, d))
-    covs = np.empty((n_samples, d, d))
-    ts[0] = 0.0
-    means[0] = y[:d]
-    covs[0] = y[d:].reshape(d, d)
+    states = np.empty((n_steps // every + 1, y.size))
+    states[0] = y
 
     h = cfg.dt
     hh = 0.5 * h
@@ -131,23 +123,20 @@ def integrate(
     # overflow is expected on divergent systems and reported as an error
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
-            k1 = mat @ y + const
-            k2 = mat @ (y + hh * k1) + const
-            k3 = mat @ (y + hh * k2) + const
-            k4 = mat @ (y + h * k3) + const
+            k1 = mat @ y
+            k2 = mat @ (y + hh * k1)
+            k3 = mat @ (y + hh * k2)
+            k4 = mat @ (y + h * k3)
             y = y + h6 * (k1 + 2.0 * (k2 + k3) + k4)
-            mirror = 0.5 * (y[iu] + y[il])
-            y[iu] = mirror
-            y[il] = mirror
             if not math.isfinite(float(y.sum())):
                 raise IntegrationError(step, step * h)
             if step % every == 0:
-                ts[out] = step * h
-                means[out] = y[:d]
-                covs[out] = y[d:].reshape(d, d)
+                states[out] = y
                 out += 1
 
-    return Trajectory(system.frame, ts, means, covs, every * h, system.params)
+    ts = (np.arange(len(states)) * every) * h
+    covs = covariances_from_moments(states[:, d:-1], d)
+    return Trajectory(system.frame, ts, states[:, :d], covs, every * h, system.params)
 
 
 def convergence_order(

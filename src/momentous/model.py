@@ -39,6 +39,7 @@ __all__ = [
     "build_transform",
     "transform_state",
     "moment_order",
+    "covariances_from_moments",
     "exponents_to_indices",
     "indices_to_exponents",
     "moment_label",
@@ -227,13 +228,21 @@ def exponents_to_indices(exponents) -> tuple[int, int]:
 def moment_order(dim: int) -> list[tuple[int, ...]]:
     """Canonical ordering of the dim*(dim+1)/2 independent second moments.
 
-    Follows row-major upper-triangle order of the covariance matrix, which
-    for four coordinates reads 2000, 1100, 1010, 1001, 0200, 0110, 0101,
-    0020, 0011, 0002.
+    Follows row-major upper-triangle order of the covariance matrix,
+    ``np.triu_indices(dim)``, which for four coordinates reads 2000, 1100,
+    1010, 1001, 0200, 0110, 0101, 0020, 0011, 0002.
     """
-    return [
-        indices_to_exponents(i, j, dim) for i in range(dim) for j in range(i, dim)
-    ]
+    return [indices_to_exponents(i, j, dim) for i, j in zip(*np.triu_indices(dim))]
+
+
+def covariances_from_moments(moments, dim: int) -> np.ndarray:
+    """Symmetric (n, dim, dim) covariances from (n, dim*(dim+1)/2) moment
+    rows stacked in :func:`moment_order`."""
+    rows, cols = np.triu_indices(dim)
+    covs = np.empty((len(moments), dim, dim))
+    covs[:, rows, cols] = moments
+    covs[:, cols, rows] = moments
+    return covs
 
 
 def moment_label(exponents) -> str:

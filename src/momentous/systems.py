@@ -36,8 +36,8 @@ from .model import (
     ModelParams,
     Trajectory,
     build_transform,
+    covariances_from_moments,
     moment_order,
-    exponents_to_indices,
 )
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
     "diffusion_report",
     "lindblad_diffusion",
     "lindblad_margin",
+    "moment_margin",
     "xy_view",
     "xy_variance_rate_residual",
 ]
@@ -97,20 +98,14 @@ def moment_rows(a_moment: np.ndarray) -> np.ndarray:
     """Reduce a Lyapunov generator to rates of the independent moments.
 
     Returns the matrix R with ``mdot = R m`` where ``m`` stacks the
-    d*(d+1)/2 upper-triangle moments in canonical order. Used to compare
-    differently constructed systems coefficient by coefficient.
+    d*(d+1)/2 upper-triangle moments in canonical order: column c is the
+    flow ``A S + S A^T`` of the c-th unit moment. The integrator steps the
+    moments with it.
     """
     a = np.asarray(a_moment, dtype=float)
-    d = a.shape[0]
-    order = moment_order(d)
-    row_of = {exponents_to_indices(e): r for r, e in enumerate(order)}
-    rows = np.zeros((len(order), len(order)))
-    for r, exps in enumerate(order):
-        i, j = exponents_to_indices(exps)
-        for k in range(d):
-            rows[r, row_of[(min(k, j), max(k, j))]] += a[i, k]
-            rows[r, row_of[(min(i, k), max(i, k))]] += a[j, k]
-    return rows
+    rows, cols = np.triu_indices(a.shape[0])
+    units = covariances_from_moments(np.eye(len(rows)), a.shape[0])
+    return (a @ units + units @ a.T)[:, rows, cols].T
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +286,13 @@ def lindblad_margin(params: ModelParams) -> float:
     return d_xx * d_pp - d_px**2 - (0.5 * params.hbar * params.gamma) ** 2
 
 
+def moment_margin(params: ModelParams, u_pair1):
+    """Moment-side diffusion margin ``(2*lam)**2*u_pair1 - (lam*hbar)**2``
+    from first-pair uncertainty determinants (scalar or array)."""
+    lam = params.lambda_damp
+    return (2.0 * lam) ** 2 * u_pair1 - (lam * params.hbar) ** 2
+
+
 @dataclass(frozen=True)
 class DiffusionReport:
     """Diffusion coefficients of both models and their determinant margins.
@@ -322,8 +324,7 @@ def diffusion_report(params: ModelParams, cov_bt1: CovarianceMatrix) -> Diffusio
     if cov_bt1.frame != BT1:
         raise FrameError("diffusion_report expects a BT1 covariance")
     d_xx, d_pp, d_px = lindblad_diffusion(params)
-    lam, hb = params.lambda_damp, params.hbar
-    two_lam = 2.0 * lam
+    two_lam = 2.0 * params.lambda_damp
     d_gxx = two_lam * cov_bt1.moment(2, 0, 0, 0)
     d_gpp = two_lam * cov_bt1.moment(0, 2, 0, 0)
     d_gpx = two_lam * cov_bt1.moment(1, 1, 0, 0)
@@ -335,7 +336,7 @@ def diffusion_report(params: ModelParams, cov_bt1: CovarianceMatrix) -> Diffusio
         d_gpp=d_gpp,
         d_gpx=d_gpx,
         margin_lindblad=lindblad_margin(params),
-        margin_moment=d_gxx * d_gpp - d_gpx**2 - (lam * hb) ** 2,
+        margin_moment=moment_margin(params, cov_bt1.pair_determinant(0)),
     )
 
 

@@ -291,6 +291,73 @@ def test_compare_unknown_spec(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the tolerance: flag, then config, then the default; finite and >= 0
+
+def _corrupted_run(tmp_path, config_line=None):
+    """A short sbth run with one zeroed G1_2000 entry (check exits 1)."""
+    out = tmp_path / "run.csv"
+    assert run("simulate", "--model", "sbth", "--t-end", "2", "--out", str(out)) == 0
+    lines = out.read_text().splitlines()
+    data_start = next(i for i, l in enumerate(lines) if not l.startswith("#")) + 1
+    row = lines[data_start + 3].split(",")
+    row[SBTH_BASE_COLUMNS.index("G1_2000")] = "0.0"
+    lines[data_start + 3] = ",".join(row)
+    if config_line is not None:
+        lines.insert(0, config_line)
+    out.write_text("\n".join(lines) + "\n")
+    return out
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-1e-3"])
+def test_check_bad_tol_flag_is_exit_2(tmp_path, capsys, bad):
+    path = _corrupted_run(tmp_path)
+    capsys.readouterr()
+    assert run("check", str(path), f"--tol={bad}") == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error: tol must be") and "violations" not in out.out
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "abc"])
+def test_check_bad_tol_config_line_is_exit_2(tmp_path, capsys, bad):
+    path = _corrupted_run(tmp_path, f"# tol = {bad}")
+    assert run("check", str(path)) == 2
+    assert capsys.readouterr().err.startswith("error: tol must be")
+
+
+def test_compare_infinite_tol_is_exit_2(capsys):
+    assert run("compare", "sbth", "lindblad", "--preset", "paper-fig3", "--nbar", "2",
+               "--t-end", "2", "--tol", "inf") == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error: tol must be finite") and "PASS" not in out.out
+
+
+def test_simulate_bad_tol_is_exit_2_before_writing(tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    assert run("simulate", "--model", "lindblad", "--t-end", "2", "--tol", "nan",
+               "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: tol must be finite")
+    assert not out.exists()
+
+
+def test_zero_tol_in_config_is_honoured(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model = sbth\nt-end = 2\ntol = 0\n")
+    assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "run.csv")) == 0
+    assert "tol 0," in capsys.readouterr().out
+    path = _corrupted_run(tmp_path, "# tol = 0")
+    capsys.readouterr()
+    assert run("check", str(path)) == 1
+    assert "tol 0," in capsys.readouterr().out
+
+
+def test_tol_flag_overrides_config(tmp_path, capsys):
+    path = _corrupted_run(tmp_path, "# tol = nan")
+    capsys.readouterr()
+    assert run("check", str(path), "--tol", "0") == 1
+    assert "tol 0," in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
 # brackets
 
 def test_brackets_dump(capsys):

@@ -42,6 +42,23 @@ def test_malformed_file_is_exit_2(tmp_path, capsys, text):
     assert "Traceback" not in err and "Warning" not in err
 
 
+@pytest.mark.parametrize("text, problem", [
+    ("# model = sbth\nt,x1\n0.0,1.0\n1.0,not_a_number\n", "non-numeric data row"),
+    ("# model = sbth\nt,x1\n0.0,1.0\n1.0\n", "data does not match header width"),
+    ("# model = sbth\nt,x1\n0.0,1.0\n1.0,1_0\n", "non-numeric data row"),
+    ("# model = sbth\n\nt,x1\n0.0,1.0\n\n# note\n1.0,2.0,3.0\n",
+     "data does not match header width"),
+], ids=["non-numeric", "short", "digit separator", "wide after blanks and a comment"])
+def test_malformed_row_names_its_file_line(tmp_path, capsys, text, problem):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    assert cli.main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    line = len(text.splitlines())
+    assert f"{problem} at line {line} " in err, err
+    assert "at row" not in err, err
+
+
 def test_blank_lines_and_crlf_still_read(tmp_path):
     path = tmp_path / "ok.csv"
     path.write_bytes(b"# a = 1\r\n\r\n# b = x\r\nt,x\r\n\r\n0.5,1.5\r\n  \r\n2.5,-3.5e-01\r\n\r\n")

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import momentous as mm
-from momentous.diagnostics import GridMismatchError
+from momentous.diagnostics import G1_COLUMNS, GridMismatchError
+from momentous.systems import moment_margin
 
 # ---------------------------------------------------------------------------
 # coherent initial state
@@ -186,3 +187,22 @@ def test_trajectory_columns_aliases(sbth_run, lindblad_run):
 def test_trajectory_columns_unknown_name(sbth_run):
     with pytest.raises(KeyError):
         mm.trajectory_columns(sbth_run, ["nope"])
+
+
+def test_trajectory_columns_moment_names(sbth_run, lindblad_run):
+    cols = mm.trajectory_columns(sbth_run, list(G1_COLUMNS))
+    for name, (i, j) in G1_COLUMNS.items():
+        assert np.array_equal(cols[name], sbth_run.covs[:, i, j])
+    assert list(G1_COLUMNS)[:2] == ["G1_2000", "G1_1100"]
+    for name in ("G1_2000", "G1_0000"):
+        with pytest.raises(KeyError):
+            mm.trajectory_columns(lindblad_run if name == "G1_2000" else sbth_run, [name])
+
+
+def test_moment_margin_shared_by_audit_and_report(params, sbth_run):
+    margins = moment_margin(params, sbth_run.covs[:, 0, 0] * sbth_run.covs[:, 1, 1]
+                            - sbth_run.covs[:, 0, 1] ** 2)
+    assert mm.audit(sbth_run).margin_moment_min == float(margins.min())
+    _, _, cov = sbth_run.sample(-1)
+    assert mm.diffusion_report(params, cov).margin_moment == margins[-1]
+

@@ -95,7 +95,8 @@ def test_covariance_exactly_symmetric(params, sbth_run):
 
 
 def test_raw_step_asymmetry_is_roundoff_level(params):
-    """One RK4 step without the re-symmetrization stays symmetric to ~eps."""
+    """One RK4 step of the full Lyapunov flow, never symmetrized, stays
+    symmetric to ~eps."""
     sys = mm.build_sbth(params)
     a = sys.a_moment
     s = RNG.normal(size=(4, 4))
@@ -123,12 +124,15 @@ def test_nonfinite_state_reported():
     a = np.diag([100.0, 100.0])
     zero = np.zeros((2, 2))
     sys = mm.ModelSystem("explode", mm.L1, a, zero, zero)
-    with pytest.raises(IntegrationError, match="step"):
+    # per-step growth 1 + 100 + 100**2/2 + ... ~ 4.3e6 overflows at step 47;
+    # sample_every 10 pins the check to steps, not samples
+    with pytest.raises(IntegrationError, match="step 47 ") as err:
         mm.integrate(
             sys, mm.MeanVector(mm.L1, [1.0, 1.0]),
             mm.CovarianceMatrix(mm.L1, np.zeros((2, 2))),
-            mm.IntegratorConfig(1.0, 100.0, 1),
+            mm.IntegratorConfig(1.0, 100.0, 10),
         )
+    assert err.value.step == 47 and err.value.t == 47.0
 
 
 def test_convergence_order_sbth(params):
@@ -162,3 +166,86 @@ def test_halving_dt_reduces_error_sixteenfold(params):
 
     ratio = endpoint_error(0.08) / endpoint_error(0.04)
     assert 13.0 <= ratio <= 19.0
+
+
+# ---------------------------------------------------------------------------
+# oracle: the packed-operator RK4 on the full covariance
+
+def kronecker_rk4(system, means0, cov0, cfg):
+    """RK4 on the state [means, cov.ravel()] under the operator
+    kron(A_m, I) + kron(I, A_m) plus the diffusion, averaging each mirrored
+    covariance pair after every step. Returns (means, covs) per sample."""
+    d = system.frame.dim
+    n = d + d * d
+    mat = np.zeros((n, n))
+    mat[:d, :d] = system.a_classical
+    eye = np.eye(d)
+    mat[d:, d:] = np.kron(system.a_moment, eye) + np.kron(eye, system.a_moment)
+    const = np.zeros(n)
+    const[d:] = system.diffusion.ravel()
+    iu = np.array([d + i * d + j for i in range(d) for j in range(i + 1, d)], dtype=int)
+    il = np.array([d + j * d + i for i in range(d) for j in range(i + 1, d)], dtype=int)
+
+    y = np.concatenate([means0.values, cov0.entries.ravel()])
+    samples = [y]
+    h = cfg.dt
+    for step in range(1, cfg.n_steps + 1):
+        k1 = mat @ y + const
+        k2 = mat @ (y + 0.5 * h * k1) + const
+        k3 = mat @ (y + 0.5 * h * k2) + const
+        k4 = mat @ (y + h * k3) + const
+        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        mirror = 0.5 * (y[iu] + y[il])
+        y[iu] = mirror
+        y[il] = mirror
+        if step % cfg.sample_every == 0:
+            samples.append(y)
+    states = np.array(samples)
+    return states[:, :d], states[:, d:].reshape(-1, d, d)
+
+
+def _random_params(rng, **fixed):
+    values = dict(
+        m=rng.uniform(0.5, 2.0), hbar=rng.uniform(0.5, 2.0),
+        lambda_damp=rng.uniform(0.0, 0.3), big_omega=rng.uniform(0.5, 2.0),
+        gamma=rng.uniform(0.01, 0.5), omega=rng.uniform(0.5, 2.0),
+        omega_prime=rng.uniform(0.5, 2.0), nbar=rng.uniform(0.5, 3.0),
+        n_level=int(rng.integers(0, 5)),
+    )
+    values.update(fixed)
+    return mm.ModelParams(**values)
+
+
+def _user_system(rng):
+    """A four-coordinate system with random generators and a full (non-zero
+    off-diagonal) positive semidefinite diffusion."""
+    b = rng.normal(size=(4, 4))
+    a_classical = rng.normal(scale=0.5, size=(4, 4))
+    a_moment = rng.normal(scale=0.5, size=(4, 4))
+    means0 = mm.MeanVector(mm.XY, rng.normal(size=4))
+    c = rng.normal(size=(4, 4))
+    cov0 = mm.CovarianceMatrix(mm.XY, c @ c.T)
+    return mm.ModelSystem("user", mm.XY, a_classical, a_moment, b @ b.T), means0, cov0
+
+
+def _cases(seed):
+    rng = np.random.default_rng(seed)
+    p = _random_params(rng)
+    yield "sbth", mm.build_sbth(p), *mm.coherent_initial_state(p, mm.BT1)
+    assert not p.equivalence_mode
+    yield "lindblad", mm.build_lindblad(p), *mm.coherent_initial_state(p, mm.L1)
+    yield "user", *_user_system(rng)
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_matches_kronecker_oracle(seed):
+    cfg = mm.IntegratorConfig(dt=1e-2, t_end=6.0, sample_every=7)
+    for label, system, means0, cov0 in _cases(seed):
+        if label == "user":
+            assert np.abs(system.diffusion - np.diag(system.diffusion.diagonal())).max() > 0.1
+        run = mm.integrate(system, means0, cov0, cfg)
+        means, covs = kronecker_rk4(system, means0, cov0, cfg)
+        assert run.n_samples == len(means) == cfg.n_steps // 7 + 1
+        for got, want in ((run.means, means), (run.covs, covs)):
+            scale = np.abs(want).max()
+            assert np.abs(got - want).max() <= 1e-12 * scale, label

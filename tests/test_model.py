@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import momentous as mm
-from momentous.model import moment_order, exponents_to_indices, indices_to_exponents
+from momentous.model import (
+    covariances_from_moments,
+    exponents_to_indices,
+    indices_to_exponents,
+    moment_order,
+)
 
 RNG = np.random.default_rng(20260808)
 
@@ -76,6 +81,18 @@ def test_moment_order_canonical():
     for exps in order:
         i, j = exponents_to_indices(exps)
         assert indices_to_exponents(i, j, 4) == exps
+
+
+def test_covariances_from_moments_follow_moment_order():
+    for dim in (2, 4):
+        order = moment_order(dim)
+        moments = np.arange(1.0, 1.0 + 3 * len(order)).reshape(3, len(order))
+        covs = covariances_from_moments(moments, dim)
+        assert covs.shape == (3, dim, dim)
+        for r, exps in enumerate(order):
+            i, j = exponents_to_indices(exps)
+            assert np.array_equal(covs[:, i, j], moments[:, r])
+            assert np.array_equal(covs[:, j, i], moments[:, r])
 
 
 def test_exponent_validation():
