@@ -14,6 +14,7 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -299,6 +300,7 @@ def _add_param_flags(sub) -> None:
         sub.add_argument(f"--{p.key}", type=p.type, dest=p.field, help=p.help)
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="momentous",

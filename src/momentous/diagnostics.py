@@ -6,7 +6,6 @@ parameters) and return reports, never mutating their inputs.
 
 from __future__ import annotations
 
-import functools
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -96,19 +95,30 @@ def _default_energy_omega(frame: CanonicalFrame, params: ModelParams) -> float:
     return params.big_omega if frame in (BT1, XY) else params.omega
 
 
-# XY views of BT1 trajectories, each taken once. Trajectory hashes by
-# identity (eq=False) and its arrays are read-only, so a view never goes
-# stale; the weak key lets it go with its trajectory.
-_XY_VIEWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# What is derived from a trajectory, each taken once: the XY view of a BT1
+# run and its energy report per parameter set. Trajectory hashes by identity
+# (eq=False) and its arrays are read-only, so an entry never goes stale; the
+# weak key lets the entries go with their trajectory.
+_DERIVED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _derived(traj: Trajectory, key, make):
+    memo = _DERIVED.setdefault(traj, {})
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
 
 
 def _xy_or_self(traj: Trajectory) -> Trajectory:
     if traj.frame != BT1:
         return traj
-    view = _XY_VIEWS.get(traj)
-    if view is None:
-        view = _XY_VIEWS[traj] = xy_view(traj)
-    return view
+    return _derived(traj, "xy", lambda: xy_view(traj))
+
+
+def _energies(traj: Trajectory, params: ModelParams | None = None) -> EnergyReport:
+    """``energy_report(traj, params)``, computed once per trajectory and params."""
+    params = params or traj.params
+    return _derived(traj, ("energy", params), lambda: energy_report(traj, params))
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,7 +259,7 @@ def audit(
 
     omega_e = _default_energy_omega(traj.frame, params)
     try:
-        final_energy = float(energy_report(traj, params).e_mean[-1])
+        final_energy = float(_energies(traj, params).e_mean[-1])
     except ValueError:
         final_energy = math.nan  # corrupted moments; already flagged above
     return InvariantAudit(
@@ -293,25 +303,25 @@ def _view_mean(traj: Trajectory, label: str) -> np.ndarray:
     return view.means[:, view.frame.index(label)]
 
 
-# columns by name, as f(traj, energy) with energy() the run's EnergyReport;
-# the means and moments here are a BT1 run's XY view, else the run's own
+# columns by name, as f(traj); the means and moments here are a BT1 run's
+# XY view, else the run's own
 _COLUMNS = {
-    "t": lambda traj, energy: traj.ts,
-    "x": lambda traj, energy: _view_mean(traj, "x"),
-    "p": lambda traj, energy: _view_mean(traj, "p"),
-    "p_x": lambda traj, energy: _view_mean(traj, "p_x"),
-    "y": lambda traj, energy: _view_mean(traj, "y"),
-    "p_y": lambda traj, energy: _view_mean(traj, "p_y"),
-    "G20": lambda traj, energy: _xy_or_self(traj).covs[:, 0, 0],
-    "G02": lambda traj, energy: _xy_or_self(traj).covs[:, 1, 1],
-    "G11": lambda traj, energy: _xy_or_self(traj).covs[:, 0, 1],
-    "E_mean": lambda traj, energy: energy().e_mean,
-    "E_plus": lambda traj, energy: energy().e_plus,
-    "E_minus": lambda traj, energy: energy().e_minus,
-    "E_analytic": lambda traj, energy: energy().e_analytic,
-    "U": lambda traj, energy: _pair_determinant(traj.covs),
-    "U1": lambda traj, energy: _pair_determinant(traj.covs),
-    "Ux": lambda traj, energy: _pair_determinant(_xy_or_self(traj).covs),
+    "t": lambda traj: traj.ts,
+    "x": lambda traj: _view_mean(traj, "x"),
+    "p": lambda traj: _view_mean(traj, "p"),
+    "p_x": lambda traj: _view_mean(traj, "p_x"),
+    "y": lambda traj: _view_mean(traj, "y"),
+    "p_y": lambda traj: _view_mean(traj, "p_y"),
+    "G20": lambda traj: _xy_or_self(traj).covs[:, 0, 0],
+    "G02": lambda traj: _xy_or_self(traj).covs[:, 1, 1],
+    "G11": lambda traj: _xy_or_self(traj).covs[:, 0, 1],
+    "E_mean": lambda traj: _energies(traj).e_mean,
+    "E_plus": lambda traj: _energies(traj).e_plus,
+    "E_minus": lambda traj: _energies(traj).e_minus,
+    "E_analytic": lambda traj: _energies(traj).e_analytic,
+    "U": lambda traj: _pair_determinant(traj.covs),
+    "U1": lambda traj: _pair_determinant(traj.covs),
+    "Ux": lambda traj: _pair_determinant(_xy_or_self(traj).covs),
 }
 
 
@@ -327,7 +337,6 @@ def trajectory_columns(traj: Trajectory, names) -> dict[str, np.ndarray]:
     directly comparable. An unknown name raises ``KeyError``.
     """
     frame = traj.frame
-    energy = functools.cache(lambda: energy_report(traj))
     out: dict[str, np.ndarray] = {}
     for name in names:
         if name in frame.labels:
@@ -336,7 +345,7 @@ def trajectory_columns(traj: Trajectory, names) -> dict[str, np.ndarray]:
             i, j = G1_COLUMNS[name]
             out[name] = traj.covs[:, i, j]
         elif name in _COLUMNS:
-            out[name] = _COLUMNS[name](traj, energy)
+            out[name] = _COLUMNS[name](traj)
         else:
             raise KeyError(f"unknown column {name!r} for frame {frame.name}")
     return out

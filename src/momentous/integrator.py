@@ -7,6 +7,11 @@ platform. The state is ``[means, moments, 1]``: the independent second
 moments in ``moment_order``, and a coordinate fixed at 1 that carries the
 diffusion source (Van Loan, IEEE TAC 23(3), 1978). The covariance is
 unpacked from the moments, so it is symmetric by construction.
+
+The system is linear and time-invariant, so one RK4 step is one fixed
+matrix, the degree-4 Taylor polynomial of ``h`` times the rate matrix. It
+is built once per run; each step is then one matrix-vector product
+followed by the finiteness check, so a failure names its exact step.
 """
 
 from __future__ import annotations
@@ -35,7 +40,10 @@ class IntegratorConfig:
     """Step size, final time, and output decimation.
 
     ``sample_every = k`` emits every k-th step (plus the initial state), so
-    the output interval is ``k*dt``. ``dt`` and ``t_end`` must be finite and
+    the output interval is ``k*dt`` and the last sample is at
+    ``(n_steps // k)*k*dt``. That falls before ``t_end`` when ``k`` does not
+    divide the step count: ``dt = 50, t_end = 100`` at the default ``k``
+    gives one sample, at t = 0. ``dt`` and ``t_end`` must be finite and
     > 0, ``sample_every`` an integer >= 1, and ``t_end/dt`` between 1 and
     :data:`MAX_STEPS`; a violation raises ``ValueError`` naming the field.
     """
@@ -90,6 +98,17 @@ def _rate_matrix(system: ModelSystem) -> np.ndarray:
     return mat
 
 
+def _rk4_step_matrix(hm: np.ndarray) -> np.ndarray:
+    """One classical RK4 step of ``y' = M y`` as a matrix, from ``hm = h*M``.
+
+    On a linear autonomous system the four stages compose to the degree-4
+    Taylor polynomial ``I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24``, here in
+    Horner form.
+    """
+    eye = np.eye(len(hm))
+    return eye + hm @ (eye + hm @ (eye / 2.0 + hm @ (eye / 6.0 + hm / 24.0)))
+
+
 def integrate(
     system: ModelSystem,
     means0: MeanVector,
@@ -117,17 +136,12 @@ def integrate(
     states[0] = y
 
     h = cfg.dt
-    hh = 0.5 * h
-    h6 = h / 6.0
     out = 1
     # overflow is expected on divergent systems and reported as an error
     with np.errstate(over="ignore", invalid="ignore"):
+        step_matrix = _rk4_step_matrix(h * mat)
         for step in range(1, n_steps + 1):
-            k1 = mat @ y
-            k2 = mat @ (y + hh * k1)
-            k3 = mat @ (y + hh * k2)
-            k4 = mat @ (y + h * k3)
-            y = y + h6 * (k1 + 2.0 * (k2 + k3) + k4)
+            y = step_matrix @ y
             if not math.isfinite(float(y.sum())):
                 raise IntegrationError(step, step * h)
             if step % every == 0:

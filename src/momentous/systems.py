@@ -349,7 +349,7 @@ def xy_view(traj: Trajectory) -> Trajectory:
         raise FrameError("xy_view expects a BT1 trajectory")
     t = build_transform(BT1, XY).matrix
     means = traj.means @ t.T
-    covs = np.einsum("ij,njk,lk->nil", t, traj.covs, t)
+    covs = t @ traj.covs @ t.T
     covs = 0.5 * (covs + covs.transpose(0, 2, 1))
     return Trajectory(XY, traj.ts, means, covs, traj.step, traj.params)
 

@@ -1,10 +1,15 @@
 import math
+import os
 import re
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from momentous import cli
+from momentous import cli, diagnostics
 from momentous.csvio import read_csv, PARAMS, SBTH_BASE_COLUMNS, SBTH_XY_COLUMNS, LINDBLAD_COLUMNS
 
 
@@ -67,6 +72,15 @@ def test_numerical_blowup_exit_code(tmp_path):
     out = tmp_path / "boom.csv"
     assert run("simulate", "--model", "sbth", "--dt", "30", "--t-end", "3000",
                "--out", str(out)) == 3
+
+
+def test_overflowing_step_is_exit_3_at_step_1(tmp_path, capsys):
+    out = tmp_path / "boom.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning would escape main
+        assert run("simulate", "--model", "sbth", "--dt", "1e100", "--t-end", "1e100",
+                   "--out", str(out)) == 3
+    assert "non-finite state at step 1 " in capsys.readouterr().err
 
 
 def test_config_echo_round_trip(tmp_path):
@@ -369,3 +383,64 @@ def test_brackets_dump(capsys):
     assert "{G[2000],G[0200]} = 4*G[1100]  #paper" in lines
     assert "{G[2000],G[1010]} = 0  #paper" in lines
     assert "{G[1010],G[0101]} = 1*G[1100] + 1*G[0011]  #paper" in lines
+
+
+# ---------------------------------------------------------------------------
+# one process, many commands
+
+def _in_process(argv, capsys):
+    capsys.readouterr()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # --help
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _fresh_process(argv, cwd):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "COLUMNS": "80"}
+    env.pop("MOMENTOUS_CONFIG", None)
+    done = subprocess.run([sys.executable, "-m", "momentous.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_commands_in_one_process_match_fresh_processes(tmp_path, capsys, monkeypatch):
+    """The parser is built once per process; alternating commands through it
+    gives what each command gives in a process of its own."""
+    monkeypatch.setenv("COLUMNS", "80")  # the help's width, as in a pipe
+    monkeypatch.delenv("MOMENTOUS_CONFIG", raising=False)
+    commands = [
+        ["simulate", "--model", "sbth", "--preset", "paper-fig1", "--t-end", "3", "--out", "a.csv"],
+        ["check", "a.csv"],
+        ["compare", "sbth", "lindblad", "--t-end", "3"],
+        ["simulate", "--model", "lindblad", "--nbar", "1", "--t-end", "3", "--out", "b.csv"],
+        ["check", "b.csv", "--tol", "1e-6"],
+        ["compare", "sbth", "lindblad", "--nbar", "2", "--t-end", "3"],
+        ["simulate", "--help"],
+    ]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(here)
+    for argv in commands:
+        assert _in_process(argv, capsys) == _fresh_process(argv, fresh), argv
+    for name in ("a.csv", "b.csv"):
+        assert (here / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_energy_report_once_per_simulate(tmp_path, monkeypatch):
+    calls = []
+    energy_report = diagnostics.energy_report
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return energy_report(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "energy_report", counted)
+    out = tmp_path / "run.csv"
+    assert run("simulate", "--model", "sbth", "--emit-xy", "--t-end", "3", "--out", str(out)) == 0
+    assert len(calls) == 1
+    assert run("check", str(out)) == 0
+    assert len(calls) == 2

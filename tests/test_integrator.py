@@ -249,3 +249,41 @@ def test_matches_kronecker_oracle(seed):
         for got, want in ((run.means, means), (run.covs, covs)):
             scale = np.abs(want).max()
             assert np.abs(got - want).max() <= 1e-12 * scale, label
+
+
+# ---------------------------------------------------------------------------
+# the step matrix against the four RK4 stages
+
+def four_stage_step(system, means, cov, h):
+    """One classical RK4 step of x' = A_c x, S' = A_m S + S A_m^T + D."""
+    a_c, a_m, diff = system.a_classical, system.a_moment, system.diffusion
+
+    def rate(x, s):
+        return a_c @ x, a_m @ s + s @ a_m.T + diff
+
+    k1 = rate(means, cov)
+    k2 = rate(means + 0.5 * h * k1[0], cov + 0.5 * h * k1[1])
+    k3 = rate(means + 0.5 * h * k2[0], cov + 0.5 * h * k2[1])
+    k4 = rate(means + h * k3[0], cov + h * k3[1])
+    return tuple(
+        y + (h / 6.0) * (a + 2.0 * (b + c) + e)
+        for y, a, b, c, e in zip((means, cov), k1, k2, k3, k4)
+    )
+
+
+@pytest.mark.parametrize("seed", [21, 22, 23])
+def test_one_step_equals_four_stages(seed):
+    rng = np.random.default_rng(seed)
+    for h in (1e-3, 0.05, 0.3):
+        cfg = mm.IntegratorConfig(dt=h, t_end=h, sample_every=1)
+        for label, system, _, _ in _cases(seed):
+            d = system.frame.dim
+            c = rng.normal(size=(d, d))
+            means0 = mm.MeanVector(system.frame, rng.normal(size=d))
+            cov0 = mm.CovarianceMatrix(system.frame, c @ c.T)
+            run = mm.integrate(system, means0, cov0, cfg)
+            means, cov = four_stage_step(system, means0.values, cov0.entries, h)
+            assert run.n_samples == 2
+            for got, want in ((run.means[1], means), (run.covs[1], cov)):
+                scale = np.abs(want).max()
+                assert np.abs(got - want).max() <= 1e-14 * scale, (label, h)
