@@ -8,14 +8,13 @@ and re-running with that echoed configuration reproduces the file byte for
 byte.
 
 Exit codes: 0 ok, 1 tolerance or invariant violation, 2 usage/config
-error, 3 numerical failure.
+error, 3 numerical failure (a non-finite state, or a negative variance).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 
@@ -23,12 +22,9 @@ import numpy as np
 
 from .algebra import SymplecticForm, bracket_table, format_bracket
 from .csvio import (
-    CLASSICAL_COLUMNS,
-    CsvFormatError,
-    LINDBLAD_COLUMNS,
+    MODELS,
     PARAMS,
-    SBTH_BASE_COLUMNS,
-    SBTH_XY_COLUMNS,
+    CsvFormatError,
     from_config,
     parse_config_text,
     read_csv,
@@ -37,21 +33,19 @@ from .csvio import (
     write_csv,
 )
 from .diagnostics import (
-    GridMismatchError,
+    CorruptedStateError,
     audit,
     compare,
     coherent_initial_state,
     trajectory_columns,
 )
 from .integrator import IntegrationError, IntegratorConfig, integrate
-from .model import BT1, L1, FrameError, ModelParams, Trajectory, finite_real
+from .model import BT1, L1, ModelParams, Trajectory, finite_real
 from .systems import build_lindblad, build_sbth, classical_analytic
 
 __all__ = ["main", "ConfigError", "PRESETS"]
 
 ENV_CONFIG = "MOMENTOUS_CONFIG"
-
-MODELS = ("sbth", "lindblad", "classical")
 
 
 class ConfigError(ValueError):
@@ -127,32 +121,21 @@ def _tolerance(flag, configs, default: float) -> float:
 def _run_model(model: str, params: ModelParams, grid: IntegratorConfig) -> Trajectory:
     """Integrate one model (or evaluate the classical closed form)."""
     if model == "sbth":
-        means0, cov0 = coherent_initial_state(params, BT1)
-        return integrate(build_sbth(params), means0, cov0, grid)
+        return integrate(build_sbth(params), *coherent_initial_state(params, BT1), grid)
     if model == "lindblad":
-        means0, cov0 = coherent_initial_state(params, L1)
-        return integrate(build_lindblad(params), means0, cov0, grid)
-    if model == "classical":
-        n = grid.n_steps // grid.sample_every + 1
-        # same float path as the integrator's grid: (k*sample_every)*dt
-        ts = (np.arange(n) * grid.sample_every) * grid.dt
-        x0 = math.sqrt(2.0 * params.n_level * params.hbar / (params.m * params.omega))
-        x, p = classical_analytic(params, x0, 0.0, ts)
-        means = np.column_stack([x, p])
-        covs = np.zeros((n, 2, 2))
-        return Trajectory(L1, ts, means, covs, grid.sample_every * grid.dt, params)
-    raise ConfigError(f"unknown model {model!r} (expected one of {MODELS})")
+        return integrate(build_lindblad(params), *coherent_initial_state(params, L1), grid)
+    ts = grid.sample_times
+    means0, _ = coherent_initial_state(params, L1)
+    x, p = classical_analytic(params, *means0.values, ts)
+    covs = np.zeros((len(ts), 2, 2))
+    return Trajectory(L1, ts, np.column_stack([x, p]), covs, grid.sample_every * grid.dt, params)
 
 
-def _csv_columns(model: str, traj: Trajectory, emit_xy: bool) -> list[tuple[str, np.ndarray]]:
-    if model == "sbth":
-        names = list(SBTH_BASE_COLUMNS) + (list(SBTH_XY_COLUMNS) if emit_xy else [])
-    elif model == "lindblad":
-        names = list(LINDBLAD_COLUMNS)
-    else:
-        names = list(CLASSICAL_COLUMNS)
-    cols = trajectory_columns(traj, names)
-    return [(name, cols[name]) for name in names]
+def _report_audit(traj: Trajectory, tol: float) -> bool:
+    """Print the audit summary of a run; True when it finds no violation."""
+    result = audit(traj, tol)
+    print(result.summary())
+    return result.ok
 
 
 # ---------------------------------------------------------------------------
@@ -162,19 +145,22 @@ def cmd_simulate(args) -> int:
     cfg = _resolve(args)
     model = cfg.get("model")
     if model not in MODELS:
-        raise ConfigError(f"--model must be one of {MODELS}, got {model!r}")
+        raise ConfigError(f"--model must be one of {tuple(MODELS)}, got {model!r}")
     params, grid = _params_and_grid(cfg)
     tol = _tolerance(args.tol, [cfg], 1e-9)
-    emit_xy = bool(cfg.get("emit-xy")) and model == "sbth"
+    frame, _, names, xy_names = MODELS[model]
+    emit_xy = bool(cfg.get("emit-xy")) and bool(xy_names)
     traj = _run_model(model, params, grid)
     out = args.out or cfg.get("out") or f"{model}.csv"
     echo = {"model": model, **run_config(params, grid)}
-    if model == "sbth":
+    if xy_names:  # echoed only by a model that has XY columns
         echo["emit-xy"] = emit_xy
-    write_csv(out, echo, _csv_columns(model, traj, emit_xy))
+    names = names + xy_names if emit_xy else names
+    cols = trajectory_columns(traj, names)
+    write_csv(out, echo, [(name, cols[name]) for name in names])
     print(f"wrote {out} ({traj.n_samples} samples, t in [0, {traj.ts[-1]:g}])")
-    if model != "classical":
-        print(audit(traj, params, tol=tol).summary())
+    if frame is not None:
+        _report_audit(traj, tol)
     return 0
 
 
@@ -193,14 +179,13 @@ def cmd_compare(args) -> int:
             raise ConfigError(f"run spec {spec!r} resolves to no model")
         configs.append(side_cfg)
     tol = _tolerance(args.tol, configs, 1e-6)
-    sides = [(cfg["model"], _run_model(cfg["model"], *_params_and_grid(cfg))) for cfg in configs]
-
-    (model_a, traj_a), (model_b, traj_b) = sides
+    model_a, model_b = (cfg["model"] for cfg in configs)
+    traj_a, traj_b = (_run_model(cfg["model"], *_params_and_grid(cfg)) for cfg in configs)
     if args.columns is not None:
         columns = [c.strip() for c in args.columns.split(",") if c.strip()]
         if not columns:
             raise ConfigError(f"--columns names no column: {args.columns!r}")
-    elif "classical" in (model_a, model_b):
+    elif None in (MODELS[model_a].frame, MODELS[model_b].frame):
         columns = ["x", "p"]
     else:
         columns = ["x", "p", "G20", "G02", "G11", "E_mean"]
@@ -239,10 +224,8 @@ def cmd_check(args) -> int:
     if traj is None:
         print(f"{args.csv}: classical run, no quantum moments to audit")
         return 0
-    result = audit(traj, traj.params, tol=tol)
     print(f"audit of {args.csv}")
-    print(result.summary())
-    return 0 if result.ok else 1
+    return 0 if _report_audit(traj, tol) else 1
 
 
 def cmd_brackets(args) -> int:
@@ -343,13 +326,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CsvFormatError, GridMismatchError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except IntegrationError as exc:
+    except (IntegrationError, CorruptedStateError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (FrameError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # the package's usage errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,9 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .diagnostics import G1_COLUMNS
+from .diagnostics import G1_COLUMNS, PAIR_COLUMNS
 from .integrator import IntegratorConfig
-from .model import BT1, L1, ModelParams, Trajectory, covariances_from_moments
+from .model import BT1, L1, CanonicalFrame, ModelParams, Trajectory, covariances_from_moments
 
 __all__ = [
     "CsvFormatError",
@@ -37,6 +37,8 @@ __all__ = [
     "SBTH_XY_COLUMNS",
     "LINDBLAD_COLUMNS",
     "CLASSICAL_COLUMNS",
+    "ModelColumns",
+    "MODELS",
     "WRITE_BLOCK",
     "GRID_RTOL",
     "Param",
@@ -60,11 +62,21 @@ SBTH_XY_COLUMNS = ["x", "p_x", "G20", "G02", "G11", "E_mean", "E_plus", "E_minus
 LINDBLAD_COLUMNS = ["t", "x", "p", "G20", "G02", "G11", "E_mean", "E_analytic", "U"]
 CLASSICAL_COLUMNS = ["t", "x", "p"]
 
-# per quantum model: its frame, whose labels name the mean columns, and its
-# moment columns in moment_order
-_STATE_COLUMNS = {
-    "sbth": (BT1, tuple(G1_COLUMNS)),
-    "lindblad": (L1, ("G20", "G11", "G02")),
+
+class ModelColumns(NamedTuple):
+    """One model's file schema, and what reading the file back rebuilds."""
+
+    frame: CanonicalFrame | None  # its labels name the mean columns; None: no moments
+    moments: tuple[str, ...]  # the moment columns, in moment_order
+    columns: list[str]  # the file columns
+    xy_columns: list[str]  # the columns --emit-xy appends
+
+
+# the models the command line runs, by name
+MODELS = {
+    "sbth": ModelColumns(BT1, tuple(G1_COLUMNS), SBTH_BASE_COLUMNS, SBTH_XY_COLUMNS),
+    "lindblad": ModelColumns(L1, tuple(PAIR_COLUMNS), LINDBLAD_COLUMNS, []),
+    "classical": ModelColumns(None, (), CLASSICAL_COLUMNS, []),
 }
 
 # data rows formatted per write
@@ -275,11 +287,11 @@ def trajectory_from_columns(config: dict, columns: dict[str, np.ndarray]) -> Tra
             f"{float(ts[row - 2])!r}, expected step {step!r} (relative tolerance {GRID_RTOL:g})"
         )
 
-    if model == "classical":
-        return None
-    if model not in _STATE_COLUMNS:
+    if model not in MODELS:
         raise CsvFormatError(f"unknown or missing model in config: {model!r}")
-    frame, moment_columns = _STATE_COLUMNS[model]
+    frame, moment_columns, _, _ = MODELS[model]
+    if frame is None:
+        return None
     missing = [c for c in (*frame.labels, *moment_columns) if c not in columns]
     if missing:
         raise CsvFormatError(f"missing columns: {missing}")

@@ -40,7 +40,9 @@ __all__ = [
     "compare",
     "trajectory_columns",
     "G1_COLUMNS",
+    "PAIR_COLUMNS",
     "GridMismatchError",
+    "CorruptedStateError",
 ]
 
 
@@ -96,9 +98,9 @@ def _default_energy_omega(frame: CanonicalFrame, params: ModelParams) -> float:
 
 
 # What is derived from a trajectory, each taken once: the XY view of a BT1
-# run and its energy report per parameter set. Trajectory hashes by identity
-# (eq=False) and its arrays are read-only, so an entry never goes stale; the
-# weak key lets the entries go with their trajectory.
+# run and its energy report. Trajectory hashes by identity (eq=False) and its
+# arrays are read-only, so an entry never goes stale; the weak key lets the
+# entries go with their trajectory.
 _DERIVED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -115,10 +117,19 @@ def _xy_or_self(traj: Trajectory) -> Trajectory:
     return _derived(traj, "xy", lambda: xy_view(traj))
 
 
-def _energies(traj: Trajectory, params: ModelParams | None = None) -> EnergyReport:
-    """``energy_report(traj, params)``, computed once per trajectory and params."""
-    params = params or traj.params
-    return _derived(traj, ("energy", params), lambda: energy_report(traj, params))
+def _energies(traj: Trajectory) -> EnergyReport:
+    """``energy_report(traj)``, computed once per trajectory."""
+    return _derived(traj, "energy", lambda: energy_report(traj))
+
+
+def _run_params(traj: Trajectory) -> ModelParams:
+    if traj.params is None:
+        raise ValueError("trajectory carries no parameters")
+    return traj.params
+
+
+class CorruptedStateError(ValueError):
+    """A run's moments hold a negative variance, which no physical state has."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,32 +147,31 @@ class EnergyReport:
     e_plus: np.ndarray = field(repr=False)
     e_minus: np.ndarray = field(repr=False)
     e_analytic: np.ndarray = field(repr=False)
-    omega_energy: float = 0.0
 
 
-def energy_report(
-    traj: Trajectory,
-    params: ModelParams | None = None,
-    omega_energy: float | None = None,
-) -> EnergyReport:
+def energy_report(traj: Trajectory) -> EnergyReport:
     """Mean energy, dispersion-belt energies, and the analytic decay law.
 
     For BT1 runs the XY view is taken first so that x and p_x refer to the
-    physical oscillator. ``omega_energy`` defaults to the effective
-    frequency for four-coordinate runs and to the Lindblad frequency for
-    single-pair runs; at the equivalence-mode presets the two coincide.
+    physical oscillator. The energy frequency is the effective frequency
+    for four-coordinate runs and the Lindblad frequency for single-pair
+    runs; at the equivalence-mode presets the two coincide. Raises
+    :class:`CorruptedStateError` naming the first sample with a negative
+    variance.
     """
-    params = params or traj.params
-    if params is None:
-        raise ValueError("trajectory carries no parameters")
-    w = omega_energy if omega_energy is not None else _default_energy_omega(traj.frame, params)
+    params = _run_params(traj)
+    w = _default_energy_omega(traj.frame, params)
     view = _xy_or_self(traj)
     x = view.means[:, 0]
     p = view.means[:, 1]
     g20 = view.covs[:, 0, 0]
     g02 = view.covs[:, 1, 1]
-    if float(g20.min()) < 0.0 or float(g02.min()) < 0.0:
-        raise ValueError("negative diagonal moment; upstream state is corrupted")
+    negative = _negative_variance(view.covs)
+    if negative.any():
+        t = float(traj.ts[np.argmax(negative)])
+        raise CorruptedStateError(
+            f"negative diagonal moment at t = {t:g}; upstream state is corrupted"
+        )
     m = params.m
     kin = 0.5 / m
     pot = 0.5 * m * w * w
@@ -176,7 +186,6 @@ def energy_report(
         e_plus=e_plus,
         e_minus=e_minus,
         e_analytic=lindblad_mean_energy(params, traj.ts),
-        omega_energy=w,
     )
 
 
@@ -228,39 +237,31 @@ class InvariantAudit:
         return "\n".join(lines)
 
 
-def audit(
-    traj: Trajectory, params: ModelParams | None = None, tol: float = 1e-9
-) -> InvariantAudit:
+def audit(traj: Trajectory, tol: float = 1e-9) -> InvariantAudit:
     """Audit a run against the uncertainty bound and diffusion margins.
 
     Never raises on violations; inspect ``ok``/``n_violations``. Expects a
     run with quantum moments (BT1, XY, or the single-pair frame).
     """
-    params = params or traj.params
-    if params is None:
-        raise ValueError("trajectory carries no parameters")
+    params = _run_params(traj)
     hb = params.hbar
     bound = 0.25 * hb * hb
 
-    covs = traj.covs
-    u_pair1 = _pair_determinant(covs)
-    u_xy = None
-    margin_moment_min = None
-    neg_diag = (covs[:, 0, 0] < 0.0) | (covs[:, 1, 1] < 0.0)
+    u_pair1 = _pair_determinant(traj.covs)
+    flags = (u_pair1 < bound - tol) | _negative_variance(traj.covs)
+    min_uncertainty = u_pair1.min()
+    u_xy = margin_moment_min = None
     if traj.frame == BT1:
-        view = _xy_or_self(traj)
-        u_xy = _pair_determinant(view.covs)
-        neg_diag = neg_diag | (view.covs[:, 0, 0] < 0.0) | (view.covs[:, 1, 1] < 0.0)
+        xy_covs = _xy_or_self(traj).covs
+        u_xy = _pair_determinant(xy_covs)
+        flags = flags | _negative_variance(xy_covs) | (u_xy < bound - tol)
+        min_uncertainty = min(min_uncertainty, u_xy.min())
         margin_moment_min = float(moment_margin(params, u_pair1).min())
-
-    flags = (u_pair1 < bound - tol) | neg_diag
-    if u_xy is not None:
-        flags = flags | (u_xy < bound - tol)
 
     omega_e = _default_energy_omega(traj.frame, params)
     try:
-        final_energy = float(_energies(traj, params).e_mean[-1])
-    except ValueError:
+        final_energy = float(_energies(traj).e_mean[-1])
+    except CorruptedStateError:
         final_energy = math.nan  # corrupted moments; already flagged above
     return InvariantAudit(
         tol=tol,
@@ -270,9 +271,7 @@ def audit(
         u_xy=u_xy,
         violation_flags=flags,
         n_violations=int(flags.sum()),
-        min_uncertainty=float(
-            min(u_pair1.min(), u_xy.min()) if u_xy is not None else u_pair1.min()
-        ),
+        min_uncertainty=float(min_uncertainty),
         margin_lindblad=lindblad_margin(params),
         margin_moment_min=margin_moment_min,
         final_mean_energy=final_energy,
@@ -287,8 +286,19 @@ class GridMismatchError(ValueError):
     """Two runs do not share one sampling grid."""
 
 
-# BT1 moment columns in moment_order, each with the covariance entry it holds
-G1_COLUMNS = {"G1_" + "".join(map(str, e)): exponents_to_indices(e) for e in moment_order(4)}
+def _moment_columns(prefix: str, dim: int) -> dict[str, tuple[int, int]]:
+    return {prefix + "".join(map(str, e)): exponents_to_indices(e) for e in moment_order(dim)}
+
+
+# moment columns in moment_order, each with the covariance entry it holds:
+# the BT1 moments, and those of the physical pair (G20, G11, G02)
+G1_COLUMNS = _moment_columns("G1_", 4)
+PAIR_COLUMNS = _moment_columns("G", 2)
+
+
+def _negative_variance(covs: np.ndarray) -> np.ndarray:
+    """Per sample: does the first canonical pair have a negative variance?"""
+    return (covs[:, 0, 0] < 0.0) | (covs[:, 1, 1] < 0.0)
 
 
 def _pair_determinant(covs: np.ndarray) -> np.ndarray:
@@ -312,9 +322,10 @@ _COLUMNS = {
     "p_x": lambda traj: _view_mean(traj, "p_x"),
     "y": lambda traj: _view_mean(traj, "y"),
     "p_y": lambda traj: _view_mean(traj, "p_y"),
-    "G20": lambda traj: _xy_or_self(traj).covs[:, 0, 0],
-    "G02": lambda traj: _xy_or_self(traj).covs[:, 1, 1],
-    "G11": lambda traj: _xy_or_self(traj).covs[:, 0, 1],
+    **{
+        name: lambda traj, i=i, j=j: _xy_or_self(traj).covs[:, i, j]
+        for name, (i, j) in PAIR_COLUMNS.items()
+    },
     "E_mean": lambda traj: _energies(traj).e_mean,
     "E_plus": lambda traj: _energies(traj).e_plus,
     "E_minus": lambda traj: _energies(traj).e_minus,

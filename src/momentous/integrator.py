@@ -77,6 +77,11 @@ class IntegratorConfig:
             return int(nearest)
         return int(math.floor(raw))
 
+    @property
+    def sample_times(self) -> np.ndarray:
+        """The sample grid ``(k*sample_every)*dt``, k = 0 .. n_steps//sample_every."""
+        return (np.arange(self.n_steps // self.sample_every + 1) * self.sample_every) * self.dt
+
 
 class IntegrationError(RuntimeError):
     """Non-finite state encountered; reports the offending step."""
@@ -132,7 +137,8 @@ def integrate(
 
     n_steps = cfg.n_steps
     every = cfg.sample_every
-    states = np.empty((n_steps // every + 1, y.size))
+    ts = cfg.sample_times
+    states = np.empty((len(ts), y.size))
     states[0] = y
 
     h = cfg.dt
@@ -148,7 +154,6 @@ def integrate(
                 states[out] = y
                 out += 1
 
-    ts = (np.arange(len(states)) * every) * h
     covs = covariances_from_moments(states[:, d:-1], d)
     return Trajectory(system.frame, ts, states[:, :d], covs, every * h, system.params)
 

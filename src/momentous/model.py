@@ -409,15 +409,8 @@ _BT1_TO_XY = np.array(
     ]
 )
 
-# exact inverse of the above (hard-coded, not numerically inverted)
-_XY_TO_BT1 = np.array(
-    [
-        [_S, 0.0, _S, 0.0],
-        [0.0, _S, 0.0, _S],
-        [0.0, -_S, 0.0, _S],
-        [_S, 0.0, -_S, 0.0],
-    ]
-)
+# its inverse: the map is orthogonal
+_XY_TO_BT1 = _BT1_TO_XY.T
 
 
 def build_transform(source: CanonicalFrame, target: CanonicalFrame) -> LinearMap:

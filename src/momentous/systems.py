@@ -199,8 +199,7 @@ def build_qdho_xy(params: ModelParams) -> ModelSystem:
     )
     sbth = build_sbth(params)
     t = build_transform(BT1, XY).matrix
-    t_inv = build_transform(XY, BT1).matrix
-    a_moment = t @ sbth.a_moment @ t_inv
+    a_moment = t @ sbth.a_moment @ t.T  # t is orthogonal
     return ModelSystem("QDHO-XY", XY, a_classical, a_moment, np.zeros((4, 4)), params)
 
 

@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import re
@@ -9,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import momentous as mm
 from momentous import cli, diagnostics
 from momentous.csvio import read_csv, PARAMS, SBTH_BASE_COLUMNS, SBTH_XY_COLUMNS, LINDBLAD_COLUMNS
+from momentous.csvio import MODELS
 
 
 def run(*argv):
@@ -444,3 +447,83 @@ def test_energy_report_once_per_simulate(tmp_path, monkeypatch):
     assert len(calls) == 1
     assert run("check", str(out)) == 0
     assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# a corrupted moment state, one audit path, one sample grid
+
+@pytest.mark.parametrize("argv,t_bad", [
+    (["--model", "lindblad", "--dt", "2", "--t-end", "200"], "200"),
+    (["--model", "sbth", "--dt", "1", "--t-end", "200", "--sample-every", "1", "--emit-xy"], "92"),
+])
+def test_negative_variance_is_exit_3_naming_its_time(tmp_path, capsys, argv, t_bad):
+    """A step too large for the dynamics drives a variance negative while the
+    state stays finite: a numerical failure (3), not a usage error (2)."""
+    assert run("simulate", *argv, "--out", str(tmp_path / "run.csv")) == 3
+    assert capsys.readouterr().err == (
+        f"numerical failure: negative diagonal moment at t = {t_bad}; "
+        "upstream state is corrupted\n"
+    )
+
+
+def test_simulate_and_check_print_one_audit(tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    run("simulate", "--model", "sbth", "--dt", "2", "--t-end", "200", "--sample-every", "1",
+        "--out", str(out))
+    simulated = capsys.readouterr().out.splitlines()
+    assert run("check", str(out)) == 1
+    checked = capsys.readouterr().out.splitlines()
+    assert simulated[0].startswith("wrote ") and checked[0] == f"audit of {out}"
+    assert simulated[1:] == checked[1:]
+    assert checked[2].startswith("uncertainty violations: 95 ")
+
+
+def test_models_share_one_sample_grid(params):
+    # 23 steps at sample_every 4: the last sample falls before t_end
+    grid = mm.IntegratorConfig(dt=0.3, t_end=7.0, sample_every=4)
+    assert len(grid.sample_times) == 6
+    for model in MODELS:
+        traj = cli._run_model(model, params, grid)
+        assert np.array_equal(traj.ts, grid.sample_times), model
+        assert traj.step == 4 * 0.3
+    classical = cli._run_model("classical", params, grid)
+    means0, _ = mm.coherent_initial_state(params, mm.L1)
+    assert np.array_equal(classical.means[0], means0.values)
+
+
+def test_traced_call_sites_are_reached(tmp_path, monkeypatch):
+    """The benchmark traces the layers by patching these module attributes;
+    every command must look them up at call time, or a trace silently
+    misses them (a table holding the functions themselves would)."""
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in [(cli, "build_sbth"), (cli, "build_lindblad"), (cli, "integrate"),
+                         (diagnostics, "xy_view"), (diagnostics, "energy_report")]:
+        count(module, name)
+    out = tmp_path / "run.csv"
+    assert run("simulate", "--model", "sbth", "--emit-xy", "--t-end", "3", "--out", str(out)) == 0
+    assert calls == {"build_sbth": 1, "integrate": 1, "xy_view": 1, "energy_report": 1}
+    calls.clear()
+    assert run("check", str(out)) == 0
+    assert calls == {"xy_view": 1, "energy_report": 1}
+    calls.clear()
+    assert run("compare", "sbth", "lindblad", "--t-end", "3") == 0
+    assert calls == {"build_sbth": 1, "build_lindblad": 1, "integrate": 2, "xy_view": 1,
+                     "energy_report": 2}
+
+
+def test_console_script_is_cli_main():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["momentous"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is cli.main

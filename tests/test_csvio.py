@@ -7,6 +7,7 @@ import pytest
 
 from momentous import IntegratorConfig, ModelParams, cli
 from momentous.csvio import (
+    MODELS,
     WRITE_BLOCK,
     read_csv,
     run_config,
@@ -129,3 +130,25 @@ def test_round_trip_bit_and_byte_exact(tmp_path, n_rows):
     lines = path.read_text().splitlines()
     assert lines[:2] == ["# model = test", "t,a,b"]
     assert lines[2:] == [_oracle_row(row) for row in data]
+
+
+# ---------------------------------------------------------------------------
+# the model table: what simulate writes is what the reader rebuilds
+
+@pytest.mark.parametrize("model", MODELS)
+def test_model_table_is_the_file_schema(tmp_path, model):
+    frame, moments, names, xy_names = MODELS[model]
+    for flags, expected in (([], names), (["--emit-xy"], names + xy_names)):
+        out = tmp_path / "run.csv"
+        assert cli.main(["simulate", "--model", model, "--t-end", "1", "--out", str(out),
+                         *flags]) == 0
+        config, columns = read_csv(out)
+        assert list(columns) == expected
+        assert ("emit-xy" in config) == bool(xy_names)
+    traj = trajectory_from_columns(config, columns)
+    if frame is None:
+        assert traj is None and moments == ()
+    else:
+        assert traj.frame == frame
+        assert set(frame.labels) | set(moments) <= set(names)
+        assert len(moments) == frame.dim * (frame.dim + 1) // 2

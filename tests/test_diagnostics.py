@@ -1,11 +1,12 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 import momentous as mm
-from momentous.diagnostics import G1_COLUMNS, GridMismatchError
+from momentous.diagnostics import G1_COLUMNS, PAIR_COLUMNS, CorruptedStateError, GridMismatchError
 from momentous.systems import moment_margin
 
 # ---------------------------------------------------------------------------
@@ -206,3 +207,26 @@ def test_moment_margin_shared_by_audit_and_report(params, sbth_run):
     _, _, cov = sbth_run.sample(-1)
     assert mm.diffusion_report(params, cov).margin_moment == margins[-1]
 
+
+
+def test_analysis_takes_only_the_run():
+    """audit and energy_report read the parameters of the run they are given."""
+    assert list(inspect.signature(mm.audit).parameters) == ["traj", "tol"]
+    assert list(inspect.signature(mm.energy_report).parameters) == ["traj"]
+
+
+def test_negative_variance_names_its_first_sample(params):
+    covs = np.tile(np.eye(2), (4, 1, 1))
+    covs[2, 1, 1] = -1.0
+    covs[3, 0, 0] = -1.0
+    traj = mm.Trajectory(mm.L1, [0.0, 0.5, 1.0, 1.5], np.zeros((4, 2)), covs, 0.5, params)
+    with pytest.raises(CorruptedStateError, match=r"negative diagonal moment at t = 1;"):
+        mm.energy_report(traj)
+    assert list(mm.audit(traj).violation_flags) == [False, False, True, True]
+
+
+def test_pair_moment_columns_follow_moment_order():
+    assert list(PAIR_COLUMNS) == ["G20", "G11", "G02"]
+    assert list(G1_COLUMNS)[-1] == "G1_0002"
+    for names in (PAIR_COLUMNS, G1_COLUMNS):
+        assert list(names.values()) == sorted(names.values())
