@@ -30,6 +30,7 @@ from .model import (
     MeanVector,
     ModelParams,
     BT1,
+    _frozen_array,
     exponents_to_indices,
     indices_to_exponents,
     moment_label,
@@ -63,15 +64,9 @@ class SymplecticForm:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.array(self.matrix, dtype=float)
-        d = self.frame.dim
-        if arr.shape != (d, d):
-            raise ValueError(f"form must be {d}x{d}, got {arr.shape}")
-        if float(np.abs(arr + arr.T).max()) != 0.0:
-            raise ValueError("form must be antisymmetric")
+        arr = _frozen_array(self.matrix, (self.frame.dim,) * 2, "form", sign=-1)
         if abs(np.linalg.det(arr)) < 1e-12:
             raise ValueError("form must be nonsingular")
-        arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
     @classmethod
@@ -103,18 +98,8 @@ class QuadraticHamiltonian:
 
     def __post_init__(self):
         d = self.frame.dim
-        hess = np.array(self.hessian, dtype=float)
-        lin = np.array(self.linear, dtype=float)
-        if hess.shape != (d, d):
-            raise ValueError(f"hessian must be {d}x{d}, got {hess.shape}")
-        if float(np.abs(hess - hess.T).max()) != 0.0:
-            raise ValueError("hessian must be symmetric")
-        if lin.shape != (d,):
-            raise ValueError(f"linear term must have length {d}")
-        hess.setflags(write=False)
-        lin.setflags(write=False)
-        object.__setattr__(self, "hessian", hess)
-        object.__setattr__(self, "linear", lin)
+        object.__setattr__(self, "hessian", _frozen_array(self.hessian, (d, d), "hessian", sign=1))
+        object.__setattr__(self, "linear", _frozen_array(self.linear, (d,), "linear term"))
 
     def classical_value(self, z: np.ndarray) -> float:
         z = np.asarray(z, dtype=float)

@@ -8,7 +8,8 @@ and re-running with that echoed configuration reproduces the file byte for
 byte.
 
 Exit codes: 0 ok, 1 tolerance or invariant violation, 2 usage/config
-error, 3 numerical failure (a non-finite state, or a negative variance).
+error, 3 numerical failure (a non-finite state, a negative variance, or an
+arithmetic overflow).
 """
 
 from __future__ import annotations
@@ -57,6 +58,11 @@ class ConfigError(ValueError):
 PRESETS = {name: {"emit-xy": True} for name in ("paper-fig1", "paper-fig2", "paper-fig3")}
 
 _CONFIG_KEYS = {"model", *(p.key for p in PARAMS), "emit-xy", "preset", "out", "tol"}
+
+# a derived column of a checked file may differ from its recomputation by
+# this fraction of the column's largest magnitude (another BLAS build may
+# round differently; a file rebuilt on one platform differs by 0)
+_DERIVED_RTOL = 1e-12
 
 
 def _load_config_file(path: str) -> dict:
@@ -136,6 +142,25 @@ def _report_audit(traj: Trajectory, tol: float) -> bool:
     result = audit(traj, tol)
     print(result.summary())
     return result.ok
+
+
+def _derived_mismatch(traj: Trajectory, model: str, columns: dict) -> str | None:
+    """The first derived column of a file (a schema column other than the
+    time, the means and the moments) that its rebuilt run does not
+    reproduce, with its first bad data row; None if every one matches."""
+    frame, moments, names, xy_names = MODELS[model]
+    stored = ("t", *frame.labels, *moments)
+    derived = [name for name in names + xy_names if name in columns and name not in stored]
+    for name, value in trajectory_columns(traj, derived).items():
+        read = columns[name]
+        scale = np.abs(value[np.isfinite(value)]).max(initial=0.0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            off = ~((read == value) | (np.abs(read - value) <= _DERIVED_RTOL * scale))
+        if off.any():
+            row = int(np.argmax(off))
+            return (f"derived column {name} differs at data row {row + 1}: "
+                    f"file {float(read[row])!r}, recomputed {float(value[row])!r}")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +250,13 @@ def cmd_check(args) -> int:
         print(f"{args.csv}: classical run, no quantum moments to audit")
         return 0
     print(f"audit of {args.csv}")
-    return 0 if _report_audit(traj, tol) else 1
+    if not _report_audit(traj, tol):
+        return 1  # a state that fails the audit may have no energies to recompute
+    mismatch = _derived_mismatch(traj, config["model"], columns)
+    if mismatch is not None:
+        print(mismatch)
+        return 1
+    return 0
 
 
 def cmd_brackets(args) -> int:
@@ -326,7 +357,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (IntegrationError, CorruptedStateError) as exc:
+    except (IntegrationError, CorruptedStateError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:  # the package's usage errors are ValueErrors

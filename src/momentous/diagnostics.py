@@ -22,6 +22,10 @@ from .model import (
     MeanVector,
     ModelParams,
     Trajectory,
+    _negative_variance,
+    _pair_determinant,
+    _uncertainty_bound,
+    _uncertainty_test,
     build_transform,
     exponents_to_indices,
     moment_order,
@@ -199,7 +203,8 @@ class InvariantAudit:
     ``u_pair1`` is the uncertainty determinant of the physical pair per
     sample (for BT1 runs, the first pair; the XY-view determinant is
     reported separately as ``u_xy``). A sample is flagged when any reported
-    determinant drops below ``hbar**2/4 - tol``. Diffusion margins and the
+    determinant is not finite or drops below ``hbar**2/4 - tol``, or a
+    variance of its pair is negative. Diffusion margins and the
     late-time energy are reported, never enforced.
     """
 
@@ -224,7 +229,7 @@ class InvariantAudit:
         lines = [
             f"samples audited: {len(self.ts)}",
             f"uncertainty violations: {self.n_violations} "
-            f"(bound {0.25 * self.hbar**2:g}, tol {self.tol:g}, "
+            f"(bound {_uncertainty_bound(self.hbar):g}, tol {self.tol:g}, "
             f"min determinant {self.min_uncertainty:.6g})",
             f"diffusion margin (thermal model): {self.margin_lindblad:.6g}",
         ]
@@ -245,16 +250,12 @@ def audit(traj: Trajectory, tol: float = 1e-9) -> InvariantAudit:
     """
     params = _run_params(traj)
     hb = params.hbar
-    bound = 0.25 * hb * hb
-
-    u_pair1 = _pair_determinant(traj.covs)
-    flags = (u_pair1 < bound - tol) | _negative_variance(traj.covs)
+    u_pair1, flags = _uncertainty_test(traj.covs, hb, tol)
     min_uncertainty = u_pair1.min()
     u_xy = margin_moment_min = None
     if traj.frame == BT1:
-        xy_covs = _xy_or_self(traj).covs
-        u_xy = _pair_determinant(xy_covs)
-        flags = flags | _negative_variance(xy_covs) | (u_xy < bound - tol)
+        u_xy, xy_flags = _uncertainty_test(_xy_or_self(traj).covs, hb, tol)
+        flags = flags | xy_flags
         min_uncertainty = min(min_uncertainty, u_xy.min())
         margin_moment_min = float(moment_margin(params, u_pair1).min())
 
@@ -294,16 +295,6 @@ def _moment_columns(prefix: str, dim: int) -> dict[str, tuple[int, int]]:
 # the BT1 moments, and those of the physical pair (G20, G11, G02)
 G1_COLUMNS = _moment_columns("G1_", 4)
 PAIR_COLUMNS = _moment_columns("G", 2)
-
-
-def _negative_variance(covs: np.ndarray) -> np.ndarray:
-    """Per sample: does the first canonical pair have a negative variance?"""
-    return (covs[:, 0, 0] < 0.0) | (covs[:, 1, 1] < 0.0)
-
-
-def _pair_determinant(covs: np.ndarray) -> np.ndarray:
-    """Uncertainty determinant of the first canonical pair, per sample."""
-    return covs[:, 0, 0] * covs[:, 1, 1] - covs[:, 0, 1] ** 2
 
 
 def _view_mean(traj: Trajectory, label: str) -> np.ndarray:

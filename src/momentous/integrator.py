@@ -44,8 +44,9 @@ class IntegratorConfig:
     ``(n_steps // k)*k*dt``. That falls before ``t_end`` when ``k`` does not
     divide the step count: ``dt = 50, t_end = 100`` at the default ``k``
     gives one sample, at t = 0. ``dt`` and ``t_end`` must be finite and
-    > 0, ``sample_every`` an integer >= 1, and ``t_end/dt`` between 1 and
-    :data:`MAX_STEPS`; a violation raises ``ValueError`` naming the field.
+    > 0, ``sample_every`` an integer between 1 and :data:`MAX_STEPS`, and
+    ``t_end/dt`` between 1 and :data:`MAX_STEPS`; a violation raises
+    ``ValueError`` naming the field.
     """
 
     dt: float = 1e-3
@@ -65,8 +66,10 @@ class IntegratorConfig:
             raise ValueError("t_end/dt must be >= 1")
         if steps > MAX_STEPS:
             raise ValueError(f"t_end/dt = {steps:.4g} exceeds the bound of {MAX_STEPS:.0e} steps")
-        if not self.sample_every >= 1:
-            raise ValueError(f"sample_every must be >= 1, got {self.sample_every!r}")
+        if not 1 <= self.sample_every <= MAX_STEPS:
+            raise ValueError(
+                f"sample_every must be between 1 and {MAX_STEPS:.0e}, got {self.sample_every!r}"
+            )
 
     @property
     def n_steps(self) -> int:

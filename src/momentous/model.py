@@ -50,12 +50,36 @@ class FrameError(ValueError):
     """Frames disagree, or a frame pair has no registered transformation."""
 
 
-def _frozen_array(values, shape=None) -> np.ndarray:
+def _frozen_array(values, shape=None, what="array", finite=False, sign=0, rtol=0.0):
+    """``values`` as a read-only float array: how every container stores one.
+
+    Checks ``shape``; with ``finite``, that every entry is finite; with
+    ``sign`` +1 (-1), that the matrix is symmetric (antisymmetric) up to
+    ``rtol`` times its largest entry, at least 1. A nonzero ``rtol`` stores
+    the exactly (anti)symmetric part.
+    """
     arr = np.array(values, dtype=float)
     if shape is not None and arr.shape != shape:
-        raise ValueError(f"expected array of shape {shape}, got {arr.shape}")
+        raise ValueError(f"inconsistent shapes: {what} is {arr.shape}, expected {shape}")
+    if finite and not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} has non-finite entries")
+    if sign:
+        scale = max(1.0, float(np.abs(arr).max()))
+        if not float(np.abs(arr - sign * arr.T).max()) <= rtol * scale:
+            raise ValueError(f"{what} must be {'anti' if sign < 0 else ''}symmetric")
+        if rtol:
+            arr = 0.5 * (arr + sign * arr.T)
     arr.setflags(write=False)
     return arr
+
+
+def _square(name: str, value: float) -> float:
+    """``value**2``; a square beyond the float range raises ``ValueError``
+    naming ``name``."""
+    try:
+        return value**2
+    except OverflowError:
+        raise ValueError(f"{name} = {value!r} is too large: its square overflows") from None
 
 
 def finite_real(name: str, value, integral: bool = False) -> float | int:
@@ -66,7 +90,11 @@ def finite_real(name: str, value, integral: bool = False) -> float | int:
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
         raise ValueError(f"{name} must be finite, got {value!r}")
     if not integral:
         return float(value)
@@ -172,8 +200,9 @@ class ModelParams:
         if self.big_omega is None and self.omega0 is None:
             raise ValueError("one of big_omega or omega0 is required")
         lam = self.lambda_damp
+        lam2 = _square("lambda_damp", lam)
         if self.big_omega is None:
-            disc = self.omega0**2 - lam**2
+            disc = _square("omega0", self.omega0) - lam2
             if disc <= 0.0:
                 raise ValueError(
                     f"overdamped parameters rejected: lambda_damp={lam} >= omega0={self.omega0}"
@@ -182,8 +211,9 @@ class ModelParams:
         elif self.omega0 is None:
             object.__setattr__(self, "omega0", math.hypot(self.big_omega, lam))
         else:
-            gap = self.omega0**2 - self.big_omega**2 - lam**2
-            scale = max(1.0, self.omega0**2)
+            omega0_2 = _square("omega0", self.omega0)
+            gap = omega0_2 - _square("big_omega", self.big_omega) - lam2
+            scale = max(1.0, omega0_2)
             if abs(gap) > 1e-9 * scale:
                 raise ValueError(
                     "inconsistent frequencies: omega0**2 - big_omega**2 - lambda_damp**2 = "
@@ -195,6 +225,10 @@ class ModelParams:
         for name in ("gamma", "lambda_damp", "nbar", "n_level"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        # hbar**2/4 is the uncertainty bound, and reading an echoed config
+        # back squares the frequencies above
+        for name in ("hbar", "big_omega", "omega0"):
+            _square(name, getattr(self, name))
 
     @property
     def equivalence_mode(self) -> bool:
@@ -251,6 +285,41 @@ def moment_label(exponents) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the uncertainty relation
+
+def _pair_determinant(covs: np.ndarray, pair=(0, 1)) -> np.ndarray:
+    """Uncertainty determinant ``S_qq*S_pp - S_qp**2`` of the canonical pair
+    ``(q, p, ...)``, for one covariance or per covariance of a stack. An
+    overflow gives inf or NaN, without a warning."""
+    q, p = pair[:2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return covs[..., q, q] * covs[..., p, p] - covs[..., q, p] ** 2
+
+
+def _uncertainty_bound(hbar: float) -> float:
+    """``hbar**2/4``, the least determinant a canonical pair may have."""
+    return 0.25 * hbar * hbar
+
+
+def _negative_variance(covs: np.ndarray, pair=(0, 1)) -> np.ndarray:
+    """Does a variance of the canonical pair ``(q, p, ...)`` fall below 0?"""
+    q, p = pair[:2]
+    return (covs[..., q, q] < 0.0) | (covs[..., p, p] < 0.0)
+
+
+def _uncertainty_test(covs: np.ndarray, hbar: float, tol: float, pair=(0, 1)):
+    """``(determinants, violations)`` of a canonical pair, per covariance.
+
+    A covariance violates the uncertainty relation unless its determinant
+    is finite and ``>= hbar**2/4 - tol``, so a NaN determinant violates it;
+    a negative variance violates it too.
+    """
+    det = _pair_determinant(covs, pair)
+    holds = np.isfinite(det) & (det >= _uncertainty_bound(hbar) - tol)
+    return det, ~holds | _negative_variance(covs, pair)
+
+
+# ---------------------------------------------------------------------------
 # state containers
 
 @dataclass(frozen=True, eq=False)
@@ -261,9 +330,7 @@ class MeanVector:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = _frozen_array(self.values, (self.frame.dim,))
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("mean vector has non-finite entries")
+        arr = _frozen_array(self.values, (self.frame.dim,), "mean vector", finite=True)
         object.__setattr__(self, "values", arr)
 
     def value(self, label: str) -> float:
@@ -290,18 +357,9 @@ class CovarianceMatrix:
 
     def __post_init__(self):
         d = self.frame.dim
-        arr = np.array(self.entries, dtype=float)
-        if arr.shape != (d, d):
-            raise ValueError(f"covariance must be {d}x{d}, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("covariance has non-finite entries")
-        scale = max(1.0, float(np.abs(arr).max()))
-        if float(np.abs(arr - arr.T).max()) > 1e-9 * scale:
-            raise ValueError("covariance is not symmetric")
-        arr = 0.5 * (arr + arr.T)
-        if float(arr.diagonal().min()) < -1e-12 * scale:
+        arr = _frozen_array(self.entries, (d, d), "covariance", finite=True, sign=1, rtol=1e-9)
+        if float(arr.diagonal().min()) < -1e-12 * max(1.0, float(np.abs(arr).max())):
             raise ValueError("covariance has a negative diagonal entry")
-        arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
     def moment(self, *exponents: int) -> float:
@@ -315,14 +373,13 @@ class CovarianceMatrix:
 
     def pair_determinant(self, k: int) -> float:
         """Uncertainty determinant S_qq S_pp - S_qp**2 of canonical pair k."""
-        q, p, _ = self.frame.pairs[k]
-        e = self.entries
-        return float(e[q, q] * e[p, p] - e[q, p] ** 2)
+        return float(_pair_determinant(self.entries, self.frame.pairs[k]))
 
     def satisfies_uncertainty(self, hbar: float, tol: float = 0.0) -> bool:
-        """Check S_qq S_pp - S_qp**2 >= hbar**2/4 - tol for every pair."""
-        bound = 0.25 * hbar * hbar - tol
-        return all(self.pair_determinant(k) >= bound for k in range(self.frame.n_pairs))
+        """Check S_qq S_pp - S_qp**2 >= hbar**2/4 - tol for every pair; a
+        non-finite determinant or a negative variance fails."""
+        return not any(_uncertainty_test(self.entries, hbar, tol, pair)[1]
+                       for pair in self.frame.pairs)
 
     def __repr__(self):
         return f"CovarianceMatrix({self.frame.name}, {self.frame.dim}x{self.frame.dim})"
@@ -346,17 +403,13 @@ class Trajectory:
 
     def __post_init__(self):
         d = self.frame.dim
-        ts = np.array(self.ts, dtype=float)
-        means = np.array(self.means, dtype=float)
-        covs = np.array(self.covs, dtype=float)
+        ts = _frozen_array(self.ts, what="ts")
         n = ts.shape[0]
-        if means.shape != (n, d) or covs.shape != (n, d, d):
-            raise ValueError("trajectory arrays have inconsistent shapes")
         if n > 1 and not np.all(np.diff(ts) > 0):
             raise ValueError("sample times must be strictly increasing")
-        for arr, name in ((ts, "ts"), (means, "means"), (covs, "covs")):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "ts", ts)
+        object.__setattr__(self, "means", _frozen_array(self.means, (n, d), "means"))
+        object.__setattr__(self, "covs", _frozen_array(self.covs, (n, d, d), "covs"))
 
     @property
     def n_samples(self) -> int:
@@ -388,7 +441,7 @@ class LinearMap:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = _frozen_array(self.matrix, (self.target.dim, self.source.dim))
+        arr = _frozen_array(self.matrix, (self.target.dim, self.source.dim), "matrix")
         object.__setattr__(self, "matrix", arr)
 
     def __repr__(self):
@@ -435,15 +488,20 @@ def transform_state(
     """Push a (means, covariance) state through a linear map.
 
     Means map as ``T z``; the covariance by congruence, ``T S T^T``, which is
-    re-symmetrized exactly so round-off cannot leak asymmetry downstream.
+    re-symmetrized exactly.
     """
     if means.frame != tmap.source or cov.frame != tmap.source:
         raise FrameError(
             f"state frame {means.frame.name}/{cov.frame.name} does not match "
             f"transform source {tmap.source.name}"
         )
-    t = tmap.matrix
-    new_means = t @ means.values
-    new_cov = t @ cov.entries @ t.T
-    new_cov = 0.5 * (new_cov + new_cov.T)
+    new_means, new_cov = _transport(tmap.matrix, means.values, cov.entries)
     return MeanVector(tmap.target, new_means), CovarianceMatrix(tmap.target, new_cov)
+
+
+def _transport(t: np.ndarray, means: np.ndarray, covs: np.ndarray):
+    """Means ``t z`` and covariances ``t S t^T`` of one state or a stack of
+    them; the covariances are re-symmetrized exactly, so round-off cannot
+    leak asymmetry downstream."""
+    covs = t @ covs @ t.T
+    return means @ t.T, 0.5 * (covs + np.swapaxes(covs, -1, -2))

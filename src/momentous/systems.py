@@ -35,6 +35,8 @@ from .model import (
     FrameError,
     ModelParams,
     Trajectory,
+    _frozen_array,
+    _transport,
     build_transform,
     covariances_from_moments,
     moment_order,
@@ -77,16 +79,11 @@ class ModelSystem:
     params: ModelParams | None = None
 
     def __post_init__(self):
-        d = self.frame.dim
-        for name in ("a_classical", "a_moment", "diffusion"):
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.shape != (d, d):
-                raise ValueError(f"{name} must be {d}x{d}, got {arr.shape}")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        dmat = self.diffusion
-        if float(np.abs(dmat - dmat.T).max()) != 0.0:
-            raise ValueError("diffusion matrix must be symmetric")
+        shape = (self.frame.dim,) * 2
+        for name in ("a_classical", "a_moment"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), shape, name))
+        dmat = _frozen_array(self.diffusion, shape, "diffusion matrix", sign=1)
+        object.__setattr__(self, "diffusion", dmat)
         if float(dmat.diagonal().min()) < 0.0:
             raise ValueError("diffusion diagonal must be >= 0")
 
@@ -282,14 +279,21 @@ def lindblad_margin(params: ModelParams) -> float:
     """Determinant margin ``d_xx*d_pp - d_px**2 - (hbar*gamma/2)**2`` of the
     thermal diffusion; non-negative for every ``nbar >= 0``."""
     d_xx, d_pp, d_px = lindblad_diffusion(params)
-    return d_xx * d_pp - d_px**2 - (0.5 * params.hbar * params.gamma) ** 2
+    try:
+        return d_xx * d_pp - d_px**2 - (0.5 * params.hbar * params.gamma) ** 2
+    except OverflowError:  # a float's ``**`` overflow names no quantity
+        raise OverflowError("the thermal diffusion margin overflows") from None
 
 
 def moment_margin(params: ModelParams, u_pair1):
     """Moment-side diffusion margin ``(2*lam)**2*u_pair1 - (lam*hbar)**2``
     from first-pair uncertainty determinants (scalar or array)."""
     lam = params.lambda_damp
-    return (2.0 * lam) ** 2 * u_pair1 - (lam * params.hbar) ** 2
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (2.0 * lam) ** 2 * u_pair1 - (lam * params.hbar) ** 2
+    except OverflowError:
+        raise OverflowError("the moment diffusion margin overflows") from None
 
 
 @dataclass(frozen=True)
@@ -346,10 +350,7 @@ def xy_view(traj: Trajectory) -> Trajectory:
     """Transport a BT1 trajectory to the XY frame, sample by sample."""
     if traj.frame != BT1:
         raise FrameError("xy_view expects a BT1 trajectory")
-    t = build_transform(BT1, XY).matrix
-    means = traj.means @ t.T
-    covs = t @ traj.covs @ t.T
-    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+    means, covs = _transport(build_transform(BT1, XY).matrix, traj.means, traj.covs)
     return Trajectory(XY, traj.ts, means, covs, traj.step, traj.params)
 
 

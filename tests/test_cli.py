@@ -527,3 +527,155 @@ def test_console_script_is_cli_main():
     target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["momentous"]
     module, _, attr = target.partition(":")
     assert getattr(importlib.import_module(module), attr) is cli.main
+
+
+# ---------------------------------------------------------------------------
+# extreme parameters
+
+_SHORT_GRID = ["--dt", "0.1", "--t-end", "20", "--sample-every", "10"]
+
+
+@pytest.mark.parametrize("argv,code,named", [
+    (["--model", "sbth", "--big-omega", "1e300"], 2, "big-omega"),
+    (["--model", "sbth", "--gamma", "1e300"], 3, "thermal diffusion margin"),
+    (["--model", "sbth", "--hbar", "1e300"], 2, "hbar"),
+    (["--model", "sbth", "--hbar", "1e154", "--lambda", "2"], 3, "moment diffusion margin"),
+    (["--model", "lindblad", "--hbar", "1e300"], 2, "hbar"),
+    (["--model", "lindblad", "--omega0", "1e300"], 2, "omega0"),
+    (["--model", "lindblad", "--lambda", "1e300"], 2, "lambda"),
+    (["--model", "classical", "--omega0", "1e300"], 2, "omega0"),
+    (["--model", "classical", "--sample-every", "1" + "0" * 150], 2, "sample-every"),
+    (["--model", "classical", "--n-level", "1" + "0" * 400], 2, "n-level"),
+])
+def test_overflowing_parameter_is_exit_2_or_3(tmp_path, capsys, argv, code, named):
+    """A float overflow in a parameter's arithmetic is one line on stderr and
+    exit 2 naming the parameter, or 3 for a numerical failure; it was an
+    OverflowError traceback, exit 1."""
+    assert run("simulate", *_SHORT_GRID, *argv, "--out", str(tmp_path / "run.csv")) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and named in err
+
+
+def test_check_of_an_overflowing_echo_is_exit_2(tmp_path, capsys):
+    """A file echoing ``lambda = 1e300`` (as simulate used to write one)."""
+    out = tmp_path / "run.csv"
+    assert run("simulate", "--model", "lindblad", *_SHORT_GRID, "--out", str(out)) == 0
+    text = re.sub(r"# lambda = .*", "# lambda = 1e+300", out.read_text())
+    out.write_text(re.sub(r"# omega0 = .*", "# omega0 = 1e+300", text))
+    capsys.readouterr()
+    assert run("check", str(out)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "lambda" in err
+
+
+def test_other_arithmetic_errors_are_exit_3(capsys, monkeypatch):
+    def fail(*args):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(cli, "integrate", fail)
+    assert run("simulate", "--model", "lindblad", "--t-end", "1") == 3
+    assert capsys.readouterr().err == "numerical failure: float division by zero\n"
+
+
+def test_nan_determinant_file_fails_check(tmp_path, capsys):
+    """At nbar = 1e300 the pair determinants overflow to inf - inf = NaN: a
+    violation, not a pass and not a warning."""
+    out = tmp_path / "run.csv"
+    assert run("simulate", "--model", "lindblad", "--nbar", "1e300", *_SHORT_GRID,
+               "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run("check", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "uncertainty violations: 20 " in captured.out
+
+
+_EXTREMES = (0, -1, 1e-300, 1e-150, 1e-8, 1e8, 1e150, 1e300)
+
+
+def _flag_value(param, value) -> str:
+    if param.type is int and float(value).is_integer():
+        return str(int(value))
+    return repr(float(value))  # an integer flag rejects it: argparse exits 2
+
+
+def _exit_code(*argv) -> int:
+    try:
+        return run(*argv)
+    except SystemExit as exc:  # argparse's own usage errors
+        return exc.code
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_command_line_fuzz(tmp_path, capsys, model):
+    """Every parameter flag at extreme values and at seeded random ones of
+    any magnitude and sign, one at a time: simulate exits 0, 2 or 3, check
+    of a written file exits 0 to 3, and a clean check reports a finite
+    minimum determinant. An exception escaping ``main`` fails the test, and
+    so does a warning (``filterwarnings = error``)."""
+    rng = np.random.default_rng(8)
+    out = tmp_path / "run.csv"
+    xy = ["--emit-xy"] if MODELS[model].xy_columns else []
+    for param in PARAMS:
+        drawn = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-300, 300, 2)
+        for value in (*_EXTREMES, *drawn):
+            flag = f"--{param.key}={_flag_value(param, value)}"
+            out.unlink(missing_ok=True)
+            capsys.readouterr()
+            code = _exit_code("simulate", f"--model={model}", "--dt=0.1", "--t-end=20",
+                              "--sample-every=10", flag, f"--out={out}", *xy)
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3), flag
+            if code and "usage:" not in err:
+                assert len(err.splitlines()) == 1, (flag, err)
+            if not out.exists():
+                continue
+            code = _exit_code("check", str(out))
+            printed = capsys.readouterr()
+            assert code in (0, 1, 2, 3), flag
+            if code == 0 and model != "classical":
+                det = re.search(r"min determinant (\S+)\)", printed.out).group(1)
+                assert math.isfinite(float(det)), (flag, det)
+
+
+# ---------------------------------------------------------------------------
+# check: derived columns
+
+def _corrupt(path, column, row, text="-5"):
+    """Set ``column`` of 1-based data ``row`` of a CSV to ``text``."""
+    lines = path.read_text().splitlines()
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    fields = lines[header + row].split(",")
+    fields[lines[header].split(",").index(column)] = text
+    lines[header + row] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("model,column", [
+    ("sbth", "G20"), ("sbth", "x"), ("sbth", "Ux"), ("sbth", "p_x"), ("sbth", "E_plus"),
+    ("lindblad", "E_mean"), ("lindblad", "E_analytic"), ("lindblad", "U"),
+])
+def test_check_recomputes_derived_columns(tmp_path, capsys, model, column):
+    """A derived column the audit does not read, set to -5 in one row: the
+    audit stays clean, and check exits 1 naming the column and the row."""
+    out = tmp_path / "run.csv"
+    assert run("simulate", "--model", model, "--preset", "paper-fig1", "--t-end", "2",
+               "--out", str(out)) == 0
+    _corrupt(out, column, 4)
+    capsys.readouterr()
+    assert run("check", str(out)) == 1
+    printed = capsys.readouterr().out
+    assert "uncertainty violations: 0 " in printed
+    assert printed.splitlines()[-1].startswith(f"derived column {column} differs at data row 4:")
+
+
+def test_check_tolerates_round_off_in_derived_columns(tmp_path, capsys):
+    """A derived value off by 1e-14 of its column's scale, as another BLAS
+    build might write it, still checks clean."""
+    out = tmp_path / "run.csv"
+    assert run("simulate", "--model", "sbth", "--preset", "paper-fig1", "--t-end", "2",
+               "--out", str(out)) == 0
+    _, columns = read_csv(out)
+    scale = np.abs(columns["E_mean"]).max()
+    _corrupt(out, "E_mean", 4, f"{columns['E_mean'][3] + 1e-14 * scale:.16e}")
+    assert run("check", str(out)) == 0

@@ -230,3 +230,24 @@ def test_pair_moment_columns_follow_moment_order():
     assert list(G1_COLUMNS)[-1] == "G1_0002"
     for names in (PAIR_COLUMNS, G1_COLUMNS):
         assert list(names.values()) == sorted(names.values())
+
+
+def test_nan_determinant_fails_the_container_and_the_audit(params):
+    """inf - inf = NaN: the pair determinant of this state is NaN, and both
+    uncertainty tests must count it as a violation, without a warning."""
+    covs = np.full((1, 2, 2), 1e300)
+    cov = mm.CovarianceMatrix(mm.L1, covs[0])
+    assert math.isnan(cov.pair_determinant(0))
+    assert not cov.satisfies_uncertainty(params.hbar)
+    traj = mm.Trajectory(mm.L1, [0.0], np.zeros((1, 2)), covs, 0.1, params)
+    result = mm.audit(traj)
+    assert not result.ok
+    assert list(result.violation_flags) == [True]
+
+
+def test_infinite_determinant_is_a_violation(params):
+    covs = np.array([[[1e200, 0.0], [0.0, 1e200]]])
+    traj = mm.Trajectory(mm.L1, [0.0], np.zeros((1, 2)), covs, 0.1, params)
+    assert math.isinf(traj.sample(0)[2].pair_determinant(0))
+    assert not traj.sample(0)[2].satisfies_uncertainty(params.hbar)
+    assert mm.audit(traj).n_violations == 1
