@@ -93,8 +93,9 @@ def lindblad_mean_energy(params: ModelParams, t) -> np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     hw = params.hbar * params.omega
-    return ((params.n_level - params.nbar) * np.exp(-params.gamma * t)
-            + params.nbar + 0.5) * hw
+    with np.errstate(over="ignore"):  # beyond the float range the law reads inf
+        return ((params.n_level - params.nbar) * np.exp(-params.gamma * t)
+                + params.nbar + 0.5) * hw
 
 
 def _default_energy_omega(frame: CanonicalFrame, params: ModelParams) -> float:
@@ -181,9 +182,10 @@ def energy_report(traj: Trajectory) -> EnergyReport:
     pot = 0.5 * m * w * w
     sig_x = np.sqrt(g20)
     sig_p = np.sqrt(g02)
-    e_mean = kin * (p**2 + g02) + pot * (x**2 + g20)
-    e_plus = kin * (p + sig_p) ** 2 + pot * (x + sig_x) ** 2
-    e_minus = kin * (p - sig_p) ** 2 + pot * (x - sig_x) ** 2
+    with np.errstate(over="ignore"):  # an energy beyond the float range reads inf
+        e_mean = kin * (p**2 + g02) + pot * (x**2 + g20)
+        e_plus = kin * (p + sig_p) ** 2 + pot * (x + sig_x) ** 2
+        e_minus = kin * (p - sig_p) ** 2 + pot * (x - sig_x) ** 2
     return EnergyReport(
         ts=traj.ts,
         e_mean=e_mean,

@@ -135,7 +135,6 @@ def integrate(
             f"initial state frame does not match system frame {system.frame.name}"
         )
     d = system.frame.dim
-    mat = _rate_matrix(system)
     y = np.concatenate([means0.values, cov0.entries[np.triu_indices(d)], [1.0]])
 
     n_steps = cfg.n_steps
@@ -148,7 +147,7 @@ def integrate(
     out = 1
     # overflow is expected on divergent systems and reported as an error
     with np.errstate(over="ignore", invalid="ignore"):
-        step_matrix = _rk4_step_matrix(h * mat)
+        step_matrix = _rk4_step_matrix(h * _rate_matrix(system))
         for step in range(1, n_steps + 1):
             y = step_matrix @ y
             if not math.isfinite(float(y.sum())):

@@ -127,10 +127,6 @@ class CanonicalFrame:
         return len(self.labels)
 
     @property
-    def n_pairs(self) -> int:
-        return len(self.pairs)
-
-    @property
     def pair_signatures(self) -> tuple[int, ...]:
         return tuple(sign for _, _, sign in self.pairs)
 
@@ -333,9 +329,6 @@ class MeanVector:
         arr = _frozen_array(self.values, (self.frame.dim,), "mean vector", finite=True)
         object.__setattr__(self, "values", arr)
 
-    def value(self, label: str) -> float:
-        return float(self.values[self.frame.index(label)])
-
     def __repr__(self):
         pairs = ", ".join(f"{l}={v:g}" for l, v in zip(self.frame.labels, self.values))
         return f"MeanVector({self.frame.name}: {pairs})"
@@ -453,14 +446,16 @@ _S = 1.0 / math.sqrt(2.0)
 # rows (x, p_x, y, p_y) in terms of columns (x1, p1, p2, x2):
 #   x = (x1 + x2)/sqrt(2),  p_x = (p1 - p2)/sqrt(2),
 #   y = (x1 - x2)/sqrt(2),  p_y = (p1 + p2)/sqrt(2)
-_BT1_TO_XY = np.array(
+# kept as its exact sign pattern P; P/sqrt(2) is orthogonal, so P P^T = 2 I
+_BT1_XY_SIGNS = np.array(
     [
-        [_S, 0.0, 0.0, _S],
-        [0.0, _S, -_S, 0.0],
-        [_S, 0.0, 0.0, -_S],
-        [0.0, _S, _S, 0.0],
+        [1.0, 0.0, 0.0, 1.0],
+        [0.0, 1.0, -1.0, 0.0],
+        [1.0, 0.0, 0.0, -1.0],
+        [0.0, 1.0, 1.0, 0.0],
     ]
 )
+_BT1_TO_XY = _S * _BT1_XY_SIGNS
 
 # its inverse: the map is orthogonal
 _XY_TO_BT1 = _BT1_TO_XY.T

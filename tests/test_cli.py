@@ -606,36 +606,57 @@ def _exit_code(*argv) -> int:
         return exc.code
 
 
+_JOINT = ("m", "big-omega", "lambda", "hbar", "nbar")
+
+
 @pytest.mark.parametrize("model", MODELS)
 def test_command_line_fuzz(tmp_path, capsys, model):
     """Every parameter flag at extreme values and at seeded random ones of
-    any magnitude and sign, one at a time: simulate exits 0, 2 or 3, check
+    any magnitude and sign, one at a time; every parameter as a config-file
+    key at 0, -1, 1e-300 and 1e300; and seeded joint draws of m, big-omega,
+    lambda, hbar and nbar up to 1e160, where products such as m*big_omega**2
+    and (lambda*hbar)**2 overflow. Each time simulate exits 0, 2 or 3, check
     of a written file exits 0 to 3, and a clean check reports a finite
     minimum determinant. An exception escaping ``main`` fails the test, and
     so does a warning (``filterwarnings = error``)."""
     rng = np.random.default_rng(8)
     out = tmp_path / "run.csv"
+    cfg = tmp_path / "run.cfg"
     xy = ["--emit-xy"] if MODELS[model].xy_columns else []
+    grid = {"dt": "0.1", "t-end": "20", "sample-every": "10"}
+    short = [f"--{key}={value}" for key, value in grid.items()]
+
+    def fuzz(case, *argv):
+        out.unlink(missing_ok=True)
+        capsys.readouterr()
+        code = _exit_code("simulate", f"--model={model}", *argv, f"--out={out}", *xy)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), case
+        if code and "usage:" not in err:
+            assert len(err.splitlines()) == 1, (case, err)
+        if not out.exists():
+            return
+        check = _exit_code("check", str(out))
+        printed = capsys.readouterr()
+        assert check in (0, 1, 2, 3), case
+        if check == 0 and model != "classical":
+            det = re.search(r"min determinant (\S+)\)", printed.out).group(1)
+            assert math.isfinite(float(det)), (case, det)
+
     for param in PARAMS:
         drawn = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-300, 300, 2)
         for value in (*_EXTREMES, *drawn):
             flag = f"--{param.key}={_flag_value(param, value)}"
-            out.unlink(missing_ok=True)
-            capsys.readouterr()
-            code = _exit_code("simulate", f"--model={model}", "--dt=0.1", "--t-end=20",
-                              "--sample-every=10", flag, f"--out={out}", *xy)
-            err = capsys.readouterr().err
-            assert code in (0, 2, 3), flag
-            if code and "usage:" not in err:
-                assert len(err.splitlines()) == 1, (flag, err)
-            if not out.exists():
-                continue
-            code = _exit_code("check", str(out))
-            printed = capsys.readouterr()
-            assert code in (0, 1, 2, 3), flag
-            if code == 0 and model != "classical":
-                det = re.search(r"min determinant (\S+)\)", printed.out).group(1)
-                assert math.isfinite(float(det)), (flag, det)
+            fuzz(flag, *short, flag)
+        for value in (0, -1, 1e-300, 1e300):
+            lines = {**grid, param.key: _flag_value(param, value)}
+            cfg.write_text("".join(f"{key} = {text}\n" for key, text in lines.items()))
+            fuzz(lines, f"--config={cfg}")
+    joint = np.random.default_rng(9)
+    for _ in range(16):
+        flags = [f"--{key}={float(value)!r}"
+                 for key, value in zip(_JOINT, 10.0 ** joint.uniform(-160, 160, 5))]
+        fuzz(flags, *short, *flags)
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,38 @@ def test_qdho_xy_zero_damping():
     )
 
 
+def _underdamped_points(n, seed):
+    rng = np.random.default_rng(seed)
+    for lam, om, m in 10.0 ** rng.uniform(-4, 4, (n, 3)):
+        yield mm.ModelParams(lambda_damp=lam, big_omega=om, m=m)
+
+
+def test_qdho_xy_generators_are_exact():
+    """Both XY generators hold exactly 0 or one BT1 coefficient per entry:
+    no round-off from the 1/sqrt(2) of the frame map."""
+    for p in _underdamped_points(200, seed=9):
+        lam, im, k = p.lambda_damp, 1.0 / p.m, p.m * p.big_omega**2
+        sys = mm.build_qdho_xy(p)
+        assert np.array_equal(sys.a_classical, [
+            [-lam, im, 0.0, 0.0], [-k, -lam, 0.0, 0.0], [0.0, 0.0, lam, im], [0.0, 0.0, -k, lam],
+        ])
+        assert np.array_equal(sys.a_moment, [
+            [0.0, 0.0, lam, im], [0.0, 0.0, -k, lam], [-lam, im, 0.0, 0.0], [-k, -lam, 0.0, 0.0],
+        ])
+        assert np.array_equal(mm.build_classical(p).a_classical, sys.a_classical[:2, :2])
+
+
+def test_qdho_xy_long_run_keeps_the_energy():
+    """Integrated in its own frame, the XY system holds the physical energy
+    where the mirror mode has grown by e^40: the BT1 run's xy_view reads
+    about 1300 at this point, against 0.75."""
+    p = mm.ModelParams(lambda_damp=1.0, gamma=2.0, big_omega=1.5, omega=1.5, omega_prime=1.5)
+    run = mm.integrate(mm.build_qdho_xy(p), *mm.coherent_initial_state(p, mm.XY),
+                       mm.IntegratorConfig(1e-3, 40.0, 1000))
+    exact = float(mm.lindblad_mean_energy(p, 40.0))
+    assert mm.energy_report(run).e_mean[-1] == pytest.approx(exact, rel=1e-9)
+
+
 def test_xy_view_matches_per_sample_transform(params, sbth_run):
     view = mm.xy_view(sbth_run)
     t = mm.build_transform(mm.BT1, mm.XY)
