@@ -3,9 +3,13 @@
 Output files start with comment lines ``# key = value`` carrying the fully
 resolved run configuration, followed by one header row and data rows; a
 ``#`` line after the header is a comment, not configuration. Numbers are
-written as ``"%.16e"`` (17 significant digits), so a written file
-round-trips bit-exactly and re-running the echoed configuration reproduces
-the file byte for byte.
+written exactly as ``"%.16e"`` would write them (17 significant digits), so
+a written file round-trips bit-exactly and re-running the echoed
+configuration reproduces the file byte for byte. The digits come from a
+vectorised renderer that computes the correctly rounded 17-digit decimal
+in float64/int64 arithmetic; the few values it cannot settle exactly
+(near a rounding tie, beyond 1e-270..1e270 in magnitude, or not finite)
+are formatted one by one with ``"%.16e"`` itself.
 
 Fixed column schemas (column order is part of the contract):
 
@@ -21,6 +25,7 @@ classical runs
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from typing import NamedTuple
@@ -79,8 +84,10 @@ MODELS = {
     "classical": ModelColumns(None, (), CLASSICAL_COLUMNS, []),
 }
 
-# data rows formatted per write
-WRITE_BLOCK = 4096
+# Data rows rendered and written at a time. The renderer holds a few dozen
+# bytes of temporaries per value, so a block of a 25-column file stays under
+# a few hundred kilobytes.
+WRITE_BLOCK = 512
 
 # a time spacing may differ from the first one by this fraction of it; the
 # (k*sample_every)*dt grids carry round-off of about k*eps relative, under
@@ -167,9 +174,9 @@ def parse_config_text(lines) -> dict:
 def write_csv(path, config: dict, columns: list[tuple[str, np.ndarray]]) -> None:
     """Write a simulation CSV: config comments, header row, data rows.
 
-    Each value is written as ``%.16e``. Rows are formatted ``WRITE_BLOCK``
-    at a time with one ``%`` operation, so the file is never held whole
-    as one string.
+    Each value is written byte for byte as ``"%.16e" % value`` would write
+    it. Rows are rendered ``WRITE_BLOCK`` at a time by :func:`_render_rows`
+    and written as bytes, so the file is never held whole in memory.
     """
     names = [name for name, _ in columns]
     arrays = [np.asarray(arr, dtype=float) for _, arr in columns]
@@ -177,14 +184,144 @@ def write_csv(path, config: dict, columns: list[tuple[str, np.ndarray]]) -> None
     if any(a.shape != (n,) for a in arrays):
         raise ValueError("all columns must share one length")
     data = np.column_stack(arrays)
-    row_fmt = ",".join(["%.16e"] * len(arrays)) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        for line in config_lines(config):
-            fh.write(f"# {line}\n")
-        fh.write(",".join(names) + "\n")
+    head = [f"# {line}" for line in config_lines(config)] + [",".join(names)]
+    with open(path, "wb") as fh:
+        fh.write("".join(f"{line}\n" for line in head).encode())
         for start in range(0, n, WRITE_BLOCK):
-            block = data[start:start + WRITE_BLOCK]
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+            fh.write(_render_rows(data[start:start + WRITE_BLOCK]))
+
+
+# Exact "%.16e" rendering. A finite x != 0 is d.ddddddddddddddddde±XX with
+# N = round(|x|·10^(16−E)) in [1e16, 1e17), E = floor(log10|x|). |x|·10^k is
+# formed as the unevaluated sum p + t with Dekker's two-product (Dekker,
+# Numer. Math. 18, 1971) against 10^k = hi + lo: p + t is within 2^-104 of
+# the exact product, about 5e-15 at 1e17, so N = p + floor(t + 1/2) is the
+# correctly rounded value unless t is near a half-integer. The product
+# neither overflows nor loses bits to underflow while 1e-270 <= |x| <= 1e270.
+_FAST_RANGE = (1e-270, 1e270)
+_E_MAX = 272  # |E| in the fast range, with room for floor(log10) missing by one
+_TIE_GAP = 1e-6  # t within this of a half-integer is left to "%.16e" itself
+
+
+def _split(a):
+    """Veltkamp's split of float64 values into 26- and 27-bit halves."""
+    c = 134217729.0 * a  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _words(text_bytes: np.ndarray) -> np.ndarray:
+    """Rows of 4 bytes as one native uint32 each (0 bytes are dropped later)."""
+    return np.ascontiguousarray(text_bytes, dtype=np.uint8).view(np.uint32).ravel()
+
+
+@functools.cache
+def _render_tables():
+    """The renderer's lookup tables, built on first use.
+
+    ``pow10``: the columns hi, hi's split halves and lo of 10^(16−E) at
+    ``E + _E_MAX``, with hi + lo within 2^-106 of the power. Then 4-byte
+    words: the digits of 0..9999; the head ``[sign, lead digit, ".", 0]`` at
+    ``lead + 10·negative``; the exponent ``["e", sign, hundreds, tens]`` and
+    ``[ones, 0, 0, 0]`` at ``E + _E_MAX``; and the separator words
+    ``[0, ",", 0, 0]`` and ``[0, "\\n", 0, 0]``.
+    """
+    rows = []
+    for k in range(16 + _E_MAX, 16 - _E_MAX - 1, -1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        hi = num / den  # int / int: correctly rounded
+        hi_num, hi_den = hi.as_integer_ratio()
+        rows.append((hi, (num * hi_den - hi_num * den) / (den * hi_den)))
+    hi, lo = np.array(rows).T
+    pow10 = (hi, *_split(hi), lo)
+
+    zero, dot, plus, minus = (ord(c) for c in "0.+-")
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + zero
+    lead = np.arange(20)
+    heads = np.column_stack([np.where(lead >= 10, minus, 0), lead % 10 + zero,
+                             np.full(20, dot), np.zeros(20, int)])
+    e = np.arange(-_E_MAX, _E_MAX + 1)
+    a = np.abs(e)
+    exp_high = np.column_stack([np.full(e.size, ord("e")), np.where(e < 0, minus, plus),
+                                np.where(a >= 100, a // 100 + zero, 0), a // 10 % 10 + zero])
+    exp_low = np.zeros((e.size, 4), int)
+    exp_low[:, 0] = a % 10 + zero
+    seps = [[0, ord(","), 0, 0], [0, ord("\n"), 0, 0]]
+    return pow10, _words(digits), _words(heads), _words(exp_high), _words(exp_low), _words(seps)
+
+
+def _scaled(a: np.ndarray, e: np.ndarray, pow10):
+    """``a·10^(16−e)`` as ``p + t``: ``p`` its rounded product, ``t`` the rest."""
+    hi, hi_high, hi_low, lo = (column[e + _E_MAX] for column in pow10)
+    p = a * hi
+    a_high, a_low = _split(a)
+    t = (((a_high * hi_high - p) + a_high * hi_low + a_low * hi_high) + a_low * hi_low) + a * lo
+    return p, t
+
+
+def _decimals(x: np.ndarray):
+    """``N`` (the 17 significant digits as one integer, 0 for ±0) and ``E``
+    of each value of ``x`` as ``"%.16e"`` writes it, and the mask of the
+    values where they are exact. The others (see above) are left to
+    ``"%.16e"`` itself."""
+    pow10 = _render_tables()[0]
+    a = np.abs(x)
+    fast = (a >= _FAST_RANGE[0]) & (a <= _FAST_RANGE[1])
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    p, t = _scaled(a, e, pow10)
+    # floor(log10) can miss by one next to a power of ten; decide on p + t
+    shift = ((p - 1e17) + t >= 0).astype(np.int64) - ((p - 1e16) + t < 0)
+    moved = np.flatnonzero(shift)
+    if moved.size:
+        e[moved] += shift[moved]
+        p[moved], t[moved] = _scaled(a[moved], e[moved], pow10)
+    rounded = np.floor(t + 0.5)
+    exact = fast & (np.abs(t - rounded) <= 0.5 - _TIE_GAP)  # not near a tie
+    n = p.astype(np.int64) + rounded.astype(np.int64)
+    carry = n == 10**17  # rounded up to the next power of ten
+    n[carry] = 10**16
+    e += carry
+    zero = x == 0.0
+    n[zero] = 0
+    e[zero] = 0
+    return n, e, exact | zero
+
+
+def _render_rows(block: np.ndarray) -> bytes:
+    """The CSV bytes of a 2-D block of float64 rows: each value as
+    ``"%.16e"``, a comma between values and a newline after each row.
+
+    Each value fills seven 4-byte words (head, four digit chunks, two
+    exponent words holding the separator); the unused bytes are 0 and are
+    dropped at the end. Values without exact decimals are formatted one by
+    one and copied in.
+    """
+    _, digits, heads, exp_high, exp_low, (comma, newline) = _render_tables()
+    x = block.ravel()
+    n, e, exact = _decimals(x)
+    # floor division by a constant is fast in numpy, % is not
+    lead = n // 10**16
+    rest = n - lead * 10**16
+    high = rest // 10**8
+    low = rest - high * 10**8
+    out = np.empty((*block.shape, 7), np.uint32)
+    words = out.reshape(-1, 7)
+    words[:, 0] = heads[lead + 10 * np.signbit(x)]
+    for col, part in ((1, high), (3, low)):
+        chunk = part // 10**4
+        words[:, col] = digits[chunk]
+        words[:, col + 1] = digits[part - chunk * 10**4]
+    words[:, 5] = exp_high[e + _E_MAX]
+    separators = np.full(block.shape[1], comma)
+    separators[-1] = newline
+    out[..., 6] = exp_low[e + _E_MAX].reshape(block.shape) | separators
+    # the rest as "%.16e" writes them, padded with 0 up to the separator
+    inexact = np.flatnonzero(~exact)
+    text = "".join(("%.16e" % v).ljust(25, "\0") for v in x[inexact].tolist())
+    out.view(np.uint8).reshape(-1, 28)[inexact, :25] = np.frombuffer(
+        text.encode(), np.uint8).reshape(-1, 25)
+    return out.tobytes().translate(None, b"\0")
 
 
 def read_csv(path) -> tuple[dict, dict[str, np.ndarray]]:

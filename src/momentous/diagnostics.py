@@ -88,14 +88,17 @@ def coherent_initial_state(
 def lindblad_mean_energy(params: ModelParams, t) -> np.ndarray:
     """Closed-form mean energy of the thermal damped oscillator.
 
-    ``E(t) = ((n_level - nbar)*exp(-gamma*t) + nbar + 1/2) * hbar * omega``,
-    decaying from the initial level to the reservoir-dressed floor.
+    ``E(t) = (n_level*e + nbar*(1 - e) + 1/2) * hbar * omega`` with
+    ``e = exp(-gamma*t)``, decaying from the initial level to the
+    reservoir-dressed floor. Written with ``1 - e = -expm1(-gamma*t)`` and
+    without the difference ``n_level - nbar``, so a large ``nbar`` does not
+    cancel ``n_level`` away.
     """
     t = np.asarray(t, dtype=float)
     hw = params.hbar * params.omega
     with np.errstate(over="ignore"):  # beyond the float range the law reads inf
-        return ((params.n_level - params.nbar) * np.exp(-params.gamma * t)
-                + params.nbar + 0.5) * hw
+        return (params.n_level * np.exp(-params.gamma * t)
+                - params.nbar * np.expm1(-params.gamma * t) + 0.5) * hw
 
 
 def _default_energy_omega(frame: CanonicalFrame, params: ModelParams) -> float:

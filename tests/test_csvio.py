@@ -133,6 +133,52 @@ def test_round_trip_bit_and_byte_exact(tmp_path, n_rows):
 
 
 # ---------------------------------------------------------------------------
+# the renderer's contract: every value exactly as "%.16e" writes it
+
+def _contract_values() -> np.ndarray:
+    rng = np.random.default_rng(20261018)
+    bits = rng.integers(0, 2**64, size=500_000, dtype=np.uint64).view(np.float64)
+    powers = np.array([10.0**k for k in range(-323, 309)])
+    # the neighbour below a power of ten rounds up into it: a carry
+    neighbours = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    # at most 17 significant digits: an exact decimal rounded once more
+    count = 30_000
+    digits = np.round(rng.random(count) * 10.0 ** rng.integers(1, 18, count))
+    short = digits / 10.0 ** rng.integers(-290, 291, count)
+    whole = rng.integers(1, 10**17, count).astype(float) * 10.0 ** rng.integers(-22, 23, count)
+    # exact ties: j·5^k / 2^(17-k), j odd, has 18 significant digits, the last a 5
+    odd = 2 * rng.integers(2**16, 5 * 2**17, 3000) + 1
+    ties = np.concatenate([odd * 5.0**k / 2.0 ** (17 - k) for k in range(6)])
+    subnormals = rng.integers(1, 2**52, size=1000, dtype=np.uint64).view(np.float64)
+    signed = np.concatenate([short, whole, ties, subnormals])
+    signed *= np.where(rng.random(signed.size) < 0.5, -1.0, 1.0)
+    edges = np.array([0.0, np.inf, np.nan, 5e-324, 2.2250738585072014e-308,
+                      2.225073858507201e-308, 1.7976931348623157e308, 1e-270, 1e270,
+                      np.nextafter(1e-270, 0.0), np.nextafter(1e270, np.inf), 0.5, 1.0, 9.5, 0.1])
+    return np.concatenate([bits, neighbours, -neighbours, signed, edges, -edges])
+
+
+def test_renderer_writes_every_value_as_percent_format(tmp_path):
+    values = _contract_values()
+    n_cols = 7
+    values = np.concatenate([values, np.zeros(-values.size % n_cols)])
+    data = values.reshape(-1, n_cols)
+    names = [f"c{k}" for k in range(n_cols)]
+    path = tmp_path / "contract.csv"
+    write_csv(path, {"model": "test"}, [(name, data[:, k]) for k, name in enumerate(names)])
+
+    head = f"# model = test\n{','.join(names)}\n"
+    row = ",".join(["%.16e"] * n_cols) + "\n"
+    expected = head + (row * len(data)) % tuple(values.tolist())
+    text = path.read_text()
+    if text != expected:
+        fields = text[len(head):].replace("\n", ",").split(",")
+        k = next(k for k, v in enumerate(values.tolist()) if fields[k] != "%.16e" % v)
+        raise AssertionError(f"{values[k]!r} was written as {fields[k]!r}, "
+                             f"not {'%.16e' % values[k]!r}")
+
+
+# ---------------------------------------------------------------------------
 # the model table: what simulate writes is what the reader rebuilds
 
 @pytest.mark.parametrize("model", MODELS)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import momentous as mm
+from momentous import cli
+from momentous.csvio import read_csv
 from momentous.diagnostics import G1_COLUMNS, PAIR_COLUMNS, CorruptedStateError, GridMismatchError
 from momentous.systems import moment_margin
 
@@ -66,6 +68,38 @@ def test_analytic_energy_limits(params):
     assert float(mm.lindblad_mean_energy(params, 0.0)) == pytest.approx(5.25)
     p2 = dataclasses.replace(params, nbar=2.0)
     assert float(mm.lindblad_mean_energy(p2, 1e6)) == pytest.approx(3.75, rel=1e-15)
+
+
+def test_analytic_energy_keeps_the_level_at_large_nbar(tmp_path):
+    """With gamma = 0 the law stays at (n_level + 1/2)·hbar·omega however
+    large nbar is; written as (n_level - nbar)·e + nbar it loses n_level to
+    cancellation at nbar = 1e300."""
+    params = mm.ModelParams(gamma=0.0, nbar=1e300, hbar=1e10)
+    level = (params.n_level + 0.5) * params.hbar * params.omega
+    assert level == 5.25e10
+    energy = mm.lindblad_mean_energy(params, np.linspace(0.0, 20.0, 21))
+    assert np.all(energy == level)
+    # and in the file simulate writes
+    out = tmp_path / "big.csv"
+    assert cli.main(["simulate", "--model", "lindblad", "--gamma", "0", "--nbar", "1e300",
+                     "--hbar", "1e10", "--dt", "0.1", "--t-end", "20",
+                     "--sample-every", "10", "--out", str(out)]) == 0
+    _, columns = read_csv(out)
+    assert np.all(columns["E_analytic"] == level)
+    assert columns["E_mean"] == pytest.approx(level, rel=1e-4)
+
+
+def test_analytic_energy_is_the_decay_law(params):
+    """The cancellation-free form equals the textbook one where neither
+    cancels: (n - nbar)·e^(-gamma t) + nbar + 1/2, in units of hbar·omega."""
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        p = dataclasses.replace(params, gamma=float(rng.uniform(0.01, 2.0)),
+                                nbar=float(rng.uniform(0.0, 10.0)),
+                                n_level=int(rng.integers(0, 10)))
+        t = rng.uniform(0.0, 50.0, 16)
+        law = ((p.n_level - p.nbar) * np.exp(-p.gamma * t) + p.nbar + 0.5) * p.hbar * p.omega
+        assert mm.lindblad_mean_energy(p, t) == pytest.approx(law, rel=1e-14)
 
 
 def test_negative_variance_rejected(params):
