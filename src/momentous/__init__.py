@@ -49,6 +49,7 @@ from .integrator import IntegrationError, IntegratorConfig, convergence_order, i
 from .diagnostics import (
     EnergyReport,
     InvariantAudit,
+    Run,
     audit,
     coherent_initial_state,
     compare,

@@ -35,6 +35,7 @@ from .csvio import (
 )
 from .diagnostics import (
     CorruptedStateError,
+    Run,
     audit,
     compare,
     coherent_initial_state,
@@ -62,7 +63,7 @@ _CONFIG_KEYS = {"model", *(p.key for p in PARAMS), "emit-xy", "preset", "out", "
 # a derived column of a checked file may differ from its recomputation by
 # this fraction of the column's largest magnitude (another BLAS build may
 # round differently; a file rebuilt on one platform differs by 0)
-_DERIVED_RTOL = 1e-12
+_RECOMPUTE_RTOL = 1e-12
 
 
 def _load_config_file(path: str) -> dict:
@@ -137,25 +138,25 @@ def _run_model(model: str, params: ModelParams, grid: IntegratorConfig) -> Traje
     return Trajectory(L1, ts, np.column_stack([x, p]), covs, grid.sample_every * grid.dt, params)
 
 
-def _report_audit(traj: Trajectory, tol: float) -> bool:
+def _report_audit(run: Run, tol: float) -> bool:
     """Print the audit summary of a run; True when it finds no violation."""
-    result = audit(traj, tol)
+    result = audit(run, tol)
     print(result.summary())
     return result.ok
 
 
-def _derived_mismatch(traj: Trajectory, model: str, columns: dict) -> str | None:
+def _derived_mismatch(run: Run, model: str, columns: dict) -> str | None:
     """The first derived column of a file (a schema column other than the
     time, the means and the moments) that its rebuilt run does not
     reproduce, with its first bad data row; None if every one matches."""
     frame, moments, names, xy_names = MODELS[model]
     stored = ("t", *frame.labels, *moments)
     derived = [name for name in names + xy_names if name in columns and name not in stored]
-    for name, value in trajectory_columns(traj, derived).items():
+    for name, value in trajectory_columns(run, derived).items():
         read = columns[name]
         scale = np.abs(value[np.isfinite(value)]).max(initial=0.0)
         with np.errstate(invalid="ignore", over="ignore"):
-            off = ~((read == value) | (np.abs(read - value) <= _DERIVED_RTOL * scale))
+            off = ~((read == value) | (np.abs(read - value) <= _RECOMPUTE_RTOL * scale))
         if off.any():
             row = int(np.argmax(off))
             return (f"derived column {name} differs at data row {row + 1}: "
@@ -175,17 +176,17 @@ def cmd_simulate(args) -> int:
     tol = _tolerance(args.tol, [cfg], 1e-9)
     frame, _, names, xy_names = MODELS[model]
     emit_xy = bool(cfg.get("emit-xy")) and bool(xy_names)
-    traj = _run_model(model, params, grid)
+    run = Run(_run_model(model, params, grid))
     out = args.out or cfg.get("out") or f"{model}.csv"
     echo = {"model": model, **run_config(params, grid)}
     if xy_names:  # echoed only by a model that has XY columns
         echo["emit-xy"] = emit_xy
     names = names + xy_names if emit_xy else names
-    cols = trajectory_columns(traj, names)
+    cols = trajectory_columns(run, names)
     write_csv(out, echo, [(name, cols[name]) for name in names])
-    print(f"wrote {out} ({traj.n_samples} samples, t in [0, {traj.ts[-1]:g}])")
+    print(f"wrote {out} ({run.traj.n_samples} samples, t in [0, {run.traj.ts[-1]:g}])")
     if frame is not None:
-        _report_audit(traj, tol)
+        _report_audit(run, tol)
     return 0
 
 
@@ -205,7 +206,7 @@ def cmd_compare(args) -> int:
         configs.append(side_cfg)
     tol = _tolerance(args.tol, configs, 1e-6)
     model_a, model_b = (cfg["model"] for cfg in configs)
-    traj_a, traj_b = (_run_model(cfg["model"], *_params_and_grid(cfg)) for cfg in configs)
+    run_a, run_b = (Run(_run_model(cfg["model"], *_params_and_grid(cfg))) for cfg in configs)
     if args.columns is not None:
         columns = [c.strip() for c in args.columns.split(",") if c.strip()]
         if not columns:
@@ -216,10 +217,10 @@ def cmd_compare(args) -> int:
         columns = ["x", "p", "G20", "G02", "G11", "E_mean"]
 
     try:
-        metrics = compare(traj_a, traj_b, columns)
+        metrics = compare(run_a, run_b, columns)
     except KeyError as exc:  # a --columns name no frame defines
         raise ConfigError(f"--columns: {exc.args[0]}") from None
-    print(f"comparing {model_a} vs {model_b} on {traj_a.n_samples} samples (tol {tol:g})")
+    print(f"comparing {model_a} vs {model_b} on {run_a.traj.n_samples} samples (tol {tol:g})")
     print(f"{'column':>10}  {'max_abs':>12}  {'rms':>12}  {'at_time':>9}")
     worst = 0.0
     for name in columns:
@@ -227,9 +228,9 @@ def cmd_compare(args) -> int:
         worst = max(worst, m.max_abs)
         print(f"{name:>10}  {m.max_abs:12.5e}  {m.rms:12.5e}  {m.at_time:9.3f}")
     if args.out:
-        joint = [("t", traj_a.ts)]
-        cols_a = trajectory_columns(traj_a, columns)
-        cols_b = trajectory_columns(traj_b, columns)
+        joint = [("t", run_a.traj.ts)]
+        cols_a = trajectory_columns(run_a, columns)
+        cols_b = trajectory_columns(run_b, columns)
         for name in columns:
             joint.append((f"{name}_a", cols_a[name]))
             joint.append((f"{name}_b", cols_b[name]))
@@ -250,9 +251,10 @@ def cmd_check(args) -> int:
         print(f"{args.csv}: classical run, no quantum moments to audit")
         return 0
     print(f"audit of {args.csv}")
-    if not _report_audit(traj, tol):
+    run = Run(traj)
+    if not _report_audit(run, tol):
         return 1  # a state that fails the audit may have no energies to recompute
-    mismatch = _derived_mismatch(traj, config["model"], columns)
+    mismatch = _derived_mismatch(run, config["model"], columns)
     if mismatch is not None:
         print(mismatch)
         return 1

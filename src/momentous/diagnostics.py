@@ -6,8 +6,8 @@ parameters) and return reports, never mutating their inputs.
 
 from __future__ import annotations
 
+import functools
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +34,7 @@ from .model import (
 from .systems import lindblad_margin, moment_margin, xy_view
 
 __all__ = [
+    "Run",
     "coherent_initial_state",
     "lindblad_mean_energy",
     "EnergyReport",
@@ -105,29 +106,26 @@ def _default_energy_omega(frame: CanonicalFrame, params: ModelParams) -> float:
     return params.big_omega if frame in (BT1, XY) else params.omega
 
 
-# What is derived from a trajectory, each taken once: the XY view of a BT1
-# run and its energy report. Trajectory hashes by identity (eq=False) and its
-# arrays are read-only, so an entry never goes stale; the weak key lets the
-# entries go with their trajectory.
-_DERIVED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+@dataclass(frozen=True, eq=False)
+class Run:
+    """A trajectory and what derives from it, each computed at most once and
+    only when read: ``physical``, the physical oscillator's run (the XY view
+    of a BT1 run, else the run itself), and ``energies``, its energy report.
+    The analysis functions take a ``Run`` or a bare trajectory."""
+
+    traj: Trajectory
+
+    @functools.cached_property
+    def physical(self) -> Trajectory:
+        return xy_view(self.traj) if self.traj.frame == BT1 else self.traj
+
+    @functools.cached_property
+    def energies(self) -> EnergyReport:
+        return energy_report(self)
 
 
-def _derived(traj: Trajectory, key, make):
-    memo = _DERIVED.setdefault(traj, {})
-    if key not in memo:
-        memo[key] = make()
-    return memo[key]
-
-
-def _xy_or_self(traj: Trajectory) -> Trajectory:
-    if traj.frame != BT1:
-        return traj
-    return _derived(traj, "xy", lambda: xy_view(traj))
-
-
-def _energies(traj: Trajectory) -> EnergyReport:
-    """``energy_report(traj)``, computed once per trajectory."""
-    return _derived(traj, "energy", lambda: energy_report(traj))
+def _as_run(traj: Run | Trajectory) -> Run:
+    return traj if isinstance(traj, Run) else Run(traj)
 
 
 def _run_params(traj: Trajectory) -> ModelParams:
@@ -157,7 +155,7 @@ class EnergyReport:
     e_analytic: np.ndarray = field(repr=False)
 
 
-def energy_report(traj: Trajectory) -> EnergyReport:
+def energy_report(traj: Run | Trajectory) -> EnergyReport:
     """Mean energy, dispersion-belt energies, and the analytic decay law.
 
     For BT1 runs the XY view is taken first so that x and p_x refer to the
@@ -167,9 +165,11 @@ def energy_report(traj: Trajectory) -> EnergyReport:
     :class:`CorruptedStateError` naming the first sample with a negative
     variance.
     """
+    run = _as_run(traj)
+    traj = run.traj
     params = _run_params(traj)
     w = _default_energy_omega(traj.frame, params)
-    view = _xy_or_self(traj)
+    view = run.physical
     x = view.means[:, 0]
     p = view.means[:, 1]
     g20 = view.covs[:, 0, 0]
@@ -247,26 +247,28 @@ class InvariantAudit:
         return "\n".join(lines)
 
 
-def audit(traj: Trajectory, tol: float = 1e-9) -> InvariantAudit:
+def audit(traj: Run | Trajectory, tol: float = 1e-9) -> InvariantAudit:
     """Audit a run against the uncertainty bound and diffusion margins.
 
     Never raises on violations; inspect ``ok``/``n_violations``. Expects a
     run with quantum moments (BT1, XY, or the single-pair frame).
     """
+    run = _as_run(traj)
+    traj = run.traj
     params = _run_params(traj)
     hb = params.hbar
     u_pair1, flags = _uncertainty_test(traj.covs, hb, tol)
     min_uncertainty = u_pair1.min()
     u_xy = margin_moment_min = None
     if traj.frame == BT1:
-        u_xy, xy_flags = _uncertainty_test(_xy_or_self(traj).covs, hb, tol)
+        u_xy, xy_flags = _uncertainty_test(run.physical.covs, hb, tol)
         flags = flags | xy_flags
         min_uncertainty = min(min_uncertainty, u_xy.min())
         margin_moment_min = float(moment_margin(params, u_pair1).min())
 
     omega_e = _default_energy_omega(traj.frame, params)
     try:
-        final_energy = float(_energies(traj).e_mean[-1])
+        final_energy = float(run.energies.e_mean[-1])
     except CorruptedStateError:
         final_energy = math.nan  # corrupted moments; already flagged above
     return InvariantAudit(
@@ -302,37 +304,36 @@ G1_COLUMNS = _moment_columns("G1_", 4)
 PAIR_COLUMNS = _moment_columns("G", 2)
 
 
-def _view_mean(traj: Trajectory, label: str) -> np.ndarray:
-    view = _xy_or_self(traj)
+def _view_mean(run: Run, label: str) -> np.ndarray:
+    view = run.physical
     if label in ("p", "p_x"):  # the physical momentum, under either name
         label = "p_x" if "p_x" in view.frame.labels else "p"
     return view.means[:, view.frame.index(label)]
 
 
-# columns by name, as f(traj); the means and moments here are a BT1 run's
-# XY view, else the run's own
+# columns by name, as f(run); the means and moments here are the physical run's
 _COLUMNS = {
-    "t": lambda traj: traj.ts,
-    "x": lambda traj: _view_mean(traj, "x"),
-    "p": lambda traj: _view_mean(traj, "p"),
-    "p_x": lambda traj: _view_mean(traj, "p_x"),
-    "y": lambda traj: _view_mean(traj, "y"),
-    "p_y": lambda traj: _view_mean(traj, "p_y"),
+    "t": lambda run: run.traj.ts,
+    "x": lambda run: _view_mean(run, "x"),
+    "p": lambda run: _view_mean(run, "p"),
+    "p_x": lambda run: _view_mean(run, "p_x"),
+    "y": lambda run: _view_mean(run, "y"),
+    "p_y": lambda run: _view_mean(run, "p_y"),
     **{
-        name: lambda traj, i=i, j=j: _xy_or_self(traj).covs[:, i, j]
+        name: lambda run, i=i, j=j: run.physical.covs[:, i, j]
         for name, (i, j) in PAIR_COLUMNS.items()
     },
-    "E_mean": lambda traj: _energies(traj).e_mean,
-    "E_plus": lambda traj: _energies(traj).e_plus,
-    "E_minus": lambda traj: _energies(traj).e_minus,
-    "E_analytic": lambda traj: _energies(traj).e_analytic,
-    "U": lambda traj: _pair_determinant(traj.covs),
-    "U1": lambda traj: _pair_determinant(traj.covs),
-    "Ux": lambda traj: _pair_determinant(_xy_or_self(traj).covs),
+    "E_mean": lambda run: run.energies.e_mean,
+    "E_plus": lambda run: run.energies.e_plus,
+    "E_minus": lambda run: run.energies.e_minus,
+    "E_analytic": lambda run: run.energies.e_analytic,
+    "U": lambda run: _pair_determinant(run.traj.covs),
+    "U1": lambda run: _pair_determinant(run.traj.covs),
+    "Ux": lambda run: _pair_determinant(run.physical.covs),
 }
 
 
-def trajectory_columns(traj: Trajectory, names) -> dict[str, np.ndarray]:
+def trajectory_columns(traj: Run | Trajectory, names) -> dict[str, np.ndarray]:
     """Extract named observable columns from a run.
 
     Frame-native coordinates are available under their frame labels
@@ -343,6 +344,8 @@ def trajectory_columns(traj: Trajectory, names) -> dict[str, np.ndarray]:
     ...) are computed on the fly, so columns of different models are
     directly comparable. An unknown name raises ``KeyError``.
     """
+    run = _as_run(traj)
+    traj = run.traj
     frame = traj.frame
     out: dict[str, np.ndarray] = {}
     for name in names:
@@ -352,7 +355,7 @@ def trajectory_columns(traj: Trajectory, names) -> dict[str, np.ndarray]:
             i, j = G1_COLUMNS[name]
             out[name] = traj.covs[:, i, j]
         elif name in _COLUMNS:
-            out[name] = _COLUMNS[name](traj)
+            out[name] = _COLUMNS[name](run)
         else:
             raise KeyError(f"unknown column {name!r} for frame {frame.name}")
     return out
@@ -367,17 +370,21 @@ class ColumnMetrics:
     at_time: float
 
 
-def compare(traj_a: Trajectory, traj_b: Trajectory, columns) -> dict[str, ColumnMetrics]:
+def compare(
+    traj_a: Run | Trajectory, traj_b: Run | Trajectory, columns
+) -> dict[str, ColumnMetrics]:
     """Per-column difference metrics of two runs on one grid.
 
     Raises :class:`GridMismatchError` unless the sample grids are
     identical. The comparison is symmetric and exactly zero on identical
     inputs.
     """
-    if traj_a.ts.shape != traj_b.ts.shape or not np.array_equal(traj_a.ts, traj_b.ts):
+    run_a, run_b = _as_run(traj_a), _as_run(traj_b)
+    ts, ts_b = run_a.traj.ts, run_b.traj.ts
+    if ts.shape != ts_b.shape or not np.array_equal(ts, ts_b):
         raise GridMismatchError("trajectories do not share one sampling grid")
-    cols_a = trajectory_columns(traj_a, columns)
-    cols_b = trajectory_columns(traj_b, columns)
+    cols_a = trajectory_columns(run_a, columns)
+    cols_b = trajectory_columns(run_b, columns)
     out = {}
     for name in columns:
         diff = np.abs(cols_a[name] - cols_b[name])
@@ -385,6 +392,6 @@ def compare(traj_a: Trajectory, traj_b: Trajectory, columns) -> dict[str, Column
         out[name] = ColumnMetrics(
             max_abs=float(diff[worst]),
             rms=float(np.sqrt(np.mean(diff**2))),
-            at_time=float(traj_a.ts[worst]),
+            at_time=float(ts[worst]),
         )
     return out

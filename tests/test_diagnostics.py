@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import momentous as mm
-from momentous import cli
+from momentous import cli, diagnostics
 from momentous.csvio import read_csv
 from momentous.diagnostics import G1_COLUMNS, PAIR_COLUMNS, CorruptedStateError, GridMismatchError
 from momentous.systems import moment_margin
@@ -247,6 +247,26 @@ def test_analysis_takes_only_the_run():
     """audit and energy_report read the parameters of the run they are given."""
     assert list(inspect.signature(mm.audit).parameters) == ["traj", "tol"]
     assert list(inspect.signature(mm.energy_report).parameters) == ["traj"]
+
+
+def test_run_derives_each_value_once_and_only_when_read(sbth_run, lindblad_run, monkeypatch):
+    """A Run shared by the analysis calls takes the XY view and the energy
+    report once; a bare trajectory gets the same results from a Run of its
+    own, and a non-BT1 run is its own physical run."""
+    calls = []
+    xy_view = diagnostics.xy_view
+    monkeypatch.setattr(diagnostics, "xy_view", lambda traj: calls.append(traj) or xy_view(traj))
+    run = mm.Run(sbth_run)
+    assert calls == [] and "energies" not in vars(run)
+    result = mm.audit(run)
+    report = mm.energy_report(run)
+    columns = mm.trajectory_columns(run, ["x", "G20", "E_mean", "Ux"])
+    assert calls == [sbth_run] and run.energies.e_mean[-1] == result.final_mean_energy
+    assert np.array_equal(report.e_mean, columns["E_mean"])
+    assert run.physical.frame == mm.XY and mm.Run(lindblad_run).physical is lindblad_run
+    bare = mm.trajectory_columns(sbth_run, columns)
+    assert all(np.array_equal(bare[name], columns[name]) for name in columns)
+    assert len(calls) == 2
 
 
 def test_negative_variance_names_its_first_sample(params):
