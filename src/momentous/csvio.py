@@ -344,6 +344,9 @@ def read_csv(path) -> tuple[dict, dict[str, np.ndarray]]:
             if header is not None:
                 break  # ``line`` is the first data row
             header = [c.strip() for c in line.split(",")]
+            twice = [name for name in header if header.count(name) > 1]
+            if twice:  # a dict of the columns would keep only the last copy
+                raise CsvFormatError(f"{path}: header names column {twice[0]!r} more than once")
         else:
             # checked here because loadtxt only warns on empty input
             if header is None:

@@ -377,7 +377,9 @@ def compare(
 
     Raises :class:`GridMismatchError` unless the sample grids are
     identical. The comparison is symmetric and exactly zero on identical
-    inputs.
+    inputs: entries equal on both sides, equal infinities included, differ
+    by 0, while a NaN on either side makes the difference, and so
+    ``max_abs``, NaN.
     """
     run_a, run_b = _as_run(traj_a), _as_run(traj_b)
     ts, ts_b = run_a.traj.ts, run_b.traj.ts
@@ -387,11 +389,13 @@ def compare(
     cols_b = trajectory_columns(run_b, columns)
     out = {}
     for name in columns:
-        diff = np.abs(cols_a[name] - cols_b[name])
-        worst = int(np.argmax(diff))
-        out[name] = ColumnMetrics(
-            max_abs=float(diff[worst]),
-            rms=float(np.sqrt(np.mean(diff**2))),
-            at_time=float(ts[worst]),
-        )
+        a, b = cols_a[name], cols_b[name]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf; beyond the float range
+            diff = np.where(a == b, 0.0, np.abs(a - b))
+        worst = int(np.argmax(diff))  # the first NaN, if any
+        max_abs = float(diff[worst])
+        rms = max_abs  # 0, inf or NaN
+        if math.isfinite(max_abs) and max_abs > 0.0:  # scaled, so no square overflows
+            rms = max_abs * math.sqrt(np.mean((diff / max_abs) ** 2))
+        out[name] = ColumnMetrics(max_abs=max_abs, rms=rms, at_time=float(ts[worst]))
     return out

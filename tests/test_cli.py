@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 import os
 import re
@@ -590,6 +591,37 @@ def test_nan_determinant_file_fails_check(tmp_path, capsys):
     assert "uncertainty violations: 20 " in captured.out
 
 
+# at nbar = 1e300 the moments overflow: the U1 determinants are NaN, and the
+# moment columns differ by up to 1.2e300
+_HUGE_NBAR = ("compare", "sbth", "lindblad", "--nbar", "1e300", *_SHORT_GRID)
+
+
+def _compare_table(out: str) -> dict[str, tuple[float, float]]:
+    """(max_abs, rms) per column of a printed compare table."""
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.split()[:2] == ["column", "max_abs"])
+    rows = itertools.takewhile(lambda line: not line.startswith(("PASS", "FAIL", "wrote")),
+                               lines[start + 1:])
+    return {name: (float(a), float(r)) for name, a, r, _ in map(str.split, rows)}
+
+
+def test_compare_fails_on_a_nan_difference(capsys):
+    assert run(*_HUGE_NBAR, "--columns", "U1") == 1
+    out = capsys.readouterr().out
+    assert math.isnan(_compare_table(out)["U1"][0])
+    assert out.endswith("FAIL: tolerance exceeded\n")
+
+
+def test_compare_rms_of_huge_differences_is_finite(capsys):
+    """Differences near 1e300 square beyond the float range: the rms is
+    taken on a scaled difference, with no overflow warning."""
+    assert run(*_HUGE_NBAR) == 1
+    printed = capsys.readouterr()
+    table = _compare_table(printed.out)
+    assert table["G02"][0] > 1e299 and printed.err == ""
+    assert all(math.isfinite(rms) and rms <= max_abs for max_abs, rms in table.values())
+
+
 _EXTREMES = (0, -1, 1e-300, 1e-150, 1e-8, 1e8, 1e150, 1e300)
 
 
@@ -657,6 +689,26 @@ def test_command_line_fuzz(tmp_path, capsys, model):
         flags = [f"--{key}={float(value)!r}"
                  for key, value in zip(_JOINT, 10.0 ** joint.uniform(-160, 160, 5))]
         fuzz(flags, *short, *flags)
+
+
+def test_compare_fuzz(capsys):
+    """compare sbth lindblad at the seeded joint draws of the fuzz above, at
+    nbar = 1e300 and at the defaults: exit 0 to 3, at most one error line,
+    and PASS only when every printed max_abs is finite. A warning fails it
+    too."""
+    joint = np.random.default_rng(9)
+    cases = [[f"--{key}={float(value)!r}"
+              for key, value in zip(_JOINT, 10.0 ** joint.uniform(-160, 160, 5))]
+             for _ in range(16)]
+    for flags in [*cases, ["--nbar=1e300"], ["--nbar=1e300", "--columns=U1"], []]:
+        capsys.readouterr()
+        code = _exit_code("compare", "sbth", "lindblad", *_SHORT_GRID, *flags)
+        printed = capsys.readouterr()
+        assert code in (0, 1, 2, 3), flags
+        assert len(printed.err.splitlines()) <= 1, (flags, printed.err)
+        if "PASS" in printed.out:
+            table = _compare_table(printed.out)
+            assert all(math.isfinite(max_abs) for max_abs, _ in table.values()), flags
 
 
 # ---------------------------------------------------------------------------

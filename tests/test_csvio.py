@@ -60,6 +60,21 @@ def test_malformed_row_names_its_file_line(tmp_path, capsys, text, problem):
     assert "at row" not in err, err
 
 
+def test_column_named_twice_is_exit_2(tmp_path, capsys):
+    """A lindblad file with an extra leading G20 column of -5: read as a
+    dict, the last copy would win and the negative variance check clean."""
+    path = tmp_path / "run.csv"
+    assert cli.main(["simulate", "--model", "lindblad", "--t-end", "2", "--out", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    lines[header:] = ["G20," + lines[header], *("-5," + row for row in lines[header + 1:])]
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: header names column 'G20' more than once\n"
+
+
 def test_blank_lines_and_crlf_still_read(tmp_path):
     path = tmp_path / "ok.csv"
     path.write_bytes(b"# a = 1\r\n\r\n# b = x\r\nt,x\r\n\r\n0.5,1.5\r\n  \r\n2.5,-3.5e-01\r\n\r\n")

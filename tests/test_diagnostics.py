@@ -203,6 +203,23 @@ def test_compare_grid_mismatch(params, sbth_run):
         mm.compare(sbth_run, short, ["x"])
 
 
+def test_compare_equal_infinities_nans_and_huge_differences(params):
+    """Equal entries differ by 0, equal infinities included; a NaN on both
+    sides is still a NaN difference; a finite difference near the float
+    limit has a finite rms. No warning in any case."""
+    def pair(g20):
+        covs = np.tile(np.eye(2), (3, 1, 1))
+        covs[:, 0, 0] = g20
+        return mm.Trajectory(mm.L1, [0.0, 1.0, 2.0], np.zeros((3, 2)), covs, 1.0, params)
+
+    inf = mm.compare(pair([np.inf, 1.0, 1.0]), pair([np.inf, 1.0, 1.0]), ["G20"])["G20"]
+    assert inf.max_abs == 0.0 and inf.rms == 0.0
+    nan = mm.compare(pair([1.0, np.nan, 1.0]), pair([1.0, np.nan, 1.0]), ["G20"])["G20"]
+    assert math.isnan(nan.max_abs) and math.isnan(nan.rms) and nan.at_time == 1.0
+    huge = mm.compare(pair([1e300, 1.0, 1.0]), pair([-1e300, 1.0, 1.0]), ["G20"])["G20"]
+    assert huge.max_abs == 2e300 and huge.rms == pytest.approx(2e300 / math.sqrt(3), rel=1e-15)
+
+
 def test_equivalence_mode_runs_coincide(sbth_run, lindblad_run):
     """nbar=0 equivalence point: the XY view of the two-oscillator run and
     the thermal run share means, moments, and energy to near round-off."""
