@@ -1,7 +1,8 @@
 """Initial states, derived observables, invariant audits, run comparison.
 
-Everything here is read-only analysis: functions take trajectories (or
-parameters) and return reports, never mutating their inputs.
+Everything here is read-only analysis: functions take runs (a trajectory,
+bare or as a :class:`Run`) or parameters and return reports, never
+mutating their inputs.
 """
 
 from __future__ import annotations
