@@ -146,12 +146,12 @@ def _report_audit(run: Run, tol: float) -> bool:
 
 
 def _derived_mismatch(run: Run, model: str, columns: dict) -> str | None:
-    """The first derived column of a file (a schema column other than the
+    """The first derived column of a file (a header column other than the
     time, the means and the moments) that its rebuilt run does not
     reproduce, with its first bad data row; None if every one matches."""
-    frame, moments, names, xy_names = MODELS[model]
+    frame, moments, _, _ = MODELS[model]
     stored = ("t", *frame.labels, *moments)
-    derived = [name for name in names + xy_names if name in columns and name not in stored]
+    derived = [name for name in columns if name not in stored]
     for name, value in trajectory_columns(run, derived).items():
         read = columns[name]
         scale = np.abs(value[np.isfinite(value)]).max(initial=0.0)
@@ -174,14 +174,14 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--model must be one of {tuple(MODELS)}, got {model!r}")
     params, grid = _params_and_grid(cfg)
     tol = _tolerance(args.tol, [cfg], 1e-9)
-    frame, _, names, xy_names = MODELS[model]
+    frame, _, _, xy_names = MODELS[model]
     emit_xy = bool(cfg.get("emit-xy")) and bool(xy_names)
     run = Run(_run_model(model, params, grid))
     out = args.out or cfg.get("out") or f"{model}.csv"
     echo = {"model": model, **run_config(params, grid)}
     if xy_names:  # echoed only by a model that has XY columns
         echo["emit-xy"] = emit_xy
-    names = names + xy_names if emit_xy else names
+    names = MODELS[model].layout(emit_xy)
     cols = trajectory_columns(run, names)
     write_csv(out, echo, [(name, cols[name]) for name in names])
     print(f"wrote {out} ({run.traj.n_samples} samples, t in [0, {run.traj.ts[-1]:g}])")

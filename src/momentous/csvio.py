@@ -45,7 +45,6 @@ __all__ = [
     "ModelColumns",
     "MODELS",
     "WRITE_BLOCK",
-    "GRID_RTOL",
     "Param",
     "PARAMS",
     "run_config",
@@ -76,6 +75,10 @@ class ModelColumns(NamedTuple):
     columns: list[str]  # the file columns
     xy_columns: list[str]  # the columns --emit-xy appends
 
+    def layout(self, emit_xy: bool) -> list[str]:
+        """The header of a file of this model, in order."""
+        return self.columns + self.xy_columns if emit_xy else self.columns
+
 
 # the models the command line runs, by name
 MODELS = {
@@ -88,11 +91,6 @@ MODELS = {
 # bytes of temporaries per value, so a block of a 25-column file stays under
 # a few hundred kilobytes.
 WRITE_BLOCK = 512
-
-# a time spacing may differ from the first one by this fraction of it; the
-# (k*sample_every)*dt grids carry round-off of about k*eps relative, under
-# 3e-9 even at MAX_STEPS samples
-GRID_RTOL = 1e-6
 
 
 class Param(NamedTuple):
@@ -407,34 +405,36 @@ def from_config(owner: type, config: dict):
 
 
 def trajectory_from_columns(config: dict, columns: dict[str, np.ndarray]) -> Trajectory | None:
-    """Reconstruct a trajectory from file columns.
+    """Reconstruct the run a file's echo describes from its columns.
 
-    Two-oscillator files rebuild the full BT1 state; thermal files rebuild
-    the single-pair state. Classical files carry no moments and return
-    None. Raises :class:`CsvFormatError` when required columns are absent.
+    The header must be the echoed model's layout and ``t`` the echoed grid's
+    ``sample_times`` bit for bit, else :class:`CsvFormatError` names the
+    first column or data row that differs. Classical files return None.
     """
-    params = from_config(ModelParams, config)
     model = config.get("model")
-    ts = columns.get("t")
-    if ts is None:
-        raise CsvFormatError("missing column 't'")
-    step = float(ts[1] - ts[0]) if len(ts) > 1 else 1.0
-    uniform = np.abs(np.diff(ts) - step) <= GRID_RTOL * step
-    if not (step > 0 and uniform.all()):
-        row = int(np.argmin(uniform)) + 2  # 1-based data row of the first bad time
-        raise CsvFormatError(
-            f"non-uniform time grid at data row {row}: t = {float(ts[row - 1])!r} follows "
-            f"{float(ts[row - 2])!r}, expected step {step!r} (relative tolerance {GRID_RTOL:g})"
-        )
-
     if model not in MODELS:
         raise CsvFormatError(f"unknown or missing model in config: {model!r}")
+    params = from_config(ModelParams, config)
+    grid = from_config(IntegratorConfig, config)
     frame, moment_columns, _, _ = MODELS[model]
+    layout = MODELS[model].layout(config.get("emit-xy") is True)
+    for k, (found, expected) in enumerate(itertools.zip_longest(columns, layout), 1):
+        if found != expected:
+            raise CsvFormatError(f"header column {k} is {found or '(none)'}, the echoed "
+                                 f"{model} layout has {expected or '(none)'}")
+    ts, read = grid.sample_times, columns["t"]
+    if len(read) != len(ts):
+        raise CsvFormatError(f"{len(read)} data rows, the echoed grid (dt, t-end, "
+                             f"sample-every) has {len(ts)} samples")
+    off = np.flatnonzero(read.view(np.uint64) != ts.view(np.uint64))
+    if off.size:
+        row = int(off[0])
+        raise CsvFormatError(f"t = {float(read[row])!r} at data row {row + 1}, the echoed "
+                             f"grid has {float(ts[row])!r}")
+
     if frame is None:
         return None
-    missing = [c for c in (*frame.labels, *moment_columns) if c not in columns]
-    if missing:
-        raise CsvFormatError(f"missing columns: {missing}")
     means = np.column_stack([columns[c] for c in frame.labels])
     moments = np.column_stack([columns[c] for c in moment_columns])
+    step = grid.sample_every * grid.dt
     return Trajectory(frame, ts, means, covariances_from_moments(moments, frame.dim), step, params)

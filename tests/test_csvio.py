@@ -98,12 +98,86 @@ def test_comment_after_header_is_not_config(tmp_path):
 
 def test_rounded_sample_grids_are_uniform():
     """``(k*sample_every)*dt`` grids carry k*eps relative round-off in their
-    spacing; they must pass the uniform-grid check."""
+    spacing; a file on such a grid, with a matching echo, is accepted."""
     for dt, every, n in ((1e-3, 1, 2_000_000), (1e-2, 7, 300_000), (1 / 3, 100, 10_000)):
         ts = (np.arange(n) * every) * dt
-        config = {"model": "classical",
-                  **run_config(ModelParams(), IntegratorConfig(dt=dt, t_end=1.0))}
-        assert trajectory_from_columns(config, {"t": ts}) is None
+        grid = IntegratorConfig(dt=dt, t_end=ts[-1], sample_every=every)
+        config = {"model": "classical", **run_config(ModelParams(), grid)}
+        columns = {"t": ts, "x": np.zeros(n), "p": np.zeros(n)}
+        assert trajectory_from_columns(config, columns) is None
+
+
+def _set(key, value):
+    """Change the echo line of ``key`` to ``value``; None deletes it."""
+    def edit(echo, rows):
+        line = next(k for k, line in enumerate(echo) if line.startswith(f"# {key} ="))
+        echo[line:line + 1] = [] if value is None else [f"# {key} = {value}"]
+        return echo, rows
+    return edit
+
+
+def _rows(edit_row, header=lambda names: names):
+    """Apply ``edit_row`` to each data row and ``header`` to the header."""
+    return lambda echo, rows: (echo, [header(rows[0]), *map(edit_row, rows[1:])])
+
+
+def _without(name):
+    """Delete a column from the header and the data."""
+    def edit(echo, rows):
+        k = rows[0].index(name)
+        return echo, [row[:k] + row[k + 1:] for row in rows]
+    return edit
+
+
+def _swap(a, b):
+    """Swap two columns in the header and the data."""
+    def edit(echo, rows):
+        i, j = rows[0].index(a), rows[0].index(b)
+        for row in rows:
+            row[i], row[j] = row[j], row[i]
+        return echo, rows
+    return edit
+
+
+# an edit of a short simulate file (21 samples), and what the error line names
+ECHO_EDITS = {
+    "last data row deleted": ("sbth", [], lambda echo, rows: (echo, rows[:-1]),
+                              "20 data rows, the echoed grid (dt, t-end, sample-every)"),
+    "dt changed": ("sbth", [], _set("dt", 0.002), "has 11 samples"),
+    "dt one ulp up": ("lindblad", [], _set("dt", "0.0010000000000000002"),
+                      "t = 0.1 at data row 2,"),
+    "dt nan": ("sbth", [], _set("dt", "nan"), "dt must be finite"),
+    "t-end changed": ("lindblad", [], _set("t-end", 3.0), "has 31 samples"),
+    "sample-every changed": ("sbth", [], _set("sample-every", 50), "has 41 samples"),
+    "sample-every negative": ("classical", [], _set("sample-every", -3), "sample-every must"),
+    "t shifted": ("sbth", [], _rows(lambda row: [repr(float(row[0]) + 5.0), *row[1:]]),
+                  "t = 5.0 at data row 1,"),
+    **{f"extra column foo ({model})": (
+        model, [], _rows(lambda row: [*row, "-5.0"], lambda names: [*names, "foo"]),
+        f"header column {len(MODELS[model].columns) + 1} is foo,") for model in MODELS},
+    "lindblad without E_mean": ("lindblad", [], _without("E_mean"),
+                                "header column 7 is E_analytic, the echoed lindblad layout "
+                                "has E_mean"),
+    "two columns swapped": ("sbth", [], _swap("x1", "p1"), "header column 2 is p1,"),
+    "emit-xy line deleted": ("sbth", ["--emit-xy"], _set("emit-xy", None),
+                             "header column 16 is x, the echoed sbth layout has (none)"),
+}
+
+
+@pytest.mark.parametrize("model, flags, edit, named", ECHO_EDITS.values(), ids=ECHO_EDITS.keys())
+def test_file_must_be_the_run_its_echo_describes(tmp_path, capsys, model, flags, edit, named):
+    path = tmp_path / "run.csv"
+    assert cli.main(["simulate", "--model", model, "--t-end", "2", "--out", str(path),
+                     *flags]) == 0
+    lines = path.read_text().splitlines()
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    echo, rows = edit(lines[:header], [line.split(",") for line in lines[header:]])
+    path.write_text("\n".join([*echo, *map(",".join, rows)]) + "\n")
+    capsys.readouterr()
+    assert cli.main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert named in err, err
 
 
 # ---------------------------------------------------------------------------
