@@ -9,8 +9,7 @@ checking them against the hand-transcribed system.
 import numpy as np
 
 import momentous as mm
-from momentous.algebra import format_bracket
-from momentous.model import exponents_to_indices, indices_to_exponents
+from momentous.algebra import exponent_bracket, format_bracket
 from momentous.systems import moment_rows, sbth_moment_rows
 
 
@@ -23,9 +22,7 @@ def main():
         ((1, 0, 0, 1), (0, 1, 1, 0)),
         ((1, 0, 1, 0), (0, 1, 0, 1)),
     ]:
-        terms = mm.moment_bracket(exponents_to_indices(a), exponents_to_indices(b), form)
-        named = {indices_to_exponents(i, j, 4): c for (i, j), c in terms.items()}
-        print(" ", format_bracket(a, b, named))
+        print(" ", format_bracket(a, b, exponent_bracket(a, b, form)))
 
     params = mm.ModelParams()
     generated = mm.generate_dynamics(

@@ -43,6 +43,8 @@ __all__ = [
     "QuadraticHamiltonian",
     "sbth_hamiltonian",
     "moment_bracket",
+    "exponent_bracket",
+    "PAPER_BRACKETS",
     "bracket_table",
     "format_bracket",
     "expand_effective_hamiltonian",
@@ -166,6 +168,14 @@ def moment_bracket(pair_a, pair_b, form: SymplecticForm) -> dict[tuple[int, int]
     return {k: v for k, v in out.items() if v != 0.0}
 
 
+def exponent_bracket(exps_a, exps_b, form: SymplecticForm) -> dict[tuple[int, ...], float]:
+    """:func:`moment_bracket` of the moments named by exponent tuples, such
+    as ``(2, 0, 0, 0)`` for ``G[2000]``, with the terms keyed the same way."""
+    d = form.frame.dim
+    terms = moment_bracket(exponents_to_indices(exps_a), exponents_to_indices(exps_b), form)
+    return {indices_to_exponents(i, j, d): c for (i, j), c in terms.items()}
+
+
 def bracket_table(form: SymplecticForm):
     """All pairwise brackets among the independent second moments.
 
@@ -175,23 +185,46 @@ def bracket_table(form: SymplecticForm):
     45 brackets.
     """
     order = moment_order(form.frame.dim)
-    entries = []
-    for i, exps_a in enumerate(order):
-        for exps_b in order[i + 1 :]:
-            terms = moment_bracket(
-                exponents_to_indices(exps_a), exponents_to_indices(exps_b), form
-            )
-            entries.append(
-                (
-                    exps_a,
-                    exps_b,
-                    {
-                        indices_to_exponents(i2, j2, form.frame.dim): c
-                        for (i2, j2), c in terms.items()
-                    },
-                )
-            )
-    return entries
+    return [
+        (exps_a, exps_b, exponent_bracket(exps_a, exps_b, form))
+        for i, exps_a in enumerate(order)
+        for exps_b in order[i + 1 :]
+    ]
+
+
+# The published bracket table of the BT1 second moments under the quantum
+# form, transcribed row by row: the independent oracle for the four-term
+# rule. Rows are (A, B, {moment: coefficient}) with the orientation {A, B}
+# as listed; {G[2000], G[0101]} is listed in both orientations, so the 26
+# rows name 25 moment pairs.
+PAPER_BRACKETS = (
+    ((2, 0, 0, 0), (1, 0, 1, 0), {}),
+    ((1, 0, 0, 1), (0, 0, 2, 0), {(1, 0, 1, 0): -2.0}),
+    ((2, 0, 0, 0), (0, 1, 0, 1), {(1, 0, 0, 1): 2.0}),
+    ((0, 1, 1, 0), (1, 0, 1, 0), {(0, 0, 2, 0): -1.0}),
+    ((2, 0, 0, 0), (0, 2, 0, 0), {(1, 1, 0, 0): 4.0}),
+    ((0, 0, 1, 1), (0, 0, 0, 2), {(0, 0, 0, 2): 2.0}),
+    ((0, 2, 0, 0), (1, 0, 1, 0), {(0, 1, 1, 0): -2.0}),
+    ((0, 1, 1, 0), (0, 1, 0, 1), {(0, 2, 0, 0): 1.0}),
+    ((0, 0, 2, 0), (0, 1, 0, 1), {(0, 1, 1, 0): 2.0}),
+    ((0, 1, 1, 0), (2, 0, 0, 0), {(1, 0, 1, 0): -2.0}),
+    ((0, 0, 2, 0), (0, 0, 0, 2), {(0, 0, 1, 1): 4.0}),
+    ((0, 1, 1, 0), (0, 0, 0, 2), {(0, 1, 0, 1): 2.0}),
+    ((0, 0, 0, 2), (1, 0, 1, 0), {(1, 0, 0, 1): -2.0}),
+    ((1, 1, 0, 0), (1, 0, 1, 0), {(1, 0, 1, 0): -1.0}),
+    ((1, 1, 0, 0), (0, 1, 0, 1), {(0, 1, 0, 1): 1.0}),
+    ((1, 1, 0, 0), (0, 2, 0, 0), {(0, 2, 0, 0): 2.0}),
+    ((0, 1, 0, 1), (2, 0, 0, 0), {(1, 0, 0, 1): -2.0}),
+    ((1, 1, 0, 0), (2, 0, 0, 0), {(2, 0, 0, 0): -2.0}),
+    ((1, 0, 0, 1), (1, 0, 1, 0), {(2, 0, 0, 0): -1.0}),
+    ((0, 0, 1, 1), (1, 0, 1, 0), {(1, 0, 1, 0): -1.0}),
+    ((1, 0, 0, 1), (0, 1, 0, 1), {(0, 0, 0, 2): 1.0}),
+    ((0, 0, 1, 1), (0, 1, 0, 1), {(0, 1, 0, 1): 1.0}),
+    ((1, 0, 0, 1), (0, 2, 0, 0), {(0, 1, 0, 1): 2.0}),
+    ((0, 0, 1, 1), (0, 0, 2, 0), {(0, 0, 2, 0): -2.0}),
+    ((1, 0, 0, 1), (0, 1, 1, 0), {(0, 0, 1, 1): 1.0, (1, 1, 0, 0): -1.0}),
+    ((1, 0, 1, 0), (0, 1, 0, 1), {(1, 1, 0, 0): 1.0, (0, 0, 1, 1): 1.0}),
+)
 
 
 def format_bracket(exps_a, exps_b, terms: dict) -> str:

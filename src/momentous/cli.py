@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .algebra import SymplecticForm, bracket_table, format_bracket
+from .algebra import PAPER_BRACKETS, SymplecticForm, bracket_table, format_bracket
 from .csvio import (
     MODELS,
     PARAMS,
@@ -135,7 +135,7 @@ def _run_model(model: str, params: ModelParams, grid: IntegratorConfig) -> Traje
     means0, _ = coherent_initial_state(params, L1)
     x, p = classical_analytic(params, *means0.values, ts)
     covs = np.zeros((len(ts), 2, 2))
-    return Trajectory(L1, ts, np.column_stack([x, p]), covs, grid.sample_every * grid.dt, params)
+    return Trajectory(L1, ts, np.column_stack([x, p]), covs, params)
 
 
 def _report_audit(run: Run, tol: float) -> bool:
@@ -260,47 +260,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_brackets(args) -> int:
-    form = SymplecticForm.quantum(BT1)
-    for exps_a, exps_b, terms in bracket_table(form):
+    paper = {frozenset((exps_a, exps_b)) for exps_a, exps_b, _ in PAPER_BRACKETS}
+    for exps_a, exps_b, terms in bracket_table(SymplecticForm.quantum(BT1)):
         line = format_bracket(exps_a, exps_b, terms)
-        if frozenset((exps_a, exps_b)) in _TAGGED_BRACKET_PAIRS:
+        if frozenset((exps_a, exps_b)) in paper:
             line += "  #paper"
         print(line)
     return 0
-
-
-# moment pairs whose brackets appear in the published reference tabulation;
-# marked with "#paper" in the dump
-_TAGGED_BRACKET_PAIRS = frozenset(
-    frozenset(pair)
-    for pair in [
-        ((2, 0, 0, 0), (1, 0, 1, 0)),
-        ((2, 0, 0, 0), (0, 1, 0, 1)),
-        ((2, 0, 0, 0), (0, 2, 0, 0)),
-        ((0, 2, 0, 0), (1, 0, 1, 0)),
-        ((0, 0, 2, 0), (0, 1, 0, 1)),
-        ((0, 0, 2, 0), (0, 0, 0, 2)),
-        ((0, 0, 0, 2), (1, 0, 1, 0)),
-        ((1, 1, 0, 0), (0, 1, 0, 1)),
-        ((1, 0, 0, 1), (1, 0, 1, 0)),
-        ((1, 0, 0, 1), (0, 1, 0, 1)),
-        ((1, 0, 0, 1), (0, 2, 0, 0)),
-        ((1, 0, 0, 1), (0, 1, 1, 0)),
-        ((1, 0, 0, 1), (0, 0, 2, 0)),
-        ((0, 1, 1, 0), (1, 0, 1, 0)),
-        ((0, 0, 1, 1), (0, 0, 0, 2)),
-        ((0, 1, 1, 0), (0, 1, 0, 1)),
-        ((0, 1, 1, 0), (2, 0, 0, 0)),
-        ((0, 1, 1, 0), (0, 0, 0, 2)),
-        ((1, 1, 0, 0), (1, 0, 1, 0)),
-        ((1, 1, 0, 0), (0, 2, 0, 0)),
-        ((1, 1, 0, 0), (2, 0, 0, 0)),
-        ((0, 0, 1, 1), (1, 0, 1, 0)),
-        ((0, 0, 1, 1), (0, 1, 0, 1)),
-        ((0, 0, 1, 1), (0, 0, 2, 0)),
-        ((1, 0, 1, 0), (0, 1, 0, 1)),
-    ]
-)
 
 
 # ---------------------------------------------------------------------------

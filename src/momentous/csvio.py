@@ -11,16 +11,8 @@ in float64/int64 arithmetic; the few values it cannot settle exactly
 (near a rounding tie, beyond 1e-270..1e270 in magnitude, or not finite)
 are formatted one by one with ``"%.16e"`` itself.
 
-Fixed column schemas (column order is part of the contract):
-
-two-oscillator runs
-    ``t, x1, p1, p2, x2, G1_2000, G1_1100, G1_1010, G1_1001, G1_0200,
-    G1_0110, G1_0101, G1_0020, G1_0011, G1_0002`` plus, when the XY view is
-    requested, ``x, p_x, G20, G02, G11, E_mean, E_plus, E_minus, U1, Ux``.
-thermal (Lindblad) runs
-    ``t, x, p, G20, G02, G11, E_mean, E_analytic, U``.
-classical runs
-    ``t, x, p``.
+Each model's column schema is its row of :data:`MODELS`; column order is
+part of the contract.
 """
 
 from __future__ import annotations
@@ -38,10 +30,6 @@ from .model import BT1, L1, CanonicalFrame, ModelParams, Trajectory, covariances
 
 __all__ = [
     "CsvFormatError",
-    "SBTH_BASE_COLUMNS",
-    "SBTH_XY_COLUMNS",
-    "LINDBLAD_COLUMNS",
-    "CLASSICAL_COLUMNS",
     "ModelColumns",
     "MODELS",
     "WRITE_BLOCK",
@@ -61,12 +49,6 @@ class CsvFormatError(ValueError):
     """File is not a simulation CSV produced by this package."""
 
 
-SBTH_BASE_COLUMNS = ["t", *BT1.labels, *G1_COLUMNS]
-SBTH_XY_COLUMNS = ["x", "p_x", "G20", "G02", "G11", "E_mean", "E_plus", "E_minus", "U1", "Ux"]
-LINDBLAD_COLUMNS = ["t", "x", "p", "G20", "G02", "G11", "E_mean", "E_analytic", "U"]
-CLASSICAL_COLUMNS = ["t", "x", "p"]
-
-
 class ModelColumns(NamedTuple):
     """One model's file schema, and what reading the file back rebuilds."""
 
@@ -80,11 +62,17 @@ class ModelColumns(NamedTuple):
         return self.columns + self.xy_columns if emit_xy else self.columns
 
 
-# the models the command line runs, by name
+# the models the command line runs, by name: the one table of file schemas
 MODELS = {
-    "sbth": ModelColumns(BT1, tuple(G1_COLUMNS), SBTH_BASE_COLUMNS, SBTH_XY_COLUMNS),
-    "lindblad": ModelColumns(L1, tuple(PAIR_COLUMNS), LINDBLAD_COLUMNS, []),
-    "classical": ModelColumns(None, (), CLASSICAL_COLUMNS, []),
+    "sbth": ModelColumns(
+        BT1, tuple(G1_COLUMNS), ["t", *BT1.labels, *G1_COLUMNS],
+        ["x", "p_x", "G20", "G02", "G11", "E_mean", "E_plus", "E_minus", "U1", "Ux"],
+    ),
+    "lindblad": ModelColumns(
+        L1, tuple(PAIR_COLUMNS),
+        ["t", "x", "p", "G20", "G02", "G11", "E_mean", "E_analytic", "U"], [],
+    ),
+    "classical": ModelColumns(None, (), ["t", "x", "p"], []),
 }
 
 # Data rows rendered and written at a time. The renderer holds a few dozen
@@ -436,5 +424,4 @@ def trajectory_from_columns(config: dict, columns: dict[str, np.ndarray]) -> Tra
         return None
     means = np.column_stack([columns[c] for c in frame.labels])
     moments = np.column_stack([columns[c] for c in moment_columns])
-    step = grid.sample_every * grid.dt
-    return Trajectory(frame, ts, means, covariances_from_moments(moments, frame.dim), step, params)
+    return Trajectory(frame, ts, means, covariances_from_moments(moments, frame.dim), params)

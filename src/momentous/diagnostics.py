@@ -67,18 +67,28 @@ def coherent_initial_state(
     ``(2*sqrt(n*hbar/(m*omega)), 0, 0, 0)`` and variances
     ``(hbar/2m*omega, m*hbar*omega/2, m*hbar*omega/2, hbar/2m*omega)``
     down the diagonal.
+
+    Raises ``OverflowError`` when a mean or a variance is beyond the float
+    range.
     """
     m, hb, w = params.m, params.hbar, params.omega
-    gq = hb / (2.0 * m * w)
+    try:
+        gq = hb / (2.0 * m * w)
+        if frame == L1:
+            x0 = math.sqrt(2.0 * params.n_level * hb / (m * w))
+        else:
+            x0 = 2.0 * math.sqrt(params.n_level * hb / (m * w))  # the BT1 x1
+    except ZeroDivisionError:  # m*omega underflowed to 0
+        gq = x0 = math.inf
     gp = m * hb * w / 2.0
+    if not all(map(math.isfinite, (x0, gq, gp))):
+        raise OverflowError("the coherent initial state overflows")
     if frame == L1:
-        x0 = math.sqrt(2.0 * params.n_level * hb / (m * w))
         return (
             MeanVector(L1, [x0, 0.0]),
             CovarianceMatrix(L1, np.diag([gq, gp])),
         )
-    x10 = 2.0 * math.sqrt(params.n_level * hb / (m * w))
-    means = MeanVector(BT1, [x10, 0.0, 0.0, 0.0])
+    means = MeanVector(BT1, [x0, 0.0, 0.0, 0.0])
     cov = CovarianceMatrix(BT1, np.diag([gq, gp, gp, gq]))
     if frame == BT1:
         return means, cov

@@ -157,7 +157,7 @@ def integrate(
                 out += 1
 
     covs = covariances_from_moments(states[:, d:-1], d)
-    return Trajectory(system.frame, ts, states[:, :d], covs, every * h, system.params)
+    return Trajectory(system.frame, ts, states[:, :d], covs, system.params)
 
 
 def convergence_order(

@@ -383,15 +383,14 @@ class Trajectory:
     """Sampled (means, covariance) history of one model run.
 
     ``ts`` has shape (n,), ``means`` (n, d) and ``covs`` (n, d, d) with d the
-    frame dimension; ``step`` is the fixed output interval. Samples are
-    immutable and share one frame.
+    frame dimension. Samples are immutable and share one frame; the output
+    interval of a uniform grid is ``ts[1] - ts[0]``.
     """
 
     frame: CanonicalFrame
     ts: np.ndarray = field(repr=False)
     means: np.ndarray = field(repr=False)
     covs: np.ndarray = field(repr=False)
-    step: float
     params: ModelParams | None = None
 
     def __post_init__(self):

@@ -353,7 +353,7 @@ def xy_view(traj: Trajectory) -> Trajectory:
     if traj.frame != BT1:
         raise FrameError("xy_view expects a BT1 trajectory")
     means, covs = _transport(build_transform(BT1, XY).matrix, traj.means, traj.covs)
-    return Trajectory(XY, traj.ts, means, covs, traj.step, traj.params)
+    return Trajectory(XY, traj.ts, means, covs, traj.params)
 
 
 def xy_variance_rate_residual(traj: Trajectory) -> np.ndarray:
@@ -366,8 +366,9 @@ def xy_variance_rate_residual(traj: Trajectory) -> np.ndarray:
                           + 2*lam*(G[2000] + G[1001])
 
     with the unlabelled moments taken from the BT1 state. The left side is
-    estimated with a fourth-order central difference on the sample grid, so
-    the residual is meaningful only for uniformly and finely sampled runs.
+    estimated with a fourth-order central difference on the sample grid,
+    whose spacing is taken from ``ts`` as ``ts[1] - ts[0]``, so the residual
+    is meaningful only for uniformly and finely sampled runs.
     Returns the per-sample residual on the interior of the grid.
     """
     if traj.frame != BT1:
@@ -381,7 +382,7 @@ def xy_variance_rate_residual(traj: Trajectory) -> np.ndarray:
     xy = xy_view(traj)
     g20 = xy.covs[:, 0, 0]
     g11 = xy.covs[:, 0, 1]
-    h = traj.step
+    h = traj.ts[1] - traj.ts[0]
     lhs = (-g20[4:] + 8.0 * g20[3:-1] - 8.0 * g20[1:-3] + g20[:-4]) / (12.0 * h)
     rhs = (
         -2.0 * lam * g20

@@ -2,55 +2,14 @@ import numpy as np
 import pytest
 
 import momentous as mm
-from momentous.algebra import format_bracket
-from momentous.model import exponents_to_indices, indices_to_exponents, moment_order
+from momentous.algebra import PAPER_BRACKETS, exponent_bracket, format_bracket
+from momentous.model import exponents_to_indices, moment_order
 from momentous.systems import moment_rows, sbth_moment_rows
 
 RNG = np.random.default_rng(991)
 
 QF = mm.SymplecticForm.quantum(mm.BT1)
 CF = mm.SymplecticForm.classical(mm.BT1)
-
-# Reference bracket tabulation for the BT1 second moments, transcribed
-# line by line from the published table (the independent oracle for the
-# four-term rule). Entries are (A, B, {moment: coefficient}) with the
-# orientation {A, B} as listed.
-REFERENCE_TABLE = [
-    ((2, 0, 0, 0), (1, 0, 1, 0), {}),
-    ((1, 0, 0, 1), (0, 0, 2, 0), {(1, 0, 1, 0): -2.0}),
-    ((2, 0, 0, 0), (0, 1, 0, 1), {(1, 0, 0, 1): 2.0}),
-    ((0, 1, 1, 0), (1, 0, 1, 0), {(0, 0, 2, 0): -1.0}),
-    ((2, 0, 0, 0), (0, 2, 0, 0), {(1, 1, 0, 0): 4.0}),
-    ((0, 0, 1, 1), (0, 0, 0, 2), {(0, 0, 0, 2): 2.0}),
-    ((0, 2, 0, 0), (1, 0, 1, 0), {(0, 1, 1, 0): -2.0}),
-    ((0, 1, 1, 0), (0, 1, 0, 1), {(0, 2, 0, 0): 1.0}),
-    ((0, 0, 2, 0), (0, 1, 0, 1), {(0, 1, 1, 0): 2.0}),
-    ((0, 1, 1, 0), (2, 0, 0, 0), {(1, 0, 1, 0): -2.0}),
-    ((0, 0, 2, 0), (0, 0, 0, 2), {(0, 0, 1, 1): 4.0}),
-    ((0, 1, 1, 0), (0, 0, 0, 2), {(0, 1, 0, 1): 2.0}),
-    ((0, 0, 0, 2), (1, 0, 1, 0), {(1, 0, 0, 1): -2.0}),
-    ((1, 1, 0, 0), (1, 0, 1, 0), {(1, 0, 1, 0): -1.0}),
-    ((1, 1, 0, 0), (0, 1, 0, 1), {(0, 1, 0, 1): 1.0}),
-    ((1, 1, 0, 0), (0, 2, 0, 0), {(0, 2, 0, 0): 2.0}),
-    ((0, 1, 0, 1), (2, 0, 0, 0), {(1, 0, 0, 1): -2.0}),
-    ((1, 1, 0, 0), (2, 0, 0, 0), {(2, 0, 0, 0): -2.0}),
-    ((1, 0, 0, 1), (1, 0, 1, 0), {(2, 0, 0, 0): -1.0}),
-    ((0, 0, 1, 1), (1, 0, 1, 0), {(1, 0, 1, 0): -1.0}),
-    ((1, 0, 0, 1), (0, 1, 0, 1), {(0, 0, 0, 2): 1.0}),
-    ((0, 0, 1, 1), (0, 1, 0, 1), {(0, 1, 0, 1): 1.0}),
-    ((1, 0, 0, 1), (0, 2, 0, 0), {(0, 1, 0, 1): 2.0}),
-    ((0, 0, 1, 1), (0, 0, 2, 0), {(0, 0, 2, 0): -2.0}),
-    ((1, 0, 0, 1), (0, 1, 1, 0), {(0, 0, 1, 1): 1.0, (1, 1, 0, 0): -1.0}),
-    ((1, 0, 1, 0), (0, 1, 0, 1), {(1, 1, 0, 0): 1.0, (0, 0, 1, 1): 1.0}),
-]
-
-
-def bracket_by_exponents(exps_a, exps_b, form=QF):
-    terms = mm.moment_bracket(
-        exponents_to_indices(exps_a), exponents_to_indices(exps_b), form
-    )
-    return {indices_to_exponents(i, j, form.frame.dim): c for (i, j), c in terms.items()}
-
 
 # ---------------------------------------------------------------------------
 # symplectic forms
@@ -76,24 +35,24 @@ def test_form_validation():
 
 
 # ---------------------------------------------------------------------------
-# bracket rule vs the reference table
+# bracket rule vs the published table
 
 def test_reference_table_reproduced_exactly():
-    for exps_a, exps_b, expected in REFERENCE_TABLE:
-        assert bracket_by_exponents(exps_a, exps_b) == expected, (exps_a, exps_b)
+    for exps_a, exps_b, expected in PAPER_BRACKETS:
+        assert exponent_bracket(exps_a, exps_b, QF) == expected, (exps_a, exps_b)
 
 
 def test_bracket_antisymmetry_all_pairs():
     order = moment_order(4)
     for a in order:
         for b in order:
-            ab = bracket_by_exponents(a, b)
-            ba = bracket_by_exponents(b, a)
+            ab = exponent_bracket(a, b, QF)
+            ba = exponent_bracket(b, a, QF)
             assert ab.keys() == ba.keys()
             for key, coeff in ab.items():
                 assert ba[key] == -coeff
     for a in order:
-        assert bracket_by_exponents(a, a) == {}
+        assert exponent_bracket(a, a, QF) == {}
 
 
 def test_bracket_index_validation():
@@ -104,9 +63,9 @@ def test_bracket_index_validation():
 def test_single_pair_bracket_algebra():
     """One-pair closure: {G20,G11}=2G20, {G20,G02}=4G11, {G11,G02}=2G02."""
     form = mm.SymplecticForm.quantum(mm.L1)
-    assert bracket_by_exponents((2, 0), (1, 1), form) == {(2, 0): 2.0}
-    assert bracket_by_exponents((2, 0), (0, 2), form) == {(1, 1): 4.0}
-    assert bracket_by_exponents((1, 1), (0, 2), form) == {(0, 2): 2.0}
+    assert exponent_bracket((2, 0), (1, 1), form) == {(2, 0): 2.0}
+    assert exponent_bracket((2, 0), (0, 2), form) == {(1, 1): 4.0}
+    assert exponent_bracket((1, 1), (0, 2), form) == {(0, 2): 2.0}
 
 
 def test_bracket_table_covers_all_pairs():
@@ -130,10 +89,10 @@ def test_jacobi_identity_on_random_triples():
     values = {exps: RNG.normal() for exps in order}
 
     def nested(a, b, c):
-        inner = bracket_by_exponents(b, c)
+        inner = exponent_bracket(b, c, QF)
         total = {}
         for mid, coeff in inner.items():
-            for key, c2 in bracket_by_exponents(a, mid).items():
+            for key, c2 in exponent_bracket(a, mid, QF).items():
                 total[key] = total.get(key, 0.0) + coeff * c2
         return total
 

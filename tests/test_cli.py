@@ -13,8 +13,7 @@ import pytest
 
 import momentous as mm
 from momentous import cli, diagnostics
-from momentous.csvio import read_csv, PARAMS, SBTH_BASE_COLUMNS, SBTH_XY_COLUMNS, LINDBLAD_COLUMNS
-from momentous.csvio import MODELS
+from momentous.csvio import MODELS, PARAMS, read_csv
 
 
 def run(*argv):
@@ -29,7 +28,7 @@ def test_simulate_sbth_schema(tmp_path):
     assert run("simulate", "--model", "sbth", "--preset", "paper-fig1",
                "--t-end", "2", "--out", str(out)) == 0
     config, columns = read_csv(out)
-    assert list(columns) == SBTH_BASE_COLUMNS + SBTH_XY_COLUMNS
+    assert list(columns) == MODELS["sbth"].columns + MODELS["sbth"].xy_columns
     assert config["model"] == "sbth"
     assert config["emit-xy"] is True
     assert len(columns["t"]) == math.floor(2.0 / 0.1) + 1
@@ -40,7 +39,7 @@ def test_simulate_lindblad_schema(tmp_path):
     assert run("simulate", "--model", "lindblad", "--preset", "paper-fig1",
                "--nbar", "2", "--t-end", "2", "--out", str(out)) == 0
     config, columns = read_csv(out)
-    assert list(columns) == LINDBLAD_COLUMNS
+    assert list(columns) == MODELS["lindblad"].columns
     assert config["nbar"] == 2.0
     # belts around the mean: x +/- sqrt(G20) reconstructable from columns
     assert columns["G20"][0] == pytest.approx(1.0 / 3.0, rel=1e-15)
@@ -192,6 +191,33 @@ def test_unknown_config_key(tmp_path):
     assert run("simulate", "--config", str(cfg)) == 2
 
 
+def test_preset_line_in_config_file_acts_as_the_flag(tmp_path):
+    cfg = tmp_path / "fig1.cfg"
+    cfg.write_text("model = sbth\npreset = paper-fig1\nt-end = 2\n")
+    by_file, by_flag = tmp_path / "file.csv", tmp_path / "flag.csv"
+    assert run("simulate", "--config", str(cfg), "--out", str(by_file)) == 0
+    assert run("simulate", "--model", "sbth", "--preset", "paper-fig1", "--t-end", "2",
+               "--out", str(by_flag)) == 0
+    assert by_file.read_bytes() == by_flag.read_bytes()
+    config, columns = read_csv(by_file)
+    assert config["emit-xy"] is True and list(columns)[-1] == "Ux"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("model = sbth\npreset = nope\n", "unknown preset 'nope'"),
+    ("model = sbth\nt-end 2\n", "malformed config line: 't-end 2'"),
+    (None, "config file not found: {cfg}"),
+])
+def test_unusable_config_file_is_exit_2(tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    assert run("simulate", "--model", "sbth", "--config", str(cfg),
+               "--out", str(tmp_path / "run.csv")) == 2
+    assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+    assert not (tmp_path / "run.csv").exists()
+
+
 def test_fig3_energy_column_monotone(tmp_path):
     """Full-length energy preset: E_mean never increases and tracks the
     analytic decay law to 1e-6 relative."""
@@ -223,7 +249,7 @@ def test_check_flags_corrupted_file(tmp_path):
     lines = out.read_text().splitlines()
     data_start = next(i for i, l in enumerate(lines) if not l.startswith("#")) + 1
     row = lines[data_start + 3].split(",")
-    row[SBTH_BASE_COLUMNS.index("G1_2000")] = "0.0"
+    row[MODELS["sbth"].columns.index("G1_2000")] = "0.0"
     lines[data_start + 3] = ",".join(row)
     out.write_text("\n".join(lines) + "\n")
     assert run("check", str(out)) == 1
@@ -308,6 +334,21 @@ def test_compare_unknown_spec(tmp_path):
     assert run("compare", "sbth", "no-such-thing") == 2
 
 
+def test_compare_spec_without_model_is_exit_2(tmp_path, capsys):
+    spec = tmp_path / "grid.cfg"
+    spec.write_text("t-end = 2\n")
+    assert run("compare", "sbth", str(spec)) == 2
+    assert capsys.readouterr().err == f"error: run spec {str(spec)!r} resolves to no model\n"
+
+
+def test_compare_with_classical_defaults_to_x_and_p(capsys):
+    assert run("compare", "classical", "lindblad", "--t-end", "2") == 0
+    out = capsys.readouterr()
+    lines = out.out.splitlines()
+    assert [line.split()[0] for line in lines[2:-1]] == ["x", "p"]
+    assert lines[-1] == "PASS: all columns within tolerance" and out.err == ""
+
+
 # ---------------------------------------------------------------------------
 # the tolerance: flag, then config, then the default; finite and >= 0
 
@@ -318,7 +359,7 @@ def _corrupted_run(tmp_path, config_line=None):
     lines = out.read_text().splitlines()
     data_start = next(i for i, l in enumerate(lines) if not l.startswith("#")) + 1
     row = lines[data_start + 3].split(",")
-    row[SBTH_BASE_COLUMNS.index("G1_2000")] = "0.0"
+    row[MODELS["sbth"].columns.index("G1_2000")] = "0.0"
     lines[data_start + 3] = ",".join(row)
     if config_line is not None:
         lines.insert(0, config_line)
@@ -486,7 +527,7 @@ def test_models_share_one_sample_grid(params):
     for model in MODELS:
         traj = cli._run_model(model, params, grid)
         assert np.array_equal(traj.ts, grid.sample_times), model
-        assert traj.step == 4 * 0.3
+        assert traj.ts[1] - traj.ts[0] == 4 * 0.3
     classical = cli._run_model("classical", params, grid)
     means0, _ = mm.coherent_initial_state(params, mm.L1)
     assert np.array_equal(classical.means[0], means0.values)
@@ -547,6 +588,9 @@ _SHORT_GRID = ["--dt", "0.1", "--t-end", "20", "--sample-every", "10"]
     (["--model", "classical", "--omega0", "1e300"], 2, "omega0"),
     (["--model", "classical", "--sample-every", "1" + "0" * 150], 2, "sample-every"),
     (["--model", "classical", "--n-level", "1" + "0" * 400], 2, "n-level"),
+    (["--model", "sbth", "--m", "1e-300", "--hbar", "1e10"], 3, "initial state overflows"),
+    (["--model", "classical", "--m", "1e-300", "--hbar", "1e10"], 3, "initial state overflows"),
+    (["--model", "sbth", "--m", "1e-300", "--omega", "1e-300"], 3, "initial state overflows"),
 ])
 def test_overflowing_parameter_is_exit_2_or_3(tmp_path, capsys, argv, code, named):
     """A float overflow in a parameter's arithmetic is one line on stderr and
@@ -555,6 +599,14 @@ def test_overflowing_parameter_is_exit_2_or_3(tmp_path, capsys, argv, code, name
     assert run("simulate", *_SHORT_GRID, *argv, "--out", str(tmp_path / "run.csv")) == code
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and named in err
+
+
+def test_compare_of_an_overflowing_initial_state_is_exit_3(capsys):
+    assert run("compare", "sbth", "lindblad", "--m", "1e-300", "--hbar", "1e10",
+               *_SHORT_GRID) == 3
+    out = capsys.readouterr()
+    assert out.err == "numerical failure: the coherent initial state overflows\n"
+    assert out.out == ""
 
 
 def test_check_of_an_overflowing_echo_is_exit_2(tmp_path, capsys):

@@ -105,7 +105,7 @@ def test_analytic_energy_is_the_decay_law(params):
 def test_negative_variance_rejected(params):
     covs = np.zeros((2, 2, 2))
     covs[:, 0, 0] = -1.0
-    traj = mm.Trajectory(mm.L1, [0.0, 1.0], np.zeros((2, 2)), covs, 1.0, params)
+    traj = mm.Trajectory(mm.L1, [0.0, 1.0], np.zeros((2, 2)), covs, params)
     with pytest.raises(ValueError, match="negative diagonal"):
         mm.energy_report(traj)
 
@@ -138,8 +138,7 @@ def test_audit_late_time_energy(params, sbth_run_long):
 def test_audit_flags_corrupted_moments(params, sbth_run):
     covs = np.array(sbth_run.covs)
     covs[5, 0, 0] = 0.0  # kill the x1 variance in one sample
-    broken = mm.Trajectory(mm.BT1, sbth_run.ts, sbth_run.means, covs,
-                           sbth_run.step, params)
+    broken = mm.Trajectory(mm.BT1, sbth_run.ts, sbth_run.means, covs, params)
     result = mm.audit(broken)
     assert not result.ok
     assert result.n_violations >= 1
@@ -150,8 +149,7 @@ def test_audit_flags_negative_variance_without_raising(params, lindblad_run):
     covs = np.array(lindblad_run.covs)
     covs[3, 0, 0] = -0.5
     covs[3, 1, 1] = -0.5  # determinant still positive; flagged via sign check
-    broken = mm.Trajectory(mm.L1, lindblad_run.ts, lindblad_run.means, covs,
-                           lindblad_run.step, params)
+    broken = mm.Trajectory(mm.L1, lindblad_run.ts, lindblad_run.means, covs, params)
     result = mm.audit(broken)
     assert not result.ok
     assert math.isnan(result.final_mean_energy)
@@ -198,7 +196,7 @@ def test_compare_is_symmetric(sbth_run, lindblad_run):
 
 def test_compare_grid_mismatch(params, sbth_run):
     short = mm.Trajectory(mm.BT1, sbth_run.ts[:-1], sbth_run.means[:-1],
-                          sbth_run.covs[:-1], sbth_run.step, params)
+                          sbth_run.covs[:-1], params)
     with pytest.raises(GridMismatchError):
         mm.compare(sbth_run, short, ["x"])
 
@@ -210,7 +208,7 @@ def test_compare_equal_infinities_nans_and_huge_differences(params):
     def pair(g20):
         covs = np.tile(np.eye(2), (3, 1, 1))
         covs[:, 0, 0] = g20
-        return mm.Trajectory(mm.L1, [0.0, 1.0, 2.0], np.zeros((3, 2)), covs, 1.0, params)
+        return mm.Trajectory(mm.L1, [0.0, 1.0, 2.0], np.zeros((3, 2)), covs, params)
 
     inf = mm.compare(pair([np.inf, 1.0, 1.0]), pair([np.inf, 1.0, 1.0]), ["G20"])["G20"]
     assert inf.max_abs == 0.0 and inf.rms == 0.0
@@ -290,7 +288,7 @@ def test_negative_variance_names_its_first_sample(params):
     covs = np.tile(np.eye(2), (4, 1, 1))
     covs[2, 1, 1] = -1.0
     covs[3, 0, 0] = -1.0
-    traj = mm.Trajectory(mm.L1, [0.0, 0.5, 1.0, 1.5], np.zeros((4, 2)), covs, 0.5, params)
+    traj = mm.Trajectory(mm.L1, [0.0, 0.5, 1.0, 1.5], np.zeros((4, 2)), covs, params)
     with pytest.raises(CorruptedStateError, match=r"negative diagonal moment at t = 1;"):
         mm.energy_report(traj)
     assert list(mm.audit(traj).violation_flags) == [False, False, True, True]
@@ -310,7 +308,7 @@ def test_nan_determinant_fails_the_container_and_the_audit(params):
     cov = mm.CovarianceMatrix(mm.L1, covs[0])
     assert math.isnan(cov.pair_determinant(0))
     assert not cov.satisfies_uncertainty(params.hbar)
-    traj = mm.Trajectory(mm.L1, [0.0], np.zeros((1, 2)), covs, 0.1, params)
+    traj = mm.Trajectory(mm.L1, [0.0], np.zeros((1, 2)), covs, params)
     result = mm.audit(traj)
     assert not result.ok
     assert list(result.violation_flags) == [True]
@@ -318,7 +316,7 @@ def test_nan_determinant_fails_the_container_and_the_audit(params):
 
 def test_infinite_determinant_is_a_violation(params):
     covs = np.array([[[1e200, 0.0], [0.0, 1e200]]])
-    traj = mm.Trajectory(mm.L1, [0.0], np.zeros((1, 2)), covs, 0.1, params)
+    traj = mm.Trajectory(mm.L1, [0.0], np.zeros((1, 2)), covs, params)
     assert math.isinf(traj.sample(0)[2].pair_determinant(0))
     assert not traj.sample(0)[2].satisfies_uncertainty(params.hbar)
     assert mm.audit(traj).n_violations == 1

@@ -137,9 +137,9 @@ def test_pair_determinant_uses_frame_pairs():
 
 def test_trajectory_validation():
     with pytest.raises(ValueError, match="increasing"):
-        mm.Trajectory(mm.L1, [0.0, 0.0], np.zeros((2, 2)), np.zeros((2, 2, 2)), 0.1)
+        mm.Trajectory(mm.L1, [0.0, 0.0], np.zeros((2, 2)), np.zeros((2, 2, 2)))
     with pytest.raises(ValueError, match="shapes"):
-        mm.Trajectory(mm.L1, [0.0, 1.0], np.zeros((2, 3)), np.zeros((2, 2, 2)), 0.1)
+        mm.Trajectory(mm.L1, [0.0, 1.0], np.zeros((2, 3)), np.zeros((2, 2, 2)))
 
 
 # ---------------------------------------------------------------------------
