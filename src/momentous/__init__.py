@@ -16,11 +16,9 @@ from .model import (
     CanonicalFrame,
     CovarianceMatrix,
     FrameError,
-    LinearMap,
     MeanVector,
     ModelParams,
     Trajectory,
-    build_transform,
     transform_state,
 )
 from .algebra import (

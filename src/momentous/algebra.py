@@ -91,21 +91,18 @@ def _pair_form(frame: CanonicalFrame, use_signs: bool) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class QuadraticHamiltonian:
-    """Hamiltonian of the form (1/2) z^T H z + l.z + c on a frame."""
+    """Hamiltonian of the form (1/2) z^T H z on a frame."""
 
     frame: CanonicalFrame
     hessian: np.ndarray = field(repr=False)
-    linear: np.ndarray = field(repr=False)
-    constant: float = 0.0
 
     def __post_init__(self):
         d = self.frame.dim
         object.__setattr__(self, "hessian", _frozen_array(self.hessian, (d, d), "hessian", sign=1))
-        object.__setattr__(self, "linear", _frozen_array(self.linear, (d,), "linear term"))
 
     def classical_value(self, z: np.ndarray) -> float:
         z = np.asarray(z, dtype=float)
-        return float(0.5 * z @ self.hessian @ z + self.linear @ z + self.constant)
+        return float(0.5 * z @ self.hessian @ z)
 
 
 def sbth_hamiltonian(params: ModelParams) -> QuadraticHamiltonian:
@@ -125,7 +122,7 @@ def sbth_hamiltonian(params: ModelParams) -> QuadraticHamiltonian:
     hess[3, 3] = -k
     hess[0, 2] = hess[2, 0] = -lam
     hess[1, 3] = hess[3, 1] = -lam
-    return QuadraticHamiltonian(BT1, hess, np.zeros(4), 0.0)
+    return QuadraticHamiltonian(BT1, hess)
 
 
 # ---------------------------------------------------------------------------

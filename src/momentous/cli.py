@@ -77,6 +77,10 @@ def _load_config_file(path: str) -> dict:
     unknown = set(cfg) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    if not isinstance(cfg.get("out", ""), str):
+        raise ConfigError(f"out must be a file name, got {cfg['out']!r}")
+    if not isinstance(cfg.get("emit-xy", False), bool):
+        raise ConfigError(f"emit-xy must be true or false, got {cfg['emit-xy']!r}")
     return cfg
 
 

@@ -27,7 +27,6 @@ from .model import (
     _pair_determinant,
     _uncertainty_bound,
     _uncertainty_test,
-    build_transform,
     exponents_to_indices,
     moment_order,
     transform_state,
@@ -93,7 +92,7 @@ def coherent_initial_state(
     if frame == BT1:
         return means, cov
     if frame == XY:
-        return transform_state(means, cov, build_transform(BT1, XY))
+        return transform_state(means, cov, XY)
     raise FrameError(f"no coherent state defined for frame {frame.name}")
 
 

@@ -35,8 +35,6 @@ __all__ = [
     "MeanVector",
     "CovarianceMatrix",
     "Trajectory",
-    "LinearMap",
-    "build_transform",
     "transform_state",
     "moment_order",
     "covariances_from_moments",
@@ -424,22 +422,6 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # frame transformations
 
-@dataclass(frozen=True, eq=False)
-class LinearMap:
-    """Linear coordinate change between two frames."""
-
-    source: CanonicalFrame
-    target: CanonicalFrame
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        arr = _frozen_array(self.matrix, (self.target.dim, self.source.dim), "matrix")
-        object.__setattr__(self, "matrix", arr)
-
-    def __repr__(self):
-        return f"LinearMap({self.source.name} -> {self.target.name})"
-
-
 _S = 1.0 / math.sqrt(2.0)
 
 # rows (x, p_x, y, p_y) in terms of columns (x1, p1, p2, x2):
@@ -456,41 +438,33 @@ _BT1_XY_SIGNS = np.array(
 )
 _BT1_TO_XY = _S * _BT1_XY_SIGNS
 
-# its inverse: the map is orthogonal
-_XY_TO_BT1 = _BT1_TO_XY.T
-
-
-def build_transform(source: CanonicalFrame, target: CanonicalFrame) -> LinearMap:
-    """Linear map between the four-coordinate frames.
-
-    Supports BT1 <-> XY (both directions) and the identity on any frame.
-    The pair is canonical: covariances transported with
-    :func:`transform_state` keep their commutator structure.
-    """
-    if source == target:
-        return LinearMap(source, target, np.eye(source.dim))
-    if source == BT1 and target == XY:
-        return LinearMap(source, target, _BT1_TO_XY)
-    if source == XY and target == BT1:
-        return LinearMap(source, target, _XY_TO_BT1)
-    raise FrameError(f"no transformation registered for {source.name} -> {target.name}")
-
 
 def transform_state(
-    means: MeanVector, cov: CovarianceMatrix, tmap: LinearMap
+    means: MeanVector, cov: CovarianceMatrix, target: CanonicalFrame
 ) -> tuple[MeanVector, CovarianceMatrix]:
-    """Push a (means, covariance) state through a linear map.
+    """The (means, covariance) state in the frame ``target``.
 
+    Supports BT1 <-> XY (both directions) and the identity on any frame.
     Means map as ``T z``; the covariance by congruence, ``T S T^T``, which is
-    re-symmetrized exactly.
+    re-symmetrized exactly. The map is canonical, so the covariance keeps
+    its commutator structure. Raises ``FrameError`` for any other frame pair
+    and when ``means`` and ``cov`` disagree on their frame.
     """
-    if means.frame != tmap.source or cov.frame != tmap.source:
+    source = means.frame
+    if cov.frame != source:
         raise FrameError(
-            f"state frame {means.frame.name}/{cov.frame.name} does not match "
-            f"transform source {tmap.source.name}"
+            f"state frames disagree: means {source.name}, covariance {cov.frame.name}"
         )
-    new_means, new_cov = _transport(tmap.matrix, means.values, cov.entries)
-    return MeanVector(tmap.target, new_means), CovarianceMatrix(tmap.target, new_cov)
+    if source == target:
+        t = np.eye(source.dim)
+    elif (source, target) == (BT1, XY):
+        t = _BT1_TO_XY
+    elif (source, target) == (XY, BT1):
+        t = _BT1_TO_XY.T  # the map is orthogonal
+    else:
+        raise FrameError(f"no transformation registered for {source.name} -> {target.name}")
+    new_means, new_cov = _transport(t, means.values, cov.entries)
+    return MeanVector(target, new_means), CovarianceMatrix(target, new_cov)
 
 
 def _transport(t: np.ndarray, means: np.ndarray, covs: np.ndarray):

@@ -37,10 +37,10 @@ from .model import (
     FrameError,
     ModelParams,
     Trajectory,
+    _BT1_TO_XY,
     _BT1_XY_SIGNS,
     _frozen_array,
     _transport,
-    build_transform,
     covariances_from_moments,
     moment_order,
 )
@@ -352,7 +352,7 @@ def xy_view(traj: Trajectory) -> Trajectory:
     """Transport a BT1 trajectory to the XY frame, sample by sample."""
     if traj.frame != BT1:
         raise FrameError("xy_view expects a BT1 trajectory")
-    means, covs = _transport(build_transform(BT1, XY).matrix, traj.means, traj.covs)
+    means, covs = _transport(_BT1_TO_XY, traj.means, traj.covs)
     return Trajectory(XY, traj.ts, means, covs, traj.params)
 
 

@@ -149,7 +149,7 @@ def test_zero_covariance_gives_classical_value(params):
 
 def test_free_particle_moment_term():
     g = 0.37
-    h = mm.QuadraticHamiltonian(mm.L1, np.diag([0.0, 1.0 / 2.0]), np.zeros(2))
+    h = mm.QuadraticHamiltonian(mm.L1, np.diag([0.0, 1.0 / 2.0]))
     means = mm.MeanVector(mm.L1, [0.0, 3.0])
     cov = mm.CovarianceMatrix(mm.L1, np.diag([0.0, g]))
     # H = p^2/2m with m=2: classical 9/4 plus g/(2m)
@@ -186,7 +186,7 @@ def test_generated_classical_rows(params):
 
 def test_simple_oscillator_generation():
     m, om = 1.0, 1.5
-    h = mm.QuadraticHamiltonian(mm.L1, np.diag([m * om**2, 1.0 / m]), np.zeros(2))
+    h = mm.QuadraticHamiltonian(mm.L1, np.diag([m * om**2, 1.0 / m]))
     form = mm.SymplecticForm.quantum(mm.L1)
     gen = mm.generate_dynamics(h, form, form)
     assert np.array_equal(gen.a_classical, [[0.0, 1.0 / m], [-m * om**2, 0.0]])

@@ -207,6 +207,8 @@ def test_preset_line_in_config_file_acts_as_the_flag(tmp_path):
     ("model = sbth\npreset = nope\n", "unknown preset 'nope'"),
     ("model = sbth\nt-end 2\n", "malformed config line: 't-end 2'"),
     (None, "config file not found: {cfg}"),
+    ("model = sbth\nout = 1\n", "out must be a file name, got 1"),
+    ("model = sbth\nemit-xy = no\n", "emit-xy must be true or false, got 'no'"),
 ])
 def test_unusable_config_file_is_exit_2(tmp_path, capsys, text, message):
     cfg = tmp_path / "run.cfg"

@@ -146,57 +146,54 @@ def test_trajectory_validation():
 # transforms
 
 def test_transform_means_example():
-    t = mm.build_transform(mm.BT1, mm.XY)
     means = mm.MeanVector(mm.BT1, [2.0 * math.sqrt(2.0), 0.0, 0.0, 0.0])
     cov = mm.CovarianceMatrix(mm.BT1, np.eye(4))
-    out, _ = mm.transform_state(means, cov, t)
+    out, _ = mm.transform_state(means, cov, mm.XY)
     assert out.values == pytest.approx([2.0, 0.0, 2.0, 0.0], abs=1e-15)
 
 
 def test_transform_zero_vector():
-    t = mm.build_transform(mm.BT1, mm.XY)
-    assert np.all(t.matrix @ np.zeros(4) == 0.0)
+    zero = mm.MeanVector(mm.BT1, np.zeros(4))
+    out, _ = mm.transform_state(zero, mm.CovarianceMatrix(mm.BT1, np.eye(4)), mm.XY)
+    assert np.all(out.values == 0.0)
 
 
 def test_transform_round_trip():
-    fwd = mm.build_transform(mm.BT1, mm.XY)
-    back = mm.build_transform(mm.XY, mm.BT1)
     for _ in range(20):
         v = RNG.normal(size=4)
         c = random_cov()
         m1, c1 = mm.transform_state(
-            mm.MeanVector(mm.BT1, v), mm.CovarianceMatrix(mm.BT1, c), fwd
+            mm.MeanVector(mm.BT1, v), mm.CovarianceMatrix(mm.BT1, c), mm.XY
         )
-        m2, c2 = mm.transform_state(m1, c1, back)
+        m2, c2 = mm.transform_state(m1, c1, mm.BT1)
         assert np.abs(m2.values - v).max() <= 1e-14 * max(1.0, np.abs(v).max())
         assert np.abs(c2.entries - 0.5 * (c + c.T)).max() <= 1e-14 * np.abs(c).max()
 
 
 def test_identity_transform_unchanged():
-    t = mm.build_transform(mm.BT1, mm.BT1)
     v = RNG.normal(size=4)
     c = random_cov()
-    m1, c1 = mm.transform_state(mm.MeanVector(mm.BT1, v), mm.CovarianceMatrix(mm.BT1, c), t)
+    m1, c1 = mm.transform_state(mm.MeanVector(mm.BT1, v), mm.CovarianceMatrix(mm.BT1, c), mm.BT1)
     assert np.array_equal(m1.values, v)
     assert np.abs(c1.entries - 0.5 * (c + c.T)).max() == 0.0
 
 
 def test_unsupported_frame_pair():
-    with pytest.raises(mm.FrameError):
-        mm.build_transform(mm.L1, mm.XY)
+    means = mm.MeanVector(mm.L1, np.zeros(2))
+    cov = mm.CovarianceMatrix(mm.L1, np.eye(2))
+    with pytest.raises(mm.FrameError, match="L1 -> XY"):
+        mm.transform_state(means, cov, mm.XY)
 
 
 def test_frame_mismatch_rejected():
-    t = mm.build_transform(mm.BT1, mm.XY)
     means = mm.MeanVector(mm.XY, np.zeros(4))
-    cov = mm.CovarianceMatrix(mm.XY, np.eye(4))
-    with pytest.raises(mm.FrameError):
-        mm.transform_state(means, cov, t)
+    cov = mm.CovarianceMatrix(mm.BT1, np.eye(4))
+    with pytest.raises(mm.FrameError, match="disagree"):
+        mm.transform_state(means, cov, mm.XY)
 
 
 def test_explicit_variance_combinations():
     """The three written-out moment relations against the congruence map."""
-    t = mm.build_transform(mm.BT1, mm.XY)
     zero_means = mm.MeanVector(mm.BT1, np.zeros(4))
 
     # x-variance: only G1_2000=a, G1_0002=b, G1_1001=c set
@@ -204,23 +201,22 @@ def test_explicit_variance_combinations():
     s = np.zeros((4, 4))
     s[0, 0], s[3, 3] = a, b
     s[0, 3] = s[3, 0] = c
-    _, out = mm.transform_state(zero_means, mm.CovarianceMatrix(mm.BT1, s), t)
+    _, out = mm.transform_state(zero_means, mm.CovarianceMatrix(mm.BT1, s), mm.XY)
     assert out.moment(2, 0, 0, 0) == pytest.approx((a + b + 2 * c) / 2, rel=1e-15)
 
     # p_x-variance: only G1_0200=a, G1_0020=b, G1_0110=c set
     s = np.zeros((4, 4))
     s[1, 1], s[2, 2] = a, b
     s[1, 2] = s[2, 1] = c
-    _, out = mm.transform_state(zero_means, mm.CovarianceMatrix(mm.BT1, s), t)
+    _, out = mm.transform_state(zero_means, mm.CovarianceMatrix(mm.BT1, s), mm.XY)
     assert out.moment(0, 2, 0, 0) == pytest.approx((a + b - 2 * c) / 2, rel=1e-15)
 
 
 def test_explicit_formulas_match_congruence_on_random_covariances():
-    t = mm.build_transform(mm.BT1, mm.XY)
     zero_means = mm.MeanVector(mm.BT1, np.zeros(4))
     for _ in range(100):
         s = random_cov()
-        _, out = mm.transform_state(zero_means, mm.CovarianceMatrix(mm.BT1, s), t)
+        _, out = mm.transform_state(zero_means, mm.CovarianceMatrix(mm.BT1, s), mm.XY)
         scale = np.abs(s).max()
         g20 = 0.5 * (s[0, 0] + s[3, 3] + 2 * s[0, 3])
         g02 = 0.5 * (s[1, 1] + s[2, 2] - 2 * s[1, 2])
@@ -234,6 +230,6 @@ def test_congruence_preserves_pair_determinants_on_coherent_state(params):
     """Block-diagonal (coherent) input: both frames saturate hbar^2/4."""
     means, cov = mm.coherent_initial_state(params)
     assert cov.pair_determinant(0) == 0.25
-    _, cov_xy = mm.transform_state(means, cov, mm.build_transform(mm.BT1, mm.XY))
+    _, cov_xy = mm.transform_state(means, cov, mm.XY)
     assert abs(cov_xy.pair_determinant(0) - 0.25) <= 1e-15
     assert abs(cov_xy.pair_determinant(1) - 0.25) <= 1e-15

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import momentous as mm
-from momentous.model import moment_order
+from momentous.model import covariances_from_moments, moment_order
 from momentous.systems import moment_rows, sbth_moment_rows
 
 RNG = np.random.default_rng(4711)
@@ -118,6 +118,27 @@ def test_lindblad_steady_state_closed_form(params, nbar):
     )
     rate = sys.a_moment @ steady + steady @ sys.a_moment.T + sys.diffusion
     assert np.abs(rate).max() <= 1e-15
+
+
+@pytest.mark.parametrize("point,t_end", [
+    (dict(omega_prime=2.1, omega=1.5, gamma=0.3, nbar=1.5), 200.0),
+    (dict(m=2.5, hbar=0.3, omega_prime=1.3, omega=0.8, gamma=0.5, nbar=0.7), 80.0),
+])
+def test_long_lindblad_run_reaches_the_stationary_covariance(params, point, t_end):
+    """The stationary covariance solves A S + S A^T + D = 0, one linear
+    solve of moment_rows(A) m = -d; off the equivalence point, and after
+    gamma*t >= 30, a long run ends on it at round-off."""
+    p = dataclasses.replace(params, **point)
+    sys = mm.build_lindblad(p)
+    rows, cols = np.triu_indices(2)
+    m = np.linalg.solve(moment_rows(sys.a_moment), -sys.diffusion[rows, cols])
+    steady = covariances_from_moments(m[None], 2)[0]
+    scale = np.abs(steady).max()
+    rate = sys.a_moment @ steady + steady @ sys.a_moment.T + sys.diffusion
+    assert np.abs(rate).max() <= 1e-14 * scale * np.abs(sys.a_moment).max()
+    run = mm.integrate(sys, *mm.coherent_initial_state(p, mm.L1),
+                       mm.IntegratorConfig(1e-2, t_end, 1000))
+    assert np.abs(run.covs[-1] - steady).max() <= 1e-13 * scale
 
 
 def test_coherent_start_is_stationary_at_nbar_zero(params):
@@ -267,10 +288,9 @@ def test_qdho_xy_long_run_keeps_the_energy():
 
 def test_xy_view_matches_per_sample_transform(params, sbth_run):
     view = mm.xy_view(sbth_run)
-    t = mm.build_transform(mm.BT1, mm.XY)
     for i in (0, 173, 800):
         _, means, cov = sbth_run.sample(i)
-        m2, c2 = mm.transform_state(means, cov, t)
+        m2, c2 = mm.transform_state(means, cov, mm.XY)
         scale = max(1.0, float(np.abs(means.values).max()))
         assert np.abs(view.means[i] - m2.values).max() <= 1e-15 * scale
         assert np.abs(view.covs[i] - c2.entries).max() <= 1e-15 * scale
@@ -281,7 +301,7 @@ def test_integrated_xy_system_matches_view(params):
     grid = mm.IntegratorConfig(1e-3, 10.0, 100)
     means0, cov0 = mm.coherent_initial_state(params)
     bt1_run = mm.integrate(mm.build_sbth(params), means0, cov0, grid)
-    m_xy, c_xy = mm.transform_state(means0, cov0, mm.build_transform(mm.BT1, mm.XY))
+    m_xy, c_xy = mm.transform_state(means0, cov0, mm.XY)
     xy_run = mm.integrate(mm.build_qdho_xy(params), m_xy, c_xy, grid)
     view = mm.xy_view(bt1_run)
     assert np.abs(view.means - xy_run.means).max() <= 1e-9
