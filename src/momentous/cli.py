@@ -26,6 +26,7 @@ from .csvio import (
     MODELS,
     PARAMS,
     CsvFormatError,
+    emit_xy,
     from_config,
     parse_config_text,
     read_csv,
@@ -77,10 +78,9 @@ def _load_config_file(path: str) -> dict:
     unknown = set(cfg) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if not isinstance(cfg.get("out", ""), str):
+    if "out" in cfg and not (isinstance(cfg["out"], str) and cfg["out"]):
         raise ConfigError(f"out must be a file name, got {cfg['out']!r}")
-    if not isinstance(cfg.get("emit-xy", False), bool):
-        raise ConfigError(f"emit-xy must be true or false, got {cfg['emit-xy']!r}")
+    emit_xy(cfg)
     return cfg
 
 
@@ -179,13 +179,13 @@ def cmd_simulate(args) -> int:
     params, grid = _params_and_grid(cfg)
     tol = _tolerance(args.tol, [cfg], 1e-9)
     frame, _, _, xy_names = MODELS[model]
-    emit_xy = bool(cfg.get("emit-xy")) and bool(xy_names)
+    with_xy = emit_xy(cfg) and bool(xy_names)
     run = Run(_run_model(model, params, grid))
     out = args.out or cfg.get("out") or f"{model}.csv"
     echo = {"model": model, **run_config(params, grid)}
     if xy_names:  # echoed only by a model that has XY columns
-        echo["emit-xy"] = emit_xy
-    names = MODELS[model].layout(emit_xy)
+        echo["emit-xy"] = with_xy
+    names = MODELS[model].layout(with_xy)
     cols = trajectory_columns(run, names)
     write_csv(out, echo, [(name, cols[name]) for name in names])
     print(f"wrote {out} ({run.traj.n_samples} samples, t in [0, {run.traj.ts[-1]:g}])")

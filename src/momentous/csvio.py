@@ -11,6 +11,17 @@ in float64/int64 arithmetic; the few values it cannot settle exactly
 (near a rounding tie, beyond 1e-270..1e270 in magnitude, or not finite)
 are formatted one by one with ``"%.16e"`` itself.
 
+The reader mirrors the writer. It streams the data rows through one
+buffer of ``READ_BLOCK`` rows, reused from block to block, so a file is
+never held whole. Fields of the shape the writer emits are parsed and
+converted to the correctly rounded double in float64/uint64 arithmetic;
+the few values it cannot settle exactly (near a rounding midpoint, with a
+zero lead digit, or beyond 1e-270..1e270 in magnitude) are converted one
+by one with ``float``. A file with any row of another shape (blank lines,
+``#`` comments, CRLF, other number syntax, ``nan``, a wrong field count)
+is read by ``np.loadtxt`` instead. Either way each value is the double
+``float`` makes of its field.
+
 Each model's column schema is its row of :data:`MODELS`; column order is
 part of the contract.
 """
@@ -19,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 import re
 from typing import NamedTuple
 
@@ -33,6 +45,7 @@ __all__ = [
     "ModelColumns",
     "MODELS",
     "WRITE_BLOCK",
+    "READ_BLOCK",
     "Param",
     "PARAMS",
     "run_config",
@@ -41,6 +54,7 @@ __all__ = [
     "read_csv",
     "config_lines",
     "parse_config_text",
+    "emit_xy",
     "trajectory_from_columns",
 ]
 
@@ -79,6 +93,11 @@ MODELS = {
 # bytes of temporaries per value, so a block of a 25-column file stays under
 # a few hundred kilobytes.
 WRITE_BLOCK = 512
+
+# Data rows the reader's buffer holds when every field has the longest
+# shape the writer emits (24 bytes and a separator): about 320 kB for a
+# 25-column file, small enough for the block's arrays to stay in cache.
+READ_BLOCK = 512
 
 
 class Param(NamedTuple):
@@ -205,15 +224,17 @@ def _words(text_bytes: np.ndarray) -> np.ndarray:
 def _render_tables():
     """The renderer's lookup tables, built on first use.
 
-    ``pow10``: the columns hi, hi's split halves and lo of 10^(16−E) at
-    ``E + _E_MAX``, with hi + lo within 2^-106 of the power. Then 4-byte
-    words: the digits of 0..9999; the head ``[sign, lead digit, ".", 0]`` at
-    ``lead + 10·negative``; the exponent ``["e", sign, hundreds, tens]`` and
-    ``[ones, 0, 0, 0]`` at ``E + _E_MAX``; and the separator words
-    ``[0, ",", 0, 0]`` and ``[0, "\\n", 0, 0]``.
+    ``pow10``: the columns hi, hi's split halves and lo of 10^k at row
+    ``16 + _E_MAX − k``, with hi + lo within 2^-106 of the power: the
+    writer's 10^(16−E) at ``E + _E_MAX``, the reader's 10^(E−16) at
+    ``32 − E + _E_MAX``. Then 4-byte words: the digits of 0..9999; the head
+    ``[sign, lead digit, ".", 0]`` at ``lead + 10·negative``; the exponent
+    ``["e", sign, hundreds, tens]`` and ``[ones, 0, 0, 0]`` at
+    ``E + _E_MAX``; and the separator words ``[0, ",", 0, 0]`` and
+    ``[0, "\\n", 0, 0]``.
     """
     rows = []
-    for k in range(16 + _E_MAX, 16 - _E_MAX - 1, -1):
+    for k in range(16 + _E_MAX, -16 - _E_MAX - 1, -1):
         num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
         hi = num / den  # int / int: correctly rounded
         hi_num, hi_den = hi.as_integer_ratio()
@@ -314,39 +335,222 @@ def read_csv(path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a simulation CSV back into (config, column arrays).
 
     ``#`` lines before the header are the configuration; after it they are
-    comments and skipped, as are blank lines.
+    comments and skipped, as are blank lines. Each value is the double
+    ``float`` makes of its field. A file whose rows all have the writer's
+    shape is parsed block by block (:func:`_read_rows`); any other file is
+    read again from the start by ``np.loadtxt``.
     """
-    config_text = []
-    header = None
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if header is None:
-                    config_text.append(line.lstrip("#"))
-                continue
-            if header is not None:
-                break  # ``line`` is the first data row
-            header = [c.strip() for c in line.split(",")]
-            twice = [name for name in header if header.count(name) > 1]
-            if twice:  # a dict of the columns would keep only the last copy
-                raise CsvFormatError(f"{path}: header names column {twice[0]!r} more than once")
-        else:
-            # checked here because loadtxt only warns on empty input
-            if header is None:
-                raise CsvFormatError(f"{path}: no header row found")
-            raise CsvFormatError(f"{path}: no data rows after the header")
-        rows = itertools.chain([line], filter(None, map(str.strip, fh)))
-        try:
-            data = np.loadtxt(rows, delimiter=",", ndmin=2)
-        except ValueError:
-            data = None
-    if data is None or data.shape[1] != len(header):
-        raise CsvFormatError(f"{path}: {_bad_row(path, len(header)) or 'non-numeric data row'}")
+    try:
+        with open(path, "rb") as fh:
+            config_text, header, line = _head(_plain_lines(fh), path)
+            data = _read_rows(fh, line, len(header))
+    except _OtherShape:
+        with open(path) as fh:
+            config_text, header, line = _head(fh, path)
+            rows = itertools.chain([line], filter(None, map(str.strip, fh)))
+            try:
+                data = np.loadtxt(rows, delimiter=",", ndmin=2)
+            except ValueError:
+                data = None
+        if data is None or data.shape[1] != len(header):
+            raise CsvFormatError(f"{path}: {_bad_row(path, len(header)) or 'non-numeric data row'}")
     config = parse_config_text(config_text)
     return config, {name: data[:, k] for k, name in enumerate(header)}
+
+
+class _OtherShape(Exception):
+    """A line the block reader does not take: the file is read by ``np.loadtxt``."""
+
+
+def _plain_lines(fh):
+    """The lines of a binary file as text, while they read the same as in
+    text mode: ASCII, with no carriage return."""
+    for raw in fh:
+        if b"\r" in raw or not raw.isascii():
+            raise _OtherShape
+        yield raw.decode()
+
+
+def _head(lines, path):
+    """The configuration lines, the header and the first data row (stripped)
+    of a file's lines; the lines after the first data row are left unread."""
+    config_text = []
+    header = None
+    for raw in lines:
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if header is None:
+                config_text.append(line.lstrip("#"))
+            continue
+        if header is not None:
+            return config_text, header, line
+        header = [c.strip() for c in line.split(",")]
+        twice = [name for name in header if header.count(name) > 1]
+        if twice:  # a dict of the columns would keep only the last copy
+            raise CsvFormatError(f"{path}: header names column {twice[0]!r} more than once")
+    if header is None:
+        raise CsvFormatError(f"{path}: no header row found")
+    raise CsvFormatError(f"{path}: no data rows after the header")
+
+
+# Exact parsing of the writer's fields, -?d.dddddddddddddddde[+-]dd(d). A
+# field's 17 digits make N = (lead·10^8 + a)·10^8 + b < 10^17, exact in
+# uint64 and as the double-double nh + nl. Its value N·10^(E−16) is formed
+# as p + t with the writer's Dekker product against 10^(E−16) = hi + lo,
+# within 2^-102 of the exact product while 1e-270 <= |value| < 1e270 (see
+# above). fl(p + t) is then the correctly rounded value (Clinger, PLDI
+# 1990) unless p + t lies within 2^-100 of a rounding midpoint; those
+# values, and zero-led or out-of-range ones, are left to float().
+_FIELD = 25  # the longest field, with its separator
+_READ_PAD = 8  # bytes before the parsed region; the gathers read past its end
+_E_RANGE = (-270, 269)
+_MIDPOINT_GAP = 2.0**-100
+_U = np.uint64
+_ZEROS = _U(0x3030303030303030)  # "00000000"
+
+
+def _read_rows(fh, line: str, width: int) -> np.ndarray:
+    """The data rows of a file, from its first data row ``line`` and the
+    rest of ``fh``, as a (rows, width) array. Raises :class:`_OtherShape`
+    at the first block with a row the writer would not write.
+
+    The rows pass through one buffer of ``READ_BLOCK`` rows of the longest
+    shape; a row left incomplete at its end starts the next block.
+    """
+    cap = READ_BLOCK * _FIELD * width
+    buf = np.zeros(_READ_PAD + cap + 1 + 32, np.uint8)
+    # 24 bytes from each offset: a field's two digit groups and its exponent
+    window = np.ndarray((buf.size - 23,), "V24", buffer=buf, strides=(1,))
+    first = np.frombuffer(line.encode() + b"\n", np.uint8)
+    if first.size > _FIELD * width:
+        raise _OtherShape  # a row longer than the writer writes
+    # rows are no shorter than 23 bytes a field; pages never written stay unmapped
+    size = first.size + os.fstat(fh.fileno()).st_size - fh.tell()
+    data = np.empty((size // (23 * width) + 1, width))
+    buf[_READ_PAD:_READ_PAD + first.size] = first
+    end = _READ_PAD + first.size  # the end of the bytes not yet parsed
+    rows = 0
+    while True:
+        got = fh.readinto(memoryview(buf)[end:_READ_PAD + cap])
+        end += got
+        if not got:
+            if end == _READ_PAD:
+                return data[:rows]
+            if buf[end - 1] != ord("\n"):  # the last row, unterminated
+                buf[end] = ord("\n")
+                end += 1
+        tail = max(_READ_PAD, end - _FIELD * width)  # holds a whole row's newline
+        newlines = np.flatnonzero(buf[tail:end] == ord("\n"))
+        if not newlines.size:
+            raise _OtherShape  # a row longer than the writer writes
+        stop = tail + int(newlines[-1]) + 1
+        values = _parse_rows(buf, window, _READ_PAD, stop, width)
+        data[rows:rows + len(values)] = values
+        rows += len(values)
+        buf[_READ_PAD:_READ_PAD + end - stop] = buf[stop:end]
+        end = _READ_PAD + end - stop
+
+
+def _parse_rows(buf, window, lo: int, hi: int, width: int) -> np.ndarray:
+    """The values of the rows in ``buf[lo:hi]`` (ending with a newline) as a
+    (rows, width) array; :class:`_OtherShape` unless every field has the
+    writer's shape and every row ``width`` fields. Each step is its own
+    function, so its temporaries are freed before the next one starts."""
+    starts, ends = _field_bounds(buf[lo:hi], width)
+    starts += lo
+    ends += lo
+    negative = buf[starts] == ord("-")
+    n, e = _mantissas_and_exponents(buf, window, starts + negative, ends)
+    r, unsettled = _nearest_doubles(n, e)
+    for k in np.flatnonzero(unsettled).tolist():
+        r[k] = abs(float(buf[starts[k]:ends[k]].tobytes()))
+    r.view(_U)[:] |= negative.astype(_U) << _U(63)  # the sign bit; zero keeps it too
+    return r.reshape(-1, width)
+
+
+def _field_bounds(text: np.ndarray, width: int):
+    """The offsets in ``text`` where each field starts and where its
+    separator is; :class:`_OtherShape` unless every line has ``width``
+    fields separated by commas."""
+    # of a writer's row, only the separators and an exponent's "+" are bytes <= ","
+    marks = np.flatnonzero(text <= ord(","))
+    kinds = text[marks]
+    kept = kinds != ord("+")
+    ends, kinds = marks[kept], kinds[kept]
+    if ends.size % width:
+        raise _OtherShape
+    kinds = kinds.reshape(-1, width)
+    if not ((kinds[:, :-1] == ord(",")).all() and (kinds[:, -1] == ord("\n")).all()):
+        raise _OtherShape
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    return starts, ends
+
+
+def _mantissas_and_exponents(buf, window, at, ends):
+    """``N`` (the 17 digits as one integer) and ``E`` of each field, given
+    its lead digit at ``at`` and its separator at ``ends``;
+    :class:`_OtherShape` unless each reads d.dddddddddddddddde[+-]dd(d)."""
+    long_exp = (ends - at - 22).astype(_U)  # 0: two exponent digits, 1: three
+    lead = buf[at] - np.uint8(ord("0"))
+    dot = buf[at + 1] ^ np.uint8(ord("."))
+    words = window[at + 2].view("<u8").reshape(-1, 3)  # first byte lowest
+    # the exponent word "e±dd?" becomes the digit word "000000dd" or "00000ddd"
+    exp = words[:, 2]
+    exp_sign = (exp & _U(0xFFFF)) - _U(0x2B65)  # "e+": 0, "e-": 0x200
+    shift = long_exp << _U(3)
+    exp >>= _U(16)
+    exp <<= _U(48) - shift
+    exp |= _ZEROS >> (_U(16) + shift)
+    not_digits = _digit_words(words)
+    if (not_digits.any() or dot.any() or (lead > 9).any() or (long_exp >> _U(1)).any()
+            or (exp_sign & ~_U(0x200)).any()):
+        raise _OtherShape
+    n = (lead.astype(_U) * _U(10**8) + words[:, 0]) * _U(10**8) + words[:, 1]
+    minus = exp_sign >> _U(9)
+    return n, ((exp ^ -minus) + minus).view(np.int64)
+
+
+def _nearest_doubles(n, e):
+    """The double nearest ``N·10^(E−16)``, and the mask of the values it may
+    miss (see above), which must be redone; zero is exact."""
+    settled = (n >= _U(10**16)) & ((e - _E_RANGE[0]).view(_U) <= _U(_E_RANGE[1] - _E_RANGE[0]))
+    # _scaled(a, 32 − E) is a·10^(E−16); an E out of range is clamped and redone
+    mirrored = 32 - np.minimum(np.maximum(e, _E_RANGE[0]), _E_RANGE[1])
+    pow10 = _render_tables()[0]
+    nh = n.astype(np.float64)
+    nl = (n - nh.astype(_U)).view(np.int64).astype(np.float64)
+    p, t = _scaled(nh, mirrored, pow10)
+    t += nl * pow10[0][mirrored + _E_MAX]
+    r = p + t
+    error = t - (r - p)  # exactly p + t − r
+    # half the gap above r; below a power of two the gap is half as wide
+    half = ((r.view(_U) & _U(0x7FF0000000000000)) - _U(53 << 52)).view(np.float64)
+    gap = r * _MIDPOINT_GAP
+    near = (np.abs(np.abs(error) - half) <= gap) | (np.abs(error + 0.5 * half) <= gap)
+    return r, (near | ~settled) & (n != 0)
+
+
+def _digit_words(words: np.ndarray) -> np.ndarray:
+    """In place, each little-endian uint64 of eight ASCII digits becomes
+    their value, the first digit the most significant (Lemire, Softw. Pract.
+    Exp. 51(8), 2021). Returns words that are nonzero where a byte was not a
+    digit."""
+    words -= _ZEROS
+    not_digits = (words + _U(0x0606060606060606)) | words
+    not_digits &= _U(0xF0F0F0F0F0F0F0F0)
+    words *= _U(10 * 2**8 + 1)  # digit pairs in the even bytes
+    words >>= _U(8)
+    words &= _U(0x00FF00FF00FF00FF)
+    words *= _U(100 * 2**16 + 1)  # groups of four in the even 16-bit lanes
+    words >>= _U(16)
+    words &= _U(0x0000FFFF0000FFFF)
+    words *= _U(10000 * 2**32 + 1)
+    words >>= _U(32)
+    return not_digits
 
 
 def _bad_row(path, width: int) -> str | None:
@@ -392,6 +596,14 @@ def from_config(owner: type, config: dict):
         raise ValueError(message) from None
 
 
+def emit_xy(config: dict) -> bool:
+    """A configuration's ``emit-xy``: False when absent, else it must be a bool."""
+    value = config.get("emit-xy", False)
+    if not isinstance(value, bool):
+        raise CsvFormatError(f"emit-xy must be true or false, got {value!r}")
+    return value
+
+
 def trajectory_from_columns(config: dict, columns: dict[str, np.ndarray]) -> Trajectory | None:
     """Reconstruct the run a file's echo describes from its columns.
 
@@ -405,7 +617,7 @@ def trajectory_from_columns(config: dict, columns: dict[str, np.ndarray]) -> Tra
     params = from_config(ModelParams, config)
     grid = from_config(IntegratorConfig, config)
     frame, moment_columns, _, _ = MODELS[model]
-    layout = MODELS[model].layout(config.get("emit-xy") is True)
+    layout = MODELS[model].layout(emit_xy(config))
     for k, (found, expected) in enumerate(itertools.zip_longest(columns, layout), 1):
         if found != expected:
             raise CsvFormatError(f"header column {k} is {found or '(none)'}, the echoed "

@@ -208,6 +208,7 @@ def test_preset_line_in_config_file_acts_as_the_flag(tmp_path):
     ("model = sbth\nt-end 2\n", "malformed config line: 't-end 2'"),
     (None, "config file not found: {cfg}"),
     ("model = sbth\nout = 1\n", "out must be a file name, got 1"),
+    ("model = sbth\nout =\n", "out must be a file name, got ''"),
     ("model = sbth\nemit-xy = no\n", "emit-xy must be true or false, got 'no'"),
 ])
 def test_unusable_config_file_is_exit_2(tmp_path, capsys, text, message):
@@ -218,6 +219,18 @@ def test_unusable_config_file_is_exit_2(tmp_path, capsys, text, message):
                "--out", str(tmp_path / "run.csv")) == 2
     assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
     assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize("value, shown", [("no", "'no'"), ("1", "1"), ("", "''")])
+def test_check_refuses_an_echoed_emit_xy_that_is_not_a_bool(tmp_path, capsys, value, shown):
+    """``simulate --config`` refuses such a value, so a file echoing it
+    could not be rerun; ``check`` refuses it with the same words."""
+    path = tmp_path / "run.csv"
+    assert run("simulate", "--model", "sbth", "--t-end", "2", "--out", str(path)) == 0
+    path.write_text(path.read_text().replace("# emit-xy = false\n", f"# emit-xy = {value}\n"))
+    capsys.readouterr()
+    assert run("check", str(path)) == 2
+    assert capsys.readouterr().err == f"error: emit-xy must be true or false, got {shown}\n"
 
 
 def test_fig3_energy_column_monotone(tmp_path):

@@ -1,0 +1,284 @@
+"""The CSV reader returns what ``float`` makes of each field, bit for bit.
+
+Files of the writer's shape are parsed block by block; any other file is
+read by ``np.loadtxt``. Both must give the values and errors the reader
+always gave, so each test here compares with ``float`` or ``np.loadtxt``.
+"""
+
+import decimal
+import math
+import tracemalloc
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from test_csvio import _contract_values
+
+from momentous.csvio import READ_BLOCK, CsvFormatError, read_csv, write_csv
+
+
+@pytest.fixture
+def writer_shaped_only(monkeypatch):
+    """Fail any read that leaves the block parser for ``np.loadtxt``."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt called on a file of the writer's shape")
+    monkeypatch.setattr(np, "loadtxt", refuse)
+
+
+def _write_fields(path, rows, names=("t", "a", "b"), ending="\n"):
+    head = ["# model = test", ",".join(names)]
+    path.write_bytes("".join(line + ending for line in [*head, *map(",".join, rows)]).encode())
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("finite", [True, False], ids=["finite", "with nan and inf"])
+def test_contract_values_read_back_bit_exact(tmp_path, request, finite):
+    """The writer's whole contract set comes back bit for bit; the finite
+    values without leaving the block parser, NaNs only as NaN."""
+    values = _contract_values()
+    if finite:
+        request.getfixturevalue("writer_shaped_only")
+        values = values[np.isfinite(values)]
+    n_cols = 7
+    values = np.concatenate([values, np.zeros(-values.size % n_cols)])
+    data = values.reshape(-1, n_cols)
+    names = [f"c{k}" for k in range(n_cols)]
+    path = tmp_path / "contract.csv"
+    write_csv(path, {"model": "test"}, [(name, data[:, k]) for k, name in enumerate(names)])
+    _, columns = read_csv(path)
+    back = np.column_stack([columns[name] for name in names])
+    nan = np.isnan(data)
+    assert np.array_equal(np.isnan(back), nan)
+    assert np.array_equal(_bits(back[~nan]), _bits(data[~nan]))
+
+
+def _writer_shape(digits: str, exponent: int, negative: bool) -> str:
+    """The field "%.16e" writes for 17 significant digits and an exponent."""
+    return f"{'-' if negative else ''}{digits[0]}.{digits[1:]}e{exponent:+03d}"
+
+
+def _near_midpoints(rng, count: int) -> list[str]:
+    """17-digit decimals within 1e-17 relative of the midpoint between a
+    double and the next one up, in the writer's shape."""
+    fields = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1200  # every midpoint of two doubles exactly
+        while len(fields) < count:
+            x = float(np.ldexp(1.0 + rng.random(), int(rng.integers(-1000, 1000))))
+            mid = decimal.Decimal(x) + decimal.Decimal(float(np.spacing(x))) / 2
+            sign, digits, exponent = mid.quantize(
+                decimal.Decimal(1).scaleb(mid.adjusted() - 16)).as_tuple()
+            text = "".join(map(str, digits))
+            if len(text) != 17:  # rounded up to the next power of ten
+                continue
+            near = decimal.Decimal(f"{text[0]}.{text[1:]}e{mid.adjusted()}")
+            if abs(near - mid) <= mid * decimal.Decimal("1e-17"):
+                fields.append(_writer_shape(text, mid.adjusted(), rng.random() < 0.5))
+    return fields
+
+
+def _exact_midpoints(rng, count: int) -> list[str]:
+    """Midpoints of two doubles that 17 digits write exactly: odd·2^j with
+    the odd number in [2^53, 2^54); float rounds them half to even."""
+    fields = []
+    while len(fields) < count:
+        j = int(rng.integers(-1, 4))
+        odd = 2 * int(rng.integers(2**52, 2**53)) + 1
+        mid = decimal.Decimal(odd) * decimal.Decimal(2) ** j
+        text = format(mid.normalize(), "f").replace(".", "")
+        if len(text.rstrip("0")) <= 17 and mid < decimal.Decimal(10) ** 17:
+            digits = (text + "0" * 17)[:17]
+            fields.append(_writer_shape(digits, mid.adjusted(), rng.random() < 0.5))
+    return fields
+
+
+def _hard_cases(exponents) -> list[str]:
+    """17-digit decimals p·10^(E−16) within 2^-100 relative of a binary
+    midpoint q·2^(b−1), q odd in [2^53, 2^54), but not on it: the
+    convergents and semiconvergents p/q of 2^(b−1)/10^(E−16) with q in that
+    range (the best rational approximations)."""
+    fields = []
+    for e in exponents:
+        # b puts p = q·2^(b−1)/10^(E−16) near 10^16.5 for q near 2^53.5
+        centre = math.floor((16.5 - 53.5 * math.log10(2) + e - 16) / math.log10(2))
+        for b in range(centre - 2, centre + 3):
+            alpha = Fraction(2) ** (b - 1) / Fraction(10) ** (e - 16)
+            for p, q in _approximations(alpha, 2**53, 2**54):
+                distance = abs(p - alpha * q) / (alpha * q)
+                if q % 2 and 10**16 <= p < 10**17 and 0 < distance < Fraction(1, 2**100):
+                    fields.append(_writer_shape(str(p), e, False))
+    return fields
+
+
+def _approximations(alpha: Fraction, low: int, high: int):
+    """The convergents and semiconvergents p/q of ``alpha`` with low <= q < high."""
+    a, b = alpha.numerator, alpha.denominator
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while b and q1 < high:
+        step = a // b
+        for s in range(1, step + 1):
+            p, q = p0 + s * p1, q0 + s * q1
+            if q >= high:
+                break
+            if q >= low:
+                yield p, q
+        p0, q0, p1, q1 = p1, q1, p0 + step * p1, q0 + step * q1
+        a, b = b, a - step * b
+
+
+# the midpoints below 2^53..2^56, the only ones below a power of two that 17
+# digits write exactly
+LOWER_TIES = ["9.0071992547409915e+15", "1.8014398509481983e+16", "3.6028797018963966e+16",
+              "7.2057594037927932e+16"]
+
+
+def test_near_midpoints_are_correctly_rounded(tmp_path, writer_shaped_only):
+    """Fields of the writer's shape close to, or on, a rounding midpoint
+    read as float reads them. About one in five of the hard cases rounds the
+    wrong way unless such fields are left to float."""
+    rng = np.random.default_rng(1990)
+    hard = _hard_cases(range(-270, 270, 3))
+    assert len(hard) > 1000
+    fields = _near_midpoints(rng, 3000) + _exact_midpoints(rng, 600) + hard + LOWER_TIES
+    fields += ["-" + field for field in hard[::2]]
+    fields += [_writer_shape("10000000000000000", e, False) for e in (-272, -271, -270, 269, 270)]
+    rng.shuffle(fields)
+    fields += ["0.0000000000000000e+00"] * (-len(fields) % 3)
+    rows = [fields[k:k + 3] for k in range(0, len(fields), 3)]
+    path = tmp_path / "midpoints.csv"
+    _write_fields(path, rows)
+    _, columns = read_csv(path)
+    back = np.column_stack(list(columns.values()))
+    expected = [[float(field) for field in row] for row in rows]
+    assert np.array_equal(_bits(back), _bits(expected))
+
+
+def _longest_fields(rng, n_rows: int, n_cols: int = 3) -> np.ndarray:
+    """Values that "%.16e" writes in 24 bytes: negative, three exponent digits."""
+    return -rng.random((n_rows, n_cols)) * 10.0 ** rng.integers(-269, -99, (n_rows, n_cols))
+
+
+@pytest.mark.parametrize("n_rows", [1, READ_BLOCK - 1, READ_BLOCK, READ_BLOCK + 1,
+                                    2 * READ_BLOCK + 1])
+@pytest.mark.parametrize("longest", [True, False], ids=["longest fields", "mixed fields"])
+def test_rows_around_a_block_read_back_bit_exact(tmp_path, writer_shaped_only, n_rows,
+                                                 longest):
+    """A buffer holds ``READ_BLOCK`` rows of the longest fields exactly, so
+    these files end a block on the last byte, one row before or after it."""
+    rng = np.random.default_rng(n_rows)
+    if longest:
+        data = _longest_fields(rng, n_rows)
+    else:
+        data = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(-120, 120, (n_rows, 3))
+    path = tmp_path / "block.csv"
+    write_csv(path, {"model": "test"}, [(name, data[:, k]) for k, name in enumerate("tab")])
+    _, columns = read_csv(path)
+    back = np.column_stack(list(columns.values()))
+    assert np.array_equal(_bits(back), _bits(data))
+
+
+def test_last_row_without_a_newline(tmp_path, writer_shaped_only):
+    rows = [["1.0000000000000000e+00", "-2.5000000000000000e-01", "0.0000000000000000e+00"],
+            ["3.0000000000000000e+100", "-0.0000000000000000e+00", "4.0000000000000000e-300"]]
+    path = tmp_path / "open.csv"
+    _write_fields(path, rows)
+    path.write_bytes(path.read_bytes()[:-1])
+    _, columns = read_csv(path)
+    assert _bits(columns["b"]).tolist() == _bits([0.0, 4e-300]).tolist()
+    assert _bits(columns["a"]).tolist() == _bits([-0.25, -0.0]).tolist()
+
+
+def _loadtxt_reference(path, width):
+    """What the reader always returned: np.loadtxt of the stripped,
+    non-blank lines after the header."""
+    lines = [line.strip() for line in path.read_text().splitlines()]
+    data = [line for line in lines if line and not line.startswith("#")][1:]
+    return np.loadtxt(data, delimiter=",", ndmin=2).reshape(-1, width)
+
+
+OTHER_FIELDS = ["1", " 2.5", "+1.0E+00", "-inf", "nan", "1.5e+00", "1.0000000000000000e+5",
+                "1.0000000000000000E+05", "01.000000000000000e+05", "1.0000000000000000e+0005",
+                "1.0000000000000000e+0000005", "0.5000000000000000e+00", "0.0000000000000001e-270",
+                "-0.0000000000000000e-300"]
+
+
+@pytest.mark.parametrize("field", OTHER_FIELDS)
+@pytest.mark.parametrize("row", [0, READ_BLOCK + 3, -1], ids=["first row", "second block",
+                                                             "last row"])
+def test_other_shapes_read_as_loadtxt_reads_them(tmp_path, field, row):
+    rng = np.random.default_rng(7)
+    data = _longest_fields(rng, 2 * READ_BLOCK)
+    rows = [["%.16e" % v for v in values] for values in data.tolist()]
+    rows[row][1] = field
+    path = tmp_path / "edited.csv"
+    _write_fields(path, rows)
+    _, columns = read_csv(path)
+    back = np.column_stack(list(columns.values()))
+    expected = _loadtxt_reference(path, 3)
+    assert np.array_equal(_bits(back), _bits(expected), equal_nan=True)
+
+
+@pytest.mark.parametrize("edit", ["crlf", "blank line", "comment", "trailing blanks"])
+def test_other_lines_read_as_loadtxt_reads_them(tmp_path, edit):
+    rng = np.random.default_rng(11)
+    rows = [["%.16e" % v for v in values] for values in _longest_fields(rng, 700).tolist()]
+    path = tmp_path / "edited.csv"
+    _write_fields(path, rows, ending="\r\n" if edit == "crlf" else "\n")
+    text = path.read_bytes()
+    cut = text.index(b"\n", len(text) // 2) + 1
+    insert = {"crlf": b"", "blank line": b"\n  \n", "comment": b"# a note\n",
+              "trailing blanks": b""}[edit]
+    text = text[:cut] + insert + text[cut:]
+    if edit == "trailing blanks":
+        text += b"\n\n"
+    path.write_bytes(text)
+    _, columns = read_csv(path)
+    back = np.column_stack(list(columns.values()))
+    assert np.array_equal(_bits(back), _bits(_loadtxt_reference(path, 3)))
+
+
+def test_bare_carriage_returns_end_lines_as_in_text_mode(tmp_path):
+    path = tmp_path / "cr.csv"
+    path.write_bytes(b"# a = 1\r# b = 2\rt,x\n1.0000000000000000e+00,2.0000000000000000e+00\r"
+                     b"3.0000000000000000e+00,4.0000000000000000e+00\n")
+    config, columns = read_csv(path)
+    assert config == {"a": 1, "b": 2}
+    assert columns["x"].tolist() == [2.0, 4.0]
+
+
+# fields of the writer's length, each wrong in one place
+BAD_FIELDS = ["x", "x.0000000000000000e+05", "1:0000000000000000e+05", "1.000000x000000000e+05",
+              "1.0000000000000000x+05", "1.0000000000000000e*05", "1.0000000000000000e+0x",
+              "1.0000000000000000e+05 2.0000000000000000e+05"]
+
+
+@pytest.mark.parametrize("field", BAD_FIELDS)
+def test_bad_field_in_a_later_block_names_its_file_line(tmp_path, field):
+    rng = np.random.default_rng(3)
+    rows = [["%.16e" % v for v in values] for values in _longest_fields(rng, 3 * READ_BLOCK)]
+    rows[2 * READ_BLOCK + 5][1:] = [field] if " " in field else [field, rows[0][2]]
+    path = tmp_path / "bad.csv"
+    _write_fields(path, rows)
+    line = 2 + 2 * READ_BLOCK + 5 + 1
+    with pytest.raises(CsvFormatError, match=f"(non-numeric data row|header width) at line {line} "):
+        read_csv(path)
+
+
+def test_reader_never_holds_the_file(tmp_path, writer_shaped_only):
+    """The text passes through one bounded buffer, so on a file of many
+    blocks the reader's peak allocation is about the returned array (8 bytes
+    a value against 25 bytes of text), and never the file."""
+    rng = np.random.default_rng(5)
+    data = _longest_fields(rng, 200 * READ_BLOCK)
+    path = tmp_path / "big.csv"
+    write_csv(path, {"model": "test"}, [(name, data[:, k]) for k, name in enumerate("tab")])
+    tracemalloc.start()
+    try:
+        read_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * path.stat().st_size
