@@ -26,7 +26,6 @@ from .algebra import (
     SymplecticForm,
     bracket_table,
     expand_effective_hamiltonian,
-    generate_dynamics,
     moment_bracket,
     sbth_hamiltonian,
 )
@@ -39,6 +38,7 @@ from .systems import (
     build_sbth,
     classical_analytic,
     diffusion_report,
+    generate_dynamics,
     sbth_moment_rows,
     xy_view,
     xy_variance_rate_residual,

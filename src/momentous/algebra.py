@@ -13,8 +13,8 @@ signs. Together with the effective Hamiltonian of a quadratic model,
 
 this produces linear dynamics: ``zdot = (W_c H) z`` for the means and the
 Lyapunov flow ``Sdot = A S + S A^T`` with ``A = W_q H`` for the moments.
-The classical and moment sectors may use different forms; see
-:func:`generate_dynamics`.
+The two sectors may use different forms; see
+:func:`momentous.systems.generate_dynamics`, which builds every model.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .model import (
     moment_label,
     moment_order,
 )
-from .systems import ModelSystem
 
 __all__ = [
     "SymplecticForm",
@@ -48,7 +47,6 @@ __all__ = [
     "bracket_table",
     "format_bracket",
     "expand_effective_hamiltonian",
-    "generate_dynamics",
 ]
 
 
@@ -91,14 +89,18 @@ def _pair_form(frame: CanonicalFrame, use_signs: bool) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class QuadraticHamiltonian:
-    """Hamiltonian of the form (1/2) z^T H z on a frame."""
+    """Hamiltonian of the form (1/2) z^T H z on a frame; a non-finite
+    Hessian entry (an overflowed coefficient) raises ``OverflowError``."""
 
     frame: CanonicalFrame
     hessian: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         d = self.frame.dim
-        object.__setattr__(self, "hessian", _frozen_array(self.hessian, (d, d), "hessian", sign=1))
+        hess = np.asarray(self.hessian, dtype=float)
+        if not np.isfinite(hess).all():  # before the symmetry test, which would subtract inf
+            raise OverflowError("the Hamiltonian coefficients overflow (hessian)")
+        object.__setattr__(self, "hessian", _frozen_array(hess, (d, d), "hessian", sign=1))
 
     def classical_value(self, z: np.ndarray) -> float:
         z = np.asarray(z, dtype=float)
@@ -237,7 +239,7 @@ def format_bracket(exps_a, exps_b, terms: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# effective Hamiltonian and generated dynamics
+# effective Hamiltonian
 
 def expand_effective_hamiltonian(
     h: QuadraticHamiltonian, means: MeanVector, cov: CovarianceMatrix
@@ -253,25 +255,3 @@ def expand_effective_hamiltonian(
         np.sum(h.hessian * cov.entries)
     )
 
-
-def generate_dynamics(
-    h: QuadraticHamiltonian,
-    classical_form: SymplecticForm,
-    moment_form: SymplecticForm,
-    params: ModelParams | None = None,
-    label: str = "generated",
-) -> ModelSystem:
-    """Turn a quadratic Hamiltonian into a linear ModelSystem.
-
-    The means follow ``zdot = (W_c H) z`` with the classical form W_c; the
-    covariance follows the Lyapunov flow of ``A = W_q H`` with the moment
-    form W_q. The two forms are independent inputs because the mean-value
-    sector obeys the all-positive classical bracket even on frames whose
-    quantum pairs carry a flipped commutator sign.
-    """
-    if classical_form.frame != h.frame or moment_form.frame != h.frame:
-        raise FrameError("hamiltonian and form frames disagree")
-    a_classical = classical_form.matrix @ h.hessian
-    a_moment = moment_form.matrix @ h.hessian
-    zero = np.zeros((h.frame.dim, h.frame.dim))
-    return ModelSystem(label, h.frame, a_classical, a_moment, zero, params)

@@ -78,10 +78,17 @@ def _load_config_file(path: str) -> dict:
     unknown = set(cfg) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "out" in cfg and not (isinstance(cfg["out"], str) and cfg["out"]):
-        raise ConfigError(f"out must be a file name, got {cfg['out']!r}")
+    if "out" in cfg:
+        _file_name(cfg["out"])
     emit_xy(cfg)
     return cfg
+
+
+def _file_name(out):
+    """``out`` from a flag or a config file: a non-empty string."""
+    if not (isinstance(out, str) and out):
+        raise ConfigError(f"out must be a file name, got {out!r}")
+    return out
 
 
 def _resolve(args, extra_file: str | None = None) -> dict:
@@ -180,8 +187,8 @@ def cmd_simulate(args) -> int:
     tol = _tolerance(args.tol, [cfg], 1e-9)
     frame, _, _, xy_names = MODELS[model]
     with_xy = emit_xy(cfg) and bool(xy_names)
+    out = _file_name(args.out) if args.out is not None else cfg.get("out", f"{model}.csv")
     run = Run(_run_model(model, params, grid))
-    out = args.out or cfg.get("out") or f"{model}.csv"
     echo = {"model": model, **run_config(params, grid)}
     if xy_names:  # echoed only by a model that has XY columns
         echo["emit-xy"] = with_xy
@@ -195,6 +202,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    out = None if args.out is None else _file_name(args.out)
     configs = []
     for spec in (args.run_a, args.run_b):
         if spec in MODELS:
@@ -229,15 +237,15 @@ def cmd_compare(args) -> int:
     for name in columns:
         m = metrics[name]
         print(f"{name:>10}  {m.max_abs:12.5e}  {m.rms:12.5e}  {m.at_time:9.3f}")
-    if args.out:
+    if out is not None:
         joint = [("t", run_a.traj.ts)]
         cols_a = trajectory_columns(run_a, columns)
         cols_b = trajectory_columns(run_b, columns)
         for name in columns:
             joint.append((f"{name}_a", cols_a[name]))
             joint.append((f"{name}_b", cols_b[name]))
-        write_csv(args.out, {"model": f"{model_a}-vs-{model_b}"}, joint)
-        print(f"wrote {args.out}")
+        write_csv(out, {"model": f"{model_a}-vs-{model_b}"}, joint)
+        print(f"wrote {out}")
     if all(metrics[name].max_abs <= tol for name in columns):  # a NaN is never within tol
         print("PASS: all columns within tolerance")
         return 0

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -152,7 +153,7 @@ class ModelParams:
     Parameters
     ----------
     m, hbar : float
-        Mass and action scale, both > 0.
+        Mass and action scale, both > 0; ``hbar**2/4`` must be a normal float.
     lambda_damp : float
         Damping rate of the two-oscillator model, >= 0.
     gamma : float
@@ -223,6 +224,8 @@ class ModelParams:
         # back squares the frequencies above
         for name in ("hbar", "big_omega", "omega0"):
             _square(name, getattr(self, name))
+        if _uncertainty_bound(self.hbar) < sys.float_info.min:  # a bound of 0 passes any state
+            raise ValueError(f"hbar = {self.hbar!r} is too small: its uncertainty bound underflows")
 
     @property
     def equivalence_mode(self) -> bool:

@@ -2,12 +2,13 @@
 
 Every model is a :class:`ModelSystem`: the means follow ``zdot = A_c z`` and
 the covariance follows the Lyapunov flow ``Sdot = A_m S + S A_m^T + D`` with
-a constant diffusion source ``D``. Available builders:
+a constant diffusion source ``D``; :func:`generate_dynamics` makes one from
+a quadratic Hamiltonian and two symplectic forms. Available builders:
 
 ``build_sbth``
     the conservative two-oscillator model (system + time-reversed mirror)
-    in the BT1 frame; damping appears as a bilinear coupling, D = 0. The
-    one hand transcription of the oscillator dynamics.
+    in the BT1 frame; damping appears as a bilinear coupling, D = 0.
+    Generated from its Hamiltonian, the one source of the oscillator dynamics.
 ``build_qdho_xy``
     the same dynamics mapped exactly to the XY frame, where the (x, p_x)
     block is the familiar damped oscillator.
@@ -28,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .algebra import QuadraticHamiltonian, SymplecticForm, sbth_hamiltonian
 from .model import (
     BT1,
     L1,
@@ -48,6 +50,7 @@ from .model import (
 __all__ = [
     "ModelSystem",
     "DiffusionReport",
+    "generate_dynamics",
     "build_sbth",
     "build_qdho_xy",
     "build_lindblad",
@@ -110,45 +113,47 @@ def moment_rows(a_moment: np.ndarray) -> np.ndarray:
     return (a @ units + units @ a.T)[:, rows, cols].T
 
 
+def generate_dynamics(
+    h: QuadraticHamiltonian,
+    classical_form: SymplecticForm,
+    moment_form: SymplecticForm,
+    params: ModelParams | None = None,
+    label: str = "generated",
+) -> ModelSystem:
+    """Turn a quadratic Hamiltonian into a linear ModelSystem.
+
+    The means follow ``zdot = (W_c H) z`` with the classical form W_c; the
+    covariance follows the Lyapunov flow of ``A = W_q H`` with the moment
+    form W_q. The two forms are independent inputs because the mean-value
+    sector obeys the all-positive classical bracket even on frames whose
+    quantum pairs carry a flipped commutator sign.
+    """
+    if classical_form.frame != h.frame or moment_form.frame != h.frame:
+        raise FrameError("hamiltonian and form frames disagree")
+    a_classical = classical_form.matrix @ h.hessian
+    a_moment = moment_form.matrix @ h.hessian
+    zero = np.zeros((h.frame.dim, h.frame.dim))
+    return ModelSystem(label, h.frame, a_classical, a_moment, zero, params)
+
+
 # ---------------------------------------------------------------------------
 # two-oscillator model, BT1 frame (x1, p1, p2, x2)
 
 def build_sbth(params: ModelParams) -> ModelSystem:
-    """Two-oscillator damped model in the BT1 frame.
-
-    The fourteen rate equations are transcribed directly (see also
-    :func:`sbth_moment_rows`); the bracket-generated construction in
-    :mod:`momentous.algebra` must reproduce them exactly.
-    """
-    lam = params.lambda_damp
-    k = params.m * params.big_omega**2
-    im = 1.0 / params.m
-    a_classical = np.array(
-        [
-            [0.0, im, 0.0, -lam],   # x1dot =  p1/m        - lam*x2
-            [-k, 0.0, lam, 0.0],    # p1dot = -m*Om^2*x1   + lam*p2
-            [0.0, lam, 0.0, k],     # p2dot =  lam*p1      + m*Om^2*x2
-            [-lam, 0.0, -im, 0.0],  # x2dot = -lam*x1      - p2/m
-        ]
-    )
-    a_moment = np.array(
-        [
-            [0.0, im, 0.0, -lam],
-            [-k, 0.0, lam, 0.0],
-            [0.0, -lam, 0.0, -k],
-            [lam, 0.0, im, 0.0],
-        ]
-    )
-    return ModelSystem("SBTH", BT1, a_classical, a_moment, np.zeros((4, 4)), params)
+    """Two-oscillator damped model in the BT1 frame, generated from
+    :func:`~momentous.algebra.sbth_hamiltonian` with the classical form for
+    the means and the quantum form for the moments. Each entry is exactly
+    +-1 times one Hessian entry; :func:`sbth_moment_rows` checks it."""
+    forms = SymplecticForm.classical(BT1), SymplecticForm.quantum(BT1)
+    return generate_dynamics(sbth_hamiltonian(params), *forms, params, "SBTH")
 
 
 def sbth_moment_rows(params: ModelParams) -> np.ndarray:
-    """Literal row-by-row transcription of the ten moment rate equations.
+    """Literal row-by-row transcription of the paper's ten moment rate equations.
 
     Returns the 10x10 matrix over the canonical moment order of the BT1
-    frame. Kept independent of both :func:`build_sbth`'s generator form and
-    the bracket machinery so that all three constructions can be
-    cross-checked against each other.
+    frame. Kept independent of the Hamiltonian and the bracket machinery,
+    so that it checks the system :func:`build_sbth` generates.
     """
     lam = params.lambda_damp
     k = params.m * params.big_omega**2

@@ -1,4 +1,5 @@
-"""Shared fixtures: the standard-run parameter point and its long runs.
+"""Shared fixtures: the standard-run parameter point, its long runs, and
+the hand transcription of the two-oscillator generators.
 
 The long integrations are session-scoped so the acceptance criteria and
 the diagnostics tests share them instead of re-integrating.
@@ -6,6 +7,7 @@ the diagnostics tests share them instead of re-integrating.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 import momentous as mm
@@ -51,3 +53,35 @@ def lindblad_run(params):
     """nbar=0 thermal run on the standard grid (matches sbth_run)."""
     means0, cov0 = mm.coherent_initial_state(params, mm.L1)
     return mm.integrate(mm.build_lindblad(params), means0, cov0, PRESET_GRID)
+
+
+@pytest.fixture(scope="session")
+def sbth_transcription():
+    """The BT1 generators ``(a_classical, a_moment)`` of the two-oscillator
+    model, typed by hand from its rate equations: the independent oracle for
+    the system ``build_sbth`` generates from the Hamiltonian. Returns a
+    function of the parameters."""
+
+    def transcribe(params):
+        lam = params.lambda_damp
+        k = params.m * params.big_omega**2
+        im = 1.0 / params.m
+        a_classical = np.array(
+            [
+                [0.0, im, 0.0, -lam],   # x1dot =  p1/m        - lam*x2
+                [-k, 0.0, lam, 0.0],    # p1dot = -m*Om^2*x1   + lam*p2
+                [0.0, lam, 0.0, k],     # p2dot =  lam*p1      + m*Om^2*x2
+                [-lam, 0.0, -im, 0.0],  # x2dot = -lam*x1      - p2/m
+            ]
+        )
+        a_moment = np.array(
+            [
+                [0.0, im, 0.0, -lam],
+                [-k, 0.0, lam, 0.0],
+                [0.0, -lam, 0.0, -k],
+                [lam, 0.0, im, 0.0],
+            ]
+        )
+        return a_classical, a_moment
+
+    return transcribe

@@ -169,12 +169,21 @@ def test_frame_mismatch_rejected(params):
 # ---------------------------------------------------------------------------
 # generated dynamics
 
-def test_generated_equals_transcribed(params):
-    gen = mm.generate_dynamics(mm.sbth_hamiltonian(params), CF, QF, params)
-    ref = mm.build_sbth(params)
-    assert np.array_equal(gen.a_classical, ref.a_classical)
-    assert np.array_equal(gen.a_moment, ref.a_moment)
-    assert np.array_equal(moment_rows(gen.a_moment), sbth_moment_rows(params))
+def test_generated_equals_transcribed(params, sbth_transcription):
+    """build_sbth, the generated system, equals the hand transcription and
+    the paper's moment rows exactly: at the preset, at zero damping (where
+    the generator's +0.0 meets the transcription's -0.0) and at seeded
+    draws of m, lambda, Omega and hbar over 10^+-6."""
+    draws = np.random.default_rng(16)
+    points = [params, mm.ModelParams(lambda_damp=0.0, gamma=0.0)]
+    for m, lam, big_omega, hbar in 10.0 ** draws.uniform(-6, 6, (200, 4)):
+        points.append(mm.ModelParams(m=m, lambda_damp=lam, big_omega=big_omega, hbar=hbar))
+    for p in points:
+        gen = mm.build_sbth(p)
+        a_classical, a_moment = sbth_transcription(p)
+        assert np.array_equal(gen.a_classical, a_classical), p
+        assert np.array_equal(gen.a_moment, a_moment), p
+        assert np.array_equal(moment_rows(gen.a_moment), sbth_moment_rows(p)), p
 
 
 def test_generated_classical_rows(params):

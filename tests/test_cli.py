@@ -221,6 +221,17 @@ def test_unusable_config_file_is_exit_2(tmp_path, capsys, text, message):
     assert not (tmp_path / "run.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [("simulate", "--model", "sbth"), ("compare", "sbth", "lindblad")])
+def test_empty_out_flag_is_exit_2(tmp_path, monkeypatch, capsys, argv):
+    """``--out ""`` is refused in the config file's words, before any run;
+    it was exit 0, simulate writing ``sbth.csv`` and compare writing nothing."""
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv, "--t-end", "1", "--out", "") == 2
+    out = capsys.readouterr()
+    assert out.err == "error: out must be a file name, got ''\n" and out.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("value, shown", [("no", "'no'"), ("1", "1"), ("", "''")])
 def test_check_refuses_an_echoed_emit_xy_that_is_not_a_bool(tmp_path, capsys, value, shown):
     """``simulate --config`` refuses such a value, so a file echoing it
@@ -606,6 +617,10 @@ _SHORT_GRID = ["--dt", "0.1", "--t-end", "20", "--sample-every", "10"]
     (["--model", "sbth", "--m", "1e-300", "--hbar", "1e10"], 3, "initial state overflows"),
     (["--model", "classical", "--m", "1e-300", "--hbar", "1e10"], 3, "initial state overflows"),
     (["--model", "sbth", "--m", "1e-300", "--omega", "1e-300"], 3, "initial state overflows"),
+    (["--model", "sbth", "--m", "1e200", "--big-omega", "1e100"], 3, "coefficients overflow"),
+    # hbar**2/4 and every determinant underflowed to 0: a clean audit at tol 0
+    (["--model", "sbth", "--hbar", "1e-300", "--tol", "0"], 2,
+     "hbar = 1e-300 is too small: its uncertainty bound underflows"),
 ])
 def test_overflowing_parameter_is_exit_2_or_3(tmp_path, capsys, argv, code, named):
     """A float overflow in a parameter's arithmetic is one line on stderr and

@@ -54,6 +54,13 @@ def test_invalid_parameter_values(field, value):
         mm.ModelParams(**{field: value})
 
 
+def test_hbar_whose_uncertainty_bound_underflows_rejected():
+    """hbar**2/4 below the least normal float passes any state at tol 0."""
+    with pytest.raises(ValueError, match=r"hbar = 1e-300 is too small: .* underflows"):
+        mm.ModelParams(hbar=1e-300)
+    assert mm.ModelParams(hbar=1e-150).hbar == 1e-150
+
+
 def test_equivalence_mode_flag():
     assert mm.ModelParams().equivalence_mode
     assert not mm.ModelParams(gamma=0.1).equivalence_mode

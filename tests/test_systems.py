@@ -62,6 +62,15 @@ def test_zero_damping_decouples_into_mirrored_oscillators():
     assert np.array_equal(pair2, -pair1)
 
 
+def test_overflowing_hamiltonian_is_an_overflow_error():
+    """m*Omega**2 = inf: the Hamiltonian refuses it before its symmetry
+    test subtracts inf from inf (a warning, then a ValueError). The CLI's
+    classical model is the closed form, so build_classical, built through
+    build_qdho_xy and build_sbth, is reached from the library only."""
+    with pytest.raises(OverflowError, match="coefficients overflow"):
+        mm.build_classical(mm.ModelParams(m=1e200, big_omega=1e100))
+
+
 def test_classical_sector_blind_to_covariance(params):
     """Means never see the moment state, by construction of the system."""
     grid = mm.IntegratorConfig(1e-3, 10.0, 100)
