@@ -38,7 +38,7 @@ import numpy as np
 
 from .diagnostics import G1_COLUMNS, PAIR_COLUMNS
 from .integrator import IntegratorConfig
-from .model import BT1, L1, CanonicalFrame, ModelParams, Trajectory, covariances_from_moments
+from .model import BT1, L1, CanonicalFrame, ModelParams, Trajectory
 
 __all__ = [
     "CsvFormatError",
@@ -180,20 +180,21 @@ def write_csv(path, config: dict, columns: list[tuple[str, np.ndarray]]) -> None
     """Write a simulation CSV: config comments, header row, data rows.
 
     Each value is written byte for byte as ``"%.16e" % value`` would write
-    it. Rows are rendered ``WRITE_BLOCK`` at a time by :func:`_render_rows`
-    and written as bytes, so the file is never held whole in memory.
+    it. Rows are stacked and rendered ``WRITE_BLOCK`` at a time by
+    :func:`_render_rows` and written as bytes, so neither the file nor the
+    table of its values is ever held whole in memory.
     """
     names = [name for name, _ in columns]
     arrays = [np.asarray(arr, dtype=float) for _, arr in columns]
     n = arrays[0].shape[0]
     if any(a.shape != (n,) for a in arrays):
         raise ValueError("all columns must share one length")
-    data = np.column_stack(arrays)
     head = [f"# {line}" for line in config_lines(config)] + [",".join(names)]
     with open(path, "wb") as fh:
         fh.write("".join(f"{line}\n" for line in head).encode())
         for start in range(0, n, WRITE_BLOCK):
-            fh.write(_render_rows(data[start:start + WRITE_BLOCK]))
+            block = np.column_stack([a[start:start + WRITE_BLOCK] for a in arrays])
+            fh.write(_render_rows(block))
 
 
 # Exact "%.16e" rendering. A finite x != 0 is d.ddddddddddddddddde±XX with
@@ -635,5 +636,10 @@ def trajectory_from_columns(config: dict, columns: dict[str, np.ndarray]) -> Tra
     if frame is None:
         return None
     means = np.column_stack([columns[c] for c in frame.labels])
-    moments = np.column_stack([columns[c] for c in moment_columns])
-    return Trajectory(frame, ts, means, covariances_from_moments(moments, frame.dim), params)
+    # both triangles straight from the moment columns, in moment_order
+    covs = np.empty((len(ts), frame.dim, frame.dim))
+    for name, i, j in zip(moment_columns, *np.triu_indices(frame.dim)):
+        covs[:, i, j] = covs[:, j, i] = columns[name]
+    for arr in (ts, means, covs):  # fresh arrays: the trajectory adopts them
+        arr.setflags(write=False)
+    return Trajectory(frame, ts, means, covs, params)

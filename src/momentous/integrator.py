@@ -30,8 +30,10 @@ __all__ = ["MAX_STEPS", "IntegratorConfig", "IntegrationError", "integrate", "co
 
 # Largest accepted step count t_end/dt: 50 times the largest grid the tests
 # and the benchmark run (200 000 steps). At sample_every = 1 a two-oscillator
-# run this long already holds 1.7 GB of samples, so larger grids are refused
-# before anything is allocated.
+# trajectory stores 168 bytes a sample (t, 4 means, the 4x4 covariance), and
+# integrating it peaks at 288 bytes a sample (traced by tracemalloc): this
+# grid would hold 1.7 GB of samples and need 2.9 GB while it is integrated,
+# so larger grids are refused before anything is allocated.
 MAX_STEPS = 10**7
 
 
@@ -149,15 +151,22 @@ def integrate(
     with np.errstate(over="ignore", invalid="ignore"):
         step_matrix = _rk4_step_matrix(h * _rate_matrix(system))
         for step in range(1, n_steps + 1):
-            y = step_matrix @ y
+            if step % every:
+                y = step_matrix @ y
+            else:  # a sample: the product is written into its row
+                y = np.matmul(step_matrix, y, out=states[out])
+                out += 1
             if not math.isfinite(float(y.sum())):
                 raise IntegrationError(step, step * h)
-            if step % every == 0:
-                states[out] = y
-                out += 1
 
+    # the trajectory adopts these arrays read-only, without copying them;
+    # states, which y may still view, goes before it is built
     covs = covariances_from_moments(states[:, d:-1], d)
-    return Trajectory(system.frame, ts, states[:, :d], covs, system.params)
+    means = states[:, :d].copy()
+    del states, y
+    for arr in (ts, means, covs):
+        arr.setflags(write=False)
+    return Trajectory(system.frame, ts, means, covs, system.params)
 
 
 def convergence_order(

@@ -52,12 +52,21 @@ class FrameError(ValueError):
 def _frozen_array(values, shape=None, what="array", finite=False, sign=0, rtol=0.0):
     """``values`` as a read-only float array: how every container stores one.
 
+    A float64 ndarray that is already read-only is adopted as it is, with no
+    copy; anything else is copied, so the caller's writable array stays
+    apart from the stored one. A writable view taken before an array was
+    made read-only can still write to it; no producer in this package keeps
+    such a view.
+
     Checks ``shape``; with ``finite``, that every entry is finite; with
     ``sign`` +1 (-1), that the matrix is symmetric (antisymmetric) up to
     ``rtol`` times its largest entry, at least 1. A nonzero ``rtol`` stores
     the exactly (anti)symmetric part.
     """
-    arr = np.array(values, dtype=float)
+    if type(values) is np.ndarray and values.dtype == np.float64 and not values.flags.writeable:
+        arr = values
+    else:
+        arr = np.array(values, dtype=float)
     if shape is not None and arr.shape != shape:
         raise ValueError(f"inconsistent shapes: {what} is {arr.shape}, expected {shape}")
     if finite and not np.all(np.isfinite(arr)):
@@ -385,7 +394,9 @@ class Trajectory:
 
     ``ts`` has shape (n,), ``means`` (n, d) and ``covs`` (n, d, d) with d the
     frame dimension. Samples are immutable and share one frame; the output
-    interval of a uniform grid is ``ts[1] - ts[0]``.
+    interval of a uniform grid is ``ts[1] - ts[0]``. Read-only float64
+    arrays are stored as given (``traj.covs is covs``); writable ones are
+    copied (see :func:`_frozen_array`).
     """
 
     frame: CanonicalFrame
@@ -472,7 +483,9 @@ def transform_state(
 
 def _transport(t: np.ndarray, means: np.ndarray, covs: np.ndarray):
     """Means ``t z`` and covariances ``t S t^T`` of one state or a stack of
-    them; the covariances are re-symmetrized exactly, so round-off cannot
-    leak asymmetry downstream."""
+    them, as new arrays; the covariances are re-symmetrized exactly, in
+    place, so round-off cannot leak asymmetry downstream."""
     covs = t @ covs @ t.T
-    return means @ t.T, 0.5 * (covs + np.swapaxes(covs, -1, -2))
+    covs += np.swapaxes(covs, -1, -2)
+    covs *= 0.5
+    return means @ t.T, covs

@@ -284,12 +284,21 @@ def lindblad_diffusion(params: ModelParams) -> tuple[float, float, float]:
 
 def lindblad_margin(params: ModelParams) -> float:
     """Determinant margin ``d_xx*d_pp - d_px**2 - (hbar*gamma/2)**2`` of the
-    thermal diffusion; non-negative for every ``nbar >= 0``."""
-    d_xx, d_pp, d_px = lindblad_diffusion(params)
+    thermal diffusion.
+
+    The ``m*omega`` factors of ``d_xx*d_pp`` cancel and ``d_px = 0``, so it
+    is computed as the equal ``(hbar*gamma)**2 * nbar * (nbar + 1)``, with
+    no difference of rounded terms: non-negative for every ``nbar >= 0``
+    and exactly 0 at ``nbar = 0``. Raises ``OverflowError`` when
+    ``(hbar*gamma)**2`` is beyond the float range.
+    """
     try:
-        return d_xx * d_pp - d_px**2 - (0.5 * params.hbar * params.gamma) ** 2
+        square = (params.hbar * params.gamma) ** 2
     except OverflowError:  # a float's ``**`` overflow names no quantity
-        raise OverflowError("the thermal diffusion margin overflows") from None
+        square = np.inf
+    if square == np.inf:  # hbar*gamma itself may have overflowed to inf
+        raise OverflowError("the thermal diffusion margin overflows")
+    return square * params.nbar * (params.nbar + 1.0)
 
 
 def moment_margin(params: ModelParams, u_pair1):
@@ -307,9 +316,10 @@ def moment_margin(params: ModelParams, u_pair1):
 class DiffusionReport:
     """Diffusion coefficients of both models and their determinant margins.
 
-    ``margin_lindblad = d_xx*d_pp - d_px**2 - (hbar*gamma/2)**2`` and
-    ``margin_moment = d_gxx*d_gpp - d_gpx**2 - (lambda_damp*hbar)**2``.
-    Margins are reported, never enforced.
+    ``margin_lindblad = d_xx*d_pp - d_px**2 - (hbar*gamma/2)**2``, computed
+    as its equal ``(hbar*gamma)**2*nbar*(nbar + 1)`` (see
+    :func:`lindblad_margin`), and ``margin_moment = d_gxx*d_gpp - d_gpx**2 -
+    (lambda_damp*hbar)**2``. Margins are reported, never enforced.
     """
 
     d_xx: float
@@ -358,6 +368,8 @@ def xy_view(traj: Trajectory) -> Trajectory:
     if traj.frame != BT1:
         raise FrameError("xy_view expects a BT1 trajectory")
     means, covs = _transport(_BT1_TO_XY, traj.means, traj.covs)
+    for arr in (means, covs):  # fresh arrays: the trajectory adopts them
+        arr.setflags(write=False)
     return Trajectory(XY, traj.ts, means, covs, traj.params)
 
 

@@ -1,11 +1,13 @@
-"""Shared fixtures: the standard-run parameter point, its long runs, and
-the hand transcription of the two-oscillator generators.
+"""Shared fixtures: the standard-run parameter point, its long runs, the
+hand transcription of the two-oscillator generators, and a traced-memory
+probe.
 
 The long integrations are session-scoped so the acceptance criteria and
 the diagnostics tests share them instead of re-integrating.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,3 +87,20 @@ def sbth_transcription():
         return a_classical, a_moment
 
     return transcribe
+
+
+@pytest.fixture
+def traced_peak():
+    """``peak(fn)``: the most bytes ``tracemalloc`` traces while ``fn()``
+    runs, above those held when it starts. numpy reports its array buffers
+    to ``tracemalloc``, so this is the peak of the arrays ``fn`` makes."""
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fn()
+            return tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+    return peak

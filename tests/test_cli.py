@@ -589,6 +589,17 @@ def test_traced_call_sites_are_reached(tmp_path, monkeypatch):
                      "energy_report": 2}
 
 
+def test_dense_simulate_stores_each_sample_once(tmp_path, traced_peak):
+    """A dense two-oscillator simulate holds each sample's arrays once: the
+    trajectory adopts the integrator's and the XY view's arrays, and the
+    writer stacks one block of rows at a time. It peaked at 675 bytes a
+    sample, copying each layer's arrays again."""
+    argv = ("simulate", "--model", "sbth", "--t-end", "20", "--sample-every", "1",
+            "--emit-xy", "--out", str(tmp_path / "dense.csv"))
+    assert run(*argv) == 0  # lazily built tables and caches
+    assert traced_peak(lambda: run(*argv)) <= 550 * 20_001
+
+
 def test_console_script_is_cli_main():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).parents[1] / "pyproject.toml"
@@ -671,6 +682,13 @@ def test_nan_determinant_file_fails_check(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert "uncertainty violations: 20 " in captured.out
+
+
+def test_thermal_margin_of_a_tiny_hbar_is_zero(tmp_path, capsys):
+    """The margin's rounded terms near 1.6e-303 once left -3.23791e-319."""
+    assert run("simulate", "--model", "lindblad", "--hbar", "1e-150", "--dt", "0.1",
+               "--t-end", "2", "--out", str(tmp_path / "run.csv")) == 0
+    assert "diffusion margin (thermal model): 0\n" in capsys.readouterr().out
 
 
 # at nbar = 1e300 the moments overflow: the U1 determinants are NaN, and the

@@ -90,6 +90,14 @@ def test_bit_identical_reruns(params):
     assert np.array_equal(a.ts, b.ts)
 
 
+def test_integrated_samples_are_read_only(sbth_run):
+    """The trajectory adopts the arrays the integrator filled, read-only."""
+    for arr in (sbth_run.ts, sbth_run.means, sbth_run.covs):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
 def test_covariance_exactly_symmetric(params, sbth_run):
     asym = np.abs(sbth_run.covs - sbth_run.covs.transpose(0, 2, 1)).max()
     assert asym == 0.0

@@ -149,6 +149,36 @@ def test_trajectory_validation():
         mm.Trajectory(mm.L1, [0.0, 1.0], np.zeros((2, 3)), np.zeros((2, 2, 2)))
 
 
+def _trajectory_arrays():
+    return np.arange(3.0), RNG.normal(size=(3, 2)), np.tile(np.eye(2), (3, 1, 1))
+
+
+def test_trajectory_adopts_read_only_float_arrays():
+    """A read-only float64 array is stored as it is, not copied again."""
+    ts, means, covs = _trajectory_arrays()
+    for arr in (ts, means, covs):
+        arr.setflags(write=False)
+    traj = mm.Trajectory(mm.L1, ts, means, covs)
+    assert traj.ts is ts and traj.means is means and traj.covs is covs
+
+
+def test_trajectory_copies_what_it_cannot_adopt():
+    """Writable arrays, other dtypes and lists are copied into read-only
+    float64 arrays that share no memory with what was given."""
+    ts, means, covs = _trajectory_arrays()
+    single = covs.astype(np.float32)
+    single.setflags(write=False)
+    traj = mm.Trajectory(mm.L1, ts.tolist(), means, single)
+    for given, stored in ((means, traj.means), (single, traj.covs)):
+        assert not np.shares_memory(given, stored)
+    for stored in (traj.ts, traj.means, traj.covs):
+        assert stored.dtype == np.float64 and not stored.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 0.0
+    means[0, 0] = 7.0
+    assert traj.means[0, 0] != 7.0
+
+
 # ---------------------------------------------------------------------------
 # transforms
 

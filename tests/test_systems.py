@@ -5,7 +5,7 @@ import pytest
 
 import momentous as mm
 from momentous.model import covariances_from_moments, moment_order
-from momentous.systems import moment_rows, sbth_moment_rows
+from momentous.systems import lindblad_diffusion, lindblad_margin, moment_rows, sbth_moment_rows
 
 RNG = np.random.default_rng(4711)
 
@@ -203,6 +203,38 @@ def test_diffusion_constants_nbar2(params):
     assert rep.margin_lindblad > 0.0
 
 
+@pytest.mark.parametrize("hbar", [1e-150, 1e-100, 1e-60, 1e-20, 1.0, 1e100])
+def test_thermal_margin_is_exactly_zero_at_zero_occupation(params, hbar):
+    """``(hbar*gamma)**2*nbar*(nbar + 1)`` is 0 at nbar = 0; as the
+    difference ``d_xx*d_pp - (hbar*gamma/2)**2`` it read +1.99e-59 at
+    hbar 1e-20 and -3.2e-319 at hbar 1e-150."""
+    assert lindblad_margin(dataclasses.replace(params, hbar=hbar)) == 0.0
+
+
+def test_thermal_margin_equals_the_determinant_difference():
+    """Off nbar = 0 the closed form is the difference of the diffusion
+    terms, at points where that difference does not cancel."""
+    for _ in range(200):
+        m, omega, hbar, gamma = 10.0 ** RNG.uniform(-6.0, 6.0, size=4)
+        nbar = 10.0 ** RNG.uniform(-3.0, 3.0)
+        p = mm.ModelParams(m=m, hbar=hbar, gamma=gamma, omega=omega, omega_prime=omega,
+                           nbar=nbar)
+        d_xx, d_pp, d_px = lindblad_diffusion(p)
+        difference = d_xx * d_pp - d_px**2 - (0.5 * hbar * gamma) ** 2
+        assert lindblad_margin(p) > 0.0
+        assert lindblad_margin(p) == pytest.approx(difference, rel=1e-12)
+    assert lindblad_margin(mm.ModelParams(nbar=2.0)) == 0.038400000000000004
+
+
+@pytest.mark.parametrize("hbar, gamma", [(1.0, 1e300), (1e10, 1e300)])
+def test_thermal_margin_overflow_is_an_overflow_error(params, hbar, gamma):
+    """Whether ``hbar*gamma`` or only its square leaves the float range; an
+    overflowed ``hbar*gamma`` gave a NaN margin."""
+    p = dataclasses.replace(params, hbar=hbar, gamma=gamma, nbar=2.0)
+    with pytest.raises(OverflowError, match="thermal diffusion margin overflows"):
+        lindblad_margin(p)
+
+
 def test_coherent_state_saturates_moment_margin(params):
     means0, cov0 = mm.coherent_initial_state(params)
     rep = mm.diffusion_report(params, cov0)
@@ -303,6 +335,15 @@ def test_xy_view_matches_per_sample_transform(params, sbth_run):
         scale = max(1.0, float(np.abs(means.values).max()))
         assert np.abs(view.means[i] - m2.values).max() <= 1e-15 * scale
         assert np.abs(view.covs[i] - c2.entries).max() <= 1e-15 * scale
+
+
+def test_xy_view_samples_are_read_only(sbth_run):
+    view = mm.xy_view(sbth_run)
+    assert view.ts is sbth_run.ts  # read-only already: adopted, not copied
+    for arr in (view.means, view.covs):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
 
 
 def test_integrated_xy_system_matches_view(params):
