@@ -149,13 +149,6 @@ def _run_model(model: str, params: ModelParams, grid: IntegratorConfig) -> Traje
     return Trajectory(L1, ts, np.column_stack([x, p]), covs, params)
 
 
-def _report_audit(run: Run, tol: float) -> bool:
-    """Print the audit summary of a run; True when it finds no violation."""
-    result = audit(run, tol)
-    print(result.summary())
-    return result.ok
-
-
 def _derived_mismatch(run: Run, model: str, columns: dict) -> str | None:
     """The first derived column of a file (a header column other than the
     time, the means and the moments) that its rebuilt run does not
@@ -193,11 +186,13 @@ def cmd_simulate(args) -> int:
     if xy_names:  # echoed only by a model that has XY columns
         echo["emit-xy"] = with_xy
     names = MODELS[model].layout(with_xy)
+    # judged before writing, so a run that fails numerically leaves no file
+    result = audit(run, tol) if frame is not None else None
     cols = trajectory_columns(run, names)
     write_csv(out, echo, [(name, cols[name]) for name in names])
     print(f"wrote {out} ({run.traj.n_samples} samples, t in [0, {run.traj.ts[-1]:g}])")
-    if frame is not None:
-        _report_audit(run, tol)
+    if result is not None:
+        print(result.summary())
     return 0
 
 
@@ -262,7 +257,9 @@ def cmd_check(args) -> int:
         return 0
     print(f"audit of {args.csv}")
     run = Run(traj)
-    if not _report_audit(run, tol):
+    result = audit(run, tol)
+    print(result.summary())
+    if not result.ok:
         return 1  # a state that fails the audit may have no energies to recompute
     mismatch = _derived_mismatch(run, config["model"], columns)
     if mismatch is not None:

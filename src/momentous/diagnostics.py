@@ -19,7 +19,6 @@ from .model import (
     XY,
     CanonicalFrame,
     CovarianceMatrix,
-    FrameError,
     MeanVector,
     ModelParams,
     Trajectory,
@@ -65,7 +64,9 @@ def coherent_initial_state(
     In the BT1 frame the mirror sector carries the same data, giving means
     ``(2*sqrt(n*hbar/(m*omega)), 0, 0, 0)`` and variances
     ``(hbar/2m*omega, m*hbar*omega/2, m*hbar*omega/2, hbar/2m*omega)``
-    down the diagonal.
+    down the diagonal. Other two-mode frames get this state through
+    :func:`transform_state`, which raises ``FrameError`` for a frame it
+    cannot reach.
 
     Raises ``OverflowError`` when a mean or a variance is beyond the float
     range.
@@ -89,11 +90,7 @@ def coherent_initial_state(
         )
     means = MeanVector(BT1, [x0, 0.0, 0.0, 0.0])
     cov = CovarianceMatrix(BT1, np.diag([gq, gp, gp, gq]))
-    if frame == BT1:
-        return means, cov
-    if frame == XY:
-        return transform_state(means, cov, XY)
-    raise FrameError(f"no coherent state defined for frame {frame.name}")
+    return transform_state(means, cov, frame)
 
 
 def lindblad_mean_energy(params: ModelParams, t) -> np.ndarray:

@@ -436,12 +436,11 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # frame transformations
 
-_S = 1.0 / math.sqrt(2.0)
-
 # rows (x, p_x, y, p_y) in terms of columns (x1, p1, p2, x2):
 #   x = (x1 + x2)/sqrt(2),  p_x = (p1 - p2)/sqrt(2),
 #   y = (x1 - x2)/sqrt(2),  p_y = (p1 + p2)/sqrt(2)
-# kept as its exact sign pattern P; P/sqrt(2) is orthogonal, so P P^T = 2 I
+# kept as its exact sign pattern P, the map's one form; P/sqrt(2) is
+# orthogonal, so P P^T = P^T P = 2 I and P^T is the way back
 _BT1_XY_SIGNS = np.array(
     [
         [1.0, 0.0, 0.0, 1.0],
@@ -450,7 +449,6 @@ _BT1_XY_SIGNS = np.array(
         [0.0, 1.0, 1.0, 0.0],
     ]
 )
-_BT1_TO_XY = _S * _BT1_XY_SIGNS
 
 
 def transform_state(
@@ -458,11 +456,12 @@ def transform_state(
 ) -> tuple[MeanVector, CovarianceMatrix]:
     """The (means, covariance) state in the frame ``target``.
 
-    Supports BT1 <-> XY (both directions) and the identity on any frame.
-    Means map as ``T z``; the covariance by congruence, ``T S T^T``, which is
-    re-symmetrized exactly. The map is canonical, so the covariance keeps
-    its commutator structure. Raises ``FrameError`` for any other frame pair
-    and when ``means`` and ``cov`` disagree on their frame.
+    Supports BT1 <-> XY (both directions) and the identity on any frame,
+    which returns the state as given. BT1 -> XY applies the exact sign
+    pattern ``P`` that ``build_qdho_xy`` applies to the generators, XY -> BT1
+    its transpose (see :func:`_transport`). The map is canonical, so the
+    covariance keeps its commutator structure. Raises ``FrameError`` for any
+    other frame pair and when ``means`` and ``cov`` disagree on their frame.
     """
     source = means.frame
     if cov.frame != source:
@@ -470,22 +469,24 @@ def transform_state(
             f"state frames disagree: means {source.name}, covariance {cov.frame.name}"
         )
     if source == target:
-        t = np.eye(source.dim)
-    elif (source, target) == (BT1, XY):
-        t = _BT1_TO_XY
+        return means, cov
+    if (source, target) == (BT1, XY):
+        signs = _BT1_XY_SIGNS
     elif (source, target) == (XY, BT1):
-        t = _BT1_TO_XY.T  # the map is orthogonal
+        signs = _BT1_XY_SIGNS.T
     else:
         raise FrameError(f"no transformation registered for {source.name} -> {target.name}")
-    new_means, new_cov = _transport(t, means.values, cov.entries)
+    new_means, new_cov = _transport(signs, means.values, cov.entries)
     return MeanVector(target, new_means), CovarianceMatrix(target, new_cov)
 
 
-def _transport(t: np.ndarray, means: np.ndarray, covs: np.ndarray):
-    """Means ``t z`` and covariances ``t S t^T`` of one state or a stack of
-    them, as new arrays; the covariances are re-symmetrized exactly, in
+def _transport(signs: np.ndarray, means: np.ndarray, covs: np.ndarray):
+    """Means ``(P z)/sqrt(2)`` and covariances ``(P S P^T)/2`` of one state
+    or a stack of them, for a sign pattern ``P`` with ``P P^T = 2 I``, as
+    new arrays. Each covariance entry is a signed sum of four entries of
+    ``S``, halved exactly; the covariances are re-symmetrized exactly, in
     place, so round-off cannot leak asymmetry downstream."""
-    covs = t @ covs @ t.T
+    covs = signs @ covs @ signs.T
     covs += np.swapaxes(covs, -1, -2)
-    covs *= 0.5
-    return means @ t.T, covs
+    covs *= 0.25
+    return (means @ signs.T) * (1.0 / math.sqrt(2.0)), covs

@@ -39,7 +39,6 @@ from .model import (
     FrameError,
     ModelParams,
     Trajectory,
-    _BT1_TO_XY,
     _BT1_XY_SIGNS,
     _frozen_array,
     _transport,
@@ -198,8 +197,9 @@ def build_qdho_xy(params: ModelParams) -> ModelSystem:
     pair accurate over long runs, where an integrated BT1 run loses it to
     cancellation in :func:`xy_view` (the mirror mode grows like
     ``e^{lam*t}``): at ``lambda_damp = 1``, ``gamma = 2``, all frequencies
-    1.5, ``dt = 1e-3`` and ``t = 40``, the final ``E_mean`` is
-    0.7499999999999998 here against 1300.5 from the BT1 run (exact: 0.75).
+    1.5, ``dt = 1e-3`` and ``t = 40``, the final ``E_mean`` is 0.75 here,
+    the exact value, while the BT1 run's physical pair carries round-off of
+    size ``eps*e^{lam*t}`` times the starting amplitude.
     """
     sbth = build_sbth(params)
     a_classical, a_moment = (
@@ -367,7 +367,7 @@ def xy_view(traj: Trajectory) -> Trajectory:
     """Transport a BT1 trajectory to the XY frame, sample by sample."""
     if traj.frame != BT1:
         raise FrameError("xy_view expects a BT1 trajectory")
-    means, covs = _transport(_BT1_TO_XY, traj.means, traj.covs)
+    means, covs = _transport(_BT1_XY_SIGNS, traj.means, traj.covs)
     for arr in (means, covs):  # fresh arrays: the trajectory adopts them
         arr.setflags(write=False)
     return Trajectory(XY, traj.ts, means, covs, traj.params)

@@ -425,10 +425,14 @@ def test_simulate_bad_tol_is_exit_2_before_writing(tmp_path, capsys):
 
 
 def test_zero_tol_in_config_is_honoured(tmp_path, capsys):
+    """An exactly saturating sbth run has no violation at tol 0: its XY view
+    is the exact sign pattern halved, with no rounded 1/sqrt(2) bias."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model = sbth\nt-end = 2\ntol = 0\n")
     assert run("simulate", "--config", str(cfg), "--out", str(tmp_path / "run.csv")) == 0
-    assert "tol 0," in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "tol 0," in out and "uncertainty violations: 0 " in out
+    assert run("check", str(tmp_path / "run.csv"), "--tol", "0") == 0
     path = _corrupted_run(tmp_path, "# tol = 0")
     capsys.readouterr()
     assert run("check", str(path)) == 1
@@ -632,14 +636,19 @@ _SHORT_GRID = ["--dt", "0.1", "--t-end", "20", "--sample-every", "10"]
     # hbar**2/4 and every determinant underflowed to 0: a clean audit at tol 0
     (["--model", "sbth", "--hbar", "1e-300", "--tol", "0"], 2,
      "hbar = 1e-300 is too small: its uncertainty bound underflows"),
+    # the system's diffusion source overflows, past every parameter check
+    (["--model", "lindblad", "--gamma", "1e300", "--nbar", "1e300"], 3,
+     "coefficients overflow (diffusion)"),
 ])
 def test_overflowing_parameter_is_exit_2_or_3(tmp_path, capsys, argv, code, named):
     """A float overflow in a parameter's arithmetic is one line on stderr and
     exit 2 naming the parameter, or 3 for a numerical failure; it was an
-    OverflowError traceback, exit 1."""
-    assert run("simulate", *_SHORT_GRID, *argv, "--out", str(tmp_path / "run.csv")) == code
+    OverflowError traceback, exit 1. Either way no file is written."""
+    out = tmp_path / "run.csv"
+    assert run("simulate", *_SHORT_GRID, *argv, "--out", str(out)) == code
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and named in err
+    assert not out.exists()
 
 
 def test_compare_of_an_overflowing_initial_state_is_exit_3(capsys):

@@ -355,7 +355,7 @@ def test_integrated_moments_match_the_exact_flow():
     for lindblad and for the XY view of sbth, at eight underdamped draws
     and two step sizes. The worst C measured is about 20 (sbth's XY
     covariance), the same at h = 0.1, 0.05 and 0.025: fourth order."""
-    to_xy = model._BT1_TO_XY
+    to_xy = model._BT1_XY_SIGNS / math.sqrt(2.0)
     for seed in range(8):
         p = _random_params(np.random.default_rng(100 + seed), n_level=1 + seed % 4)
         for h in (0.1, 0.05):

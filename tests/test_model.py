@@ -264,9 +264,12 @@ def test_explicit_formulas_match_congruence_on_random_covariances():
 
 
 def test_congruence_preserves_pair_determinants_on_coherent_state(params):
-    """Block-diagonal (coherent) input: both frames saturate hbar^2/4."""
+    """Block-diagonal (coherent) input: both frames saturate hbar^2/4
+    exactly, since the map halves the exact sign pattern's congruence."""
     means, cov = mm.coherent_initial_state(params)
     assert cov.pair_determinant(0) == 0.25
     _, cov_xy = mm.transform_state(means, cov, mm.XY)
-    assert abs(cov_xy.pair_determinant(0) - 0.25) <= 1e-15
-    assert abs(cov_xy.pair_determinant(1) - 0.25) <= 1e-15
+    gq, gp = cov.entries[0, 0], cov.entries[1, 1]
+    assert np.array_equal(cov_xy.entries, np.diag([gq, gp, gq, gp]))
+    assert cov_xy.pair_determinant(0) == 0.25
+    assert cov_xy.pair_determinant(1) == 0.25

@@ -318,8 +318,9 @@ def test_qdho_xy_generators_are_exact():
 
 def test_qdho_xy_long_run_keeps_the_energy():
     """Integrated in its own frame, the XY system holds the physical energy
-    where the mirror mode has grown by e^40: the BT1 run's xy_view reads
-    about 1300 at this point, against 0.75."""
+    where the mirror mode has grown by e^40: the BT1 run's xy_view carries
+    round-off of size eps*e^40 times the starting amplitude at this point,
+    against an exact 0.75."""
     p = mm.ModelParams(lambda_damp=1.0, gamma=2.0, big_omega=1.5, omega=1.5, omega_prime=1.5)
     run = mm.integrate(mm.build_qdho_xy(p), *mm.coherent_initial_state(p, mm.XY),
                        mm.IntegratorConfig(1e-3, 40.0, 1000))
