@@ -44,7 +44,13 @@ from .diagnostics import (
 )
 from .integrator import IntegrationError, IntegratorConfig, integrate
 from .model import BT1, L1, ModelParams, Trajectory, finite_real
-from .systems import build_lindblad, build_sbth, classical_analytic
+from .systems import (
+    build_lindblad,
+    build_sbth,
+    classical_analytic,
+    lindblad_margin,
+    moment_margin,
+)
 
 __all__ = ["main", "ConfigError", "PRESETS"]
 
@@ -136,28 +142,38 @@ def _tolerance(flag, configs, default: float) -> float:
     return tol
 
 
-def _run_model(model: str, params: ModelParams, grid: IntegratorConfig) -> Trajectory:
-    """Integrate one model (or evaluate the classical closed form)."""
+def _run_model(model: str, params: ModelParams, grid: IntegratorConfig,
+               judge_margins: bool = False) -> Trajectory:
+    """Integrate one model (or evaluate the classical closed form).
+
+    With ``judge_margins``, the diffusion margins that ``audit`` reports are
+    evaluated at the initial state between the build and the first step:
+    their overflow depends only on ``params``, so such a run fails
+    (``OverflowError``) before it costs any step.
+    """
+    if model == "classical":
+        ts = grid.sample_times
+        means0, _ = coherent_initial_state(params, L1)
+        x, p = classical_analytic(params, *means0.values, ts)
+        covs = np.zeros((len(ts), 2, 2))
+        return Trajectory(L1, ts, np.column_stack([x, p]), covs, params)
     if model == "sbth":
-        return integrate(build_sbth(params), *coherent_initial_state(params, BT1), grid)
-    if model == "lindblad":
-        return integrate(build_lindblad(params), *coherent_initial_state(params, L1), grid)
-    ts = grid.sample_times
-    means0, _ = coherent_initial_state(params, L1)
-    x, p = classical_analytic(params, *means0.values, ts)
-    covs = np.zeros((len(ts), 2, 2))
-    return Trajectory(L1, ts, np.column_stack([x, p]), covs, params)
+        system, (means0, cov0) = build_sbth(params), coherent_initial_state(params, BT1)
+    else:
+        system, (means0, cov0) = build_lindblad(params), coherent_initial_state(params, L1)
+    if judge_margins:
+        lindblad_margin(params)
+        if model == "sbth":
+            moment_margin(params, cov0.pair_determinant(0))
+    return integrate(system, means0, cov0, grid)
 
 
-def _derived_mismatch(run: Run, model: str, columns: dict) -> str | None:
-    """The first derived column of a file (a header column other than the
-    time, the means and the moments) that its rebuilt run does not
-    reproduce, with its first bad data row; None if every one matches."""
-    frame, moments, _, _ = MODELS[model]
-    stored = ("t", *frame.labels, *moments)
-    derived = [name for name in columns if name not in stored]
+def _derived_mismatch(run: Run, derived: dict) -> str | None:
+    """The first of a file's ``derived`` columns (name: values read; every
+    header column but its model's ``stored`` ones) that its rebuilt run does
+    not reproduce, with its first bad data row; None if every one matches."""
     for name, value in trajectory_columns(run, derived).items():
-        read = columns[name]
+        read = derived[name]
         scale = np.abs(value[np.isfinite(value)]).max(initial=0.0)
         with np.errstate(invalid="ignore", over="ignore"):
             off = ~((read == value) | (np.abs(read - value) <= _RECOMPUTE_RTOL * scale))
@@ -181,7 +197,7 @@ def cmd_simulate(args) -> int:
     frame, _, _, xy_names = MODELS[model]
     with_xy = emit_xy(cfg) and bool(xy_names)
     out = _file_name(args.out) if args.out is not None else cfg.get("out", f"{model}.csv")
-    run = Run(_run_model(model, params, grid))
+    run = Run(_run_model(model, params, grid, judge_margins=True))
     echo = {"model": model, **run_config(params, grid)}
     if xy_names:  # echoed only by a model that has XY columns
         echo["emit-xy"] = with_xy
@@ -255,13 +271,18 @@ def cmd_check(args) -> int:
     if traj is None:
         print(f"{args.csv}: classical run, no quantum moments to audit")
         return 0
+    # the run holds its own copies of the stored columns; each derived one is
+    # copied out of read_csv's table, so the table is freed before the audit
+    stored = MODELS[config["model"]].stored
+    derived = {name: np.array(value) for name, value in columns.items() if name not in stored}
+    del columns
     print(f"audit of {args.csv}")
     run = Run(traj)
     result = audit(run, tol)
     print(result.summary())
     if not result.ok:
         return 1  # a state that fails the audit may have no energies to recompute
-    mismatch = _derived_mismatch(run, config["model"], columns)
+    mismatch = _derived_mismatch(run, derived)
     if mismatch is not None:
         print(mismatch)
         return 1

@@ -75,6 +75,12 @@ class ModelColumns(NamedTuple):
         """The header of a file of this model, in order."""
         return self.columns + self.xy_columns if emit_xy else self.columns
 
+    @property
+    def stored(self) -> tuple[str, ...]:
+        """The columns a quantum model's file is rebuilt from: the time, the
+        means and the moments. Every other column derives from them."""
+        return ("t", *self.frame.labels, *self.moments)
+
 
 # the models the command line runs, by name: the one table of file schemas
 MODELS = {

@@ -243,8 +243,11 @@ class InvariantAudit:
             f"uncertainty violations: {self.n_violations} "
             f"(bound {_uncertainty_bound(self.hbar):g}, tol {self.tol:g}, "
             f"min determinant {self.min_uncertainty:.6g})",
-            f"diffusion margin (thermal model): {self.margin_lindblad:.6g}",
         ]
+        if self.n_violations:
+            first = int(np.argmax(self.violation_flags))
+            lines.append(f"first violation: t = {self.ts[first]:g}, data row {first + 1}")
+        lines.append(f"diffusion margin (thermal model): {self.margin_lindblad:.6g}")
         if self.margin_moment_min is not None:
             lines.append(f"diffusion margin (moment model, min): {self.margin_moment_min:.6g}")
         lines.append(

@@ -436,6 +436,10 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # frame transformations
 
+# Samples :func:`_transport` maps at a time: its temporaries are one or two
+# chunks of 4x4 covariances, 0.5 MB each, however long the run is.
+TRANSPORT_CHUNK = 4096
+
 # rows (x, p_x, y, p_y) in terms of columns (x1, p1, p2, x2):
 #   x = (x1 + x2)/sqrt(2),  p_x = (p1 - p2)/sqrt(2),
 #   y = (x1 - x2)/sqrt(2),  p_y = (p1 + p2)/sqrt(2)
@@ -485,8 +489,17 @@ def _transport(signs: np.ndarray, means: np.ndarray, covs: np.ndarray):
     or a stack of them, for a sign pattern ``P`` with ``P P^T = 2 I``, as
     new arrays. Each covariance entry is a signed sum of four entries of
     ``S``, halved exactly; the covariances are re-symmetrized exactly, in
-    place, so round-off cannot leak asymmetry downstream."""
-    covs = signs @ covs @ signs.T
-    covs += np.swapaxes(covs, -1, -2)
-    covs *= 0.25
-    return (means @ signs.T) * (1.0 / math.sqrt(2.0)), covs
+    place, so round-off cannot leak asymmetry downstream. A stack goes
+    through in chunks of ``TRANSPORT_CHUNK`` samples, written straight into
+    the output, so no temporary grows with the stack; each sample's
+    arithmetic is the same in any chunk."""
+    stack = covs.reshape(-1, *covs.shape[-2:])
+    out = np.empty_like(stack)
+    for k in range(0, len(stack), TRANSPORT_CHUNK):
+        block = out[k:k + TRANSPORT_CHUNK]
+        np.matmul(signs @ stack[k:k + TRANSPORT_CHUNK], signs.T, out=block)
+        block += np.swapaxes(block, -1, -2)
+        block *= 0.25
+    new_means = means @ signs.T
+    new_means *= 1.0 / math.sqrt(2.0)
+    return new_means, out.reshape(covs.shape)

@@ -548,6 +548,7 @@ def test_simulate_and_check_print_one_audit(tmp_path, capsys):
     assert simulated[0].startswith("wrote ") and checked[0] == f"audit of {out}"
     assert simulated[1:] == checked[1:]
     assert checked[2].startswith("uncertainty violations: 95 ")
+    assert checked[3] == "first violation: t = 12, data row 7"
 
 
 def test_models_share_one_sample_grid(params):
@@ -604,6 +605,18 @@ def test_dense_simulate_stores_each_sample_once(tmp_path, traced_peak):
     assert traced_peak(lambda: run(*argv)) <= 550 * 20_001
 
 
+def test_dense_check_stores_each_sample_once(tmp_path, traced_peak):
+    """A dense check frees the table read_csv parsed once the run is rebuilt
+    from it, keeping only the derived columns it compares, and the XY view
+    transports the run in bounded chunks. It peaked at 638 bytes a sample,
+    holding the table and the whole-stack transport's temporaries."""
+    out = tmp_path / "dense.csv"
+    assert run("simulate", "--model", "sbth", "--t-end", "20", "--sample-every", "1",
+               "--emit-xy", "--out", str(out)) == 0
+    assert run("check", str(out)) == 0  # lazily built tables and caches
+    assert traced_peak(lambda: run("check", str(out))) <= 540 * 20_001
+
+
 def test_console_script_is_cli_main():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).parents[1] / "pyproject.toml"
@@ -651,6 +664,26 @@ def test_overflowing_parameter_is_exit_2_or_3(tmp_path, capsys, argv, code, name
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["--gamma", "1e300"], "thermal"),
+    (["--hbar", "1e154", "--lambda", "2"], "moment"),
+])
+def test_overflowing_margin_is_exit_3_before_the_first_step(tmp_path, capsys, monkeypatch,
+                                                            argv, named):
+    """The margins' overflow depends only on the parameters, so simulate
+    refuses the run between the build and the first step; it integrated
+    80 000 steps first."""
+    def integrate(*args):
+        raise AssertionError("integrated a run whose margin overflows")
+
+    monkeypatch.setattr(cli, "integrate", integrate)
+    out = tmp_path / "run.csv"
+    assert run("simulate", "--model", "sbth", *argv, "--out", str(out)) == 3
+    assert capsys.readouterr().err == (
+        f"numerical failure: the {named} diffusion margin overflows\n")
+    assert not out.exists()
+
+
 def test_compare_of_an_overflowing_initial_state_is_exit_3(capsys):
     assert run("compare", "sbth", "lindblad", "--m", "1e-300", "--hbar", "1e10",
                *_SHORT_GRID) == 3
@@ -691,6 +724,7 @@ def test_nan_determinant_file_fails_check(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert "uncertainty violations: 20 " in captured.out
+    assert "\nfirst violation: t = 1, data row 2\n" in captured.out
 
 
 def test_thermal_margin_of_a_tiny_hbar_is_zero(tmp_path, capsys):
