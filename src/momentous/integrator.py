@@ -10,8 +10,11 @@ unpacked from the moments, so it is symmetric by construction.
 
 The system is linear and time-invariant, so one RK4 step is one fixed
 matrix, the degree-4 Taylor polynomial of ``h`` times the rate matrix. It
-is built once per run; each step is then one matrix-vector product
-followed by the finiteness check, so a failure names its exact step.
+is built once per run; each step is then one matrix-vector product. A
+step that is not stored is checked for finiteness at once, since its
+value is lost; stored samples are checked together, one block of rows at
+a time and once more at the end. A failure still names its exact step:
+the earliest non-finite one of either kind.
 """
 
 from __future__ import annotations
@@ -35,6 +38,10 @@ __all__ = ["MAX_STEPS", "IntegratorConfig", "IntegrationError", "integrate", "co
 # grid would hold 1.7 GB of samples and need 2.9 GB while it is integrated,
 # so larger grids are refused before anything is allocated.
 MAX_STEPS = 10**7
+
+# Stored samples are checked for finiteness this many rows at a time, so a
+# run that blows up stops within one block of its failing step.
+_CHECK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -119,6 +126,13 @@ def _rk4_step_matrix(hm: np.ndarray) -> np.ndarray:
     return eye + hm @ (eye + hm @ (eye / 2.0 + hm @ (eye / 6.0 + hm / 24.0)))
 
 
+def _first_nonfinite(states: np.ndarray, start: int, stop: int) -> int | None:
+    """Index of the first of the rows ``states[start:stop]`` whose sum is
+    not finite (the per-step test, vectorised), or None."""
+    bad = ~np.isfinite(states[start:stop].sum(axis=1))
+    return start + int(np.argmax(bad)) if bad.any() else None
+
+
 def integrate(
     system: ModelSystem,
     means0: MeanVector,
@@ -129,8 +143,9 @@ def integrate(
 
     Classical fourth-order accuracy; identical inputs produce bit-identical
     trajectories on one platform (fixed evaluation order, no adaptivity).
-    Raises :class:`IntegrationError` as soon as the state stops being
-    finite.
+    Raises :class:`IntegrationError` naming the first step whose state is
+    not finite, as soon as it is seen: at once for a step that is not
+    stored, within ``_CHECK_ROWS`` samples for a stored one.
     """
     if means0.frame != system.frame or cov0.frame != system.frame:
         raise FrameError(
@@ -141,26 +156,41 @@ def integrate(
 
     n_steps = cfg.n_steps
     every = cfg.sample_every
-    ts = cfg.sample_times
-    states = np.empty((len(ts), y.size))
+    states = np.empty((n_steps // every + 1, y.size))
     states[0] = y
 
     h = cfg.dt
     out = 1
+    checked = 1  # rows states[:checked] are known to be finite
+    failed = None  # the first step not stored whose state is not finite
     # overflow is expected on divergent systems and reported as an error
     with np.errstate(over="ignore", invalid="ignore"):
         step_matrix = _rk4_step_matrix(h * _rate_matrix(system))
+        advance = step_matrix.dot
         for step in range(1, n_steps + 1):
             if step % every:
-                y = step_matrix @ y
+                y = advance(y)
+                if not math.isfinite(float(y.sum())):
+                    failed = step
+                    break
             else:  # a sample: the product is written into its row
-                y = np.matmul(step_matrix, y, out=states[out])
+                y = np.dot(step_matrix, y, out=states[out])
                 out += 1
-            if not math.isfinite(float(y.sum())):
-                raise IntegrationError(step, step * h)
+                if out - checked == _CHECK_ROWS:
+                    if _first_nonfinite(states, checked, out) is not None:
+                        break
+                    checked = out
+        # the rows not checked yet; a bad one comes before ``failed``
+        row = _first_nonfinite(states, checked, out)
+    if row is not None:
+        failed = row * every
+    if failed is not None:
+        raise IntegrationError(failed, failed * h)
 
     # the trajectory adopts these arrays read-only, without copying them;
-    # states, which y may still view, goes before it is built
+    # states, which y may still view, goes before it is built. The sample
+    # times come last, so a run that fails has filled no more than a block.
+    ts = cfg.sample_times
     covs = covariances_from_moments(states[:, d:-1], d)
     means = states[:, :d].copy()
     del states, y
@@ -177,14 +207,15 @@ def convergence_order(
 ) -> float:
     """Observed order from a Richardson triple at dt, dt/2, dt/4.
 
-    Integrates to ``cfg.t_end`` three times and returns
-    ``log2(|y_dt - y_dt/2| / |y_dt/2 - y_dt/4|)`` over the final packed
-    state (max norm). Choose dt large enough that truncation error stays
+    Integrates to ``cfg.t_end`` three times, storing only the final state,
+    and returns ``log2(|y_dt - y_dt/2| / |y_dt/2 - y_dt/4|)`` over it
+    (packed, max norm). Choose dt large enough that truncation error stays
     clear of round-off, else the estimate degrades.
     """
     finals = []
     for divisor in (1, 2, 4):
-        sub = IntegratorConfig(cfg.dt / divisor, cfg.t_end, sample_every=1)
+        n_steps = IntegratorConfig(cfg.dt / divisor, cfg.t_end).n_steps
+        sub = IntegratorConfig(cfg.dt / divisor, cfg.t_end, sample_every=n_steps)
         traj = integrate(system, means0, cov0, sub)
         finals.append(np.concatenate([traj.means[-1], traj.covs[-1].ravel()]))
     err_coarse = float(np.abs(finals[0] - finals[1]).max())

@@ -25,6 +25,7 @@ integrated means.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -289,16 +290,16 @@ def lindblad_margin(params: ModelParams) -> float:
     The ``m*omega`` factors of ``d_xx*d_pp`` cancel and ``d_px = 0``, so it
     is computed as the equal ``(hbar*gamma)**2 * nbar * (nbar + 1)``, with
     no difference of rounded terms: non-negative for every ``nbar >= 0``
-    and exactly 0 at ``nbar = 0``. Raises ``OverflowError`` when
-    ``(hbar*gamma)**2`` is beyond the float range.
+    and exactly 0 at ``nbar = 0``. Raises ``OverflowError`` when the margin
+    or any factor of it is beyond the float range.
     """
     try:
-        square = (params.hbar * params.gamma) ** 2
+        margin = (params.hbar * params.gamma) ** 2 * params.nbar * (params.nbar + 1.0)
     except OverflowError:  # a float's ``**`` overflow names no quantity
-        square = np.inf
-    if square == np.inf:  # hbar*gamma itself may have overflowed to inf
+        margin = math.inf
+    if not math.isfinite(margin):  # an overflowed factor times 0 is NaN
         raise OverflowError("the thermal diffusion margin overflows")
-    return square * params.nbar * (params.nbar + 1.0)
+    return margin
 
 
 def moment_margin(params: ModelParams, u_pair1):

@@ -652,6 +652,9 @@ _SHORT_GRID = ["--dt", "0.1", "--t-end", "20", "--sample-every", "10"]
     # the system's diffusion source overflows, past every parameter check
     (["--model", "lindblad", "--gamma", "1e300", "--nbar", "1e300"], 3,
      "coefficients overflow (diffusion)"),
+    # (hbar*gamma)**2 is finite; its product with nbar*(nbar + 1) is not
+    (["--model", "sbth", "--nbar", "1e300"], 3, "thermal diffusion margin"),
+    (["--model", "lindblad", "--nbar", "1e300"], 3, "thermal diffusion margin"),
 ])
 def test_overflowing_parameter_is_exit_2_or_3(tmp_path, capsys, argv, code, named):
     """A float overflow in a parameter's arithmetic is one line on stderr and
@@ -667,6 +670,7 @@ def test_overflowing_parameter_is_exit_2_or_3(tmp_path, capsys, argv, code, name
 @pytest.mark.parametrize("argv,named", [
     (["--gamma", "1e300"], "thermal"),
     (["--hbar", "1e154", "--lambda", "2"], "moment"),
+    (["--nbar", "1e300"], "thermal"),
 ])
 def test_overflowing_margin_is_exit_3_before_the_first_step(tmp_path, capsys, monkeypatch,
                                                             argv, named):
@@ -714,16 +718,26 @@ def test_other_arithmetic_errors_are_exit_3(capsys, monkeypatch):
 
 
 def test_nan_determinant_file_fails_check(tmp_path, capsys):
-    """At nbar = 1e300 the pair determinants overflow to inf - inf = NaN: a
-    violation, not a pass and not a warning."""
+    """A genuine lindblad file whose data row 2 (t = 1) reads 1e300 for G20,
+    G02 and G11: its pair determinant is inf - inf = NaN, a violation, not a
+    pass and not a warning."""
     out = tmp_path / "run.csv"
-    assert run("simulate", "--model", "lindblad", "--nbar", "1e300", *_SHORT_GRID,
-               "--out", str(out)) == 0
+    assert run("simulate", "--model", "lindblad", *_SHORT_GRID, "--out", str(out)) == 0
     capsys.readouterr()
+    lines = out.read_text().splitlines(keepends=True)
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    names = lines[header].rstrip("\n").split(",")
+    fields = lines[header + 2].split(",")
+    assert float(fields[0]) == 1.0
+    for name in ("G20", "G02", "G11"):
+        fields[names.index(name)] = "1.0000000000000000e+300"
+    lines[header + 2] = ",".join(fields)
+    out.write_text("".join(lines))
     assert run("check", str(out)) == 1
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert "uncertainty violations: 20 " in captured.out
+    assert "uncertainty violations: 1 " in captured.out
+    assert "min determinant nan" in captured.out
     assert "\nfirst violation: t = 1, data row 2\n" in captured.out
 
 

@@ -1,4 +1,5 @@
 import math
+import resource
 
 import numpy as np
 import pytest
@@ -144,12 +145,59 @@ def test_nonfinite_state_reported():
     assert err.value.step == 47 and err.value.t == 47.0
 
 
+def _explode(cfg):
+    """Integrate ``test_nonfinite_state_reported``'s system; its state stops
+    being finite at step 47 (t = 47)."""
+    a = np.diag([100.0, 100.0])
+    zero = np.zeros((2, 2))
+    sys = mm.ModelSystem("explode", mm.L1, a, zero, zero)
+    mm.integrate(sys, mm.MeanVector(mm.L1, [1.0, 1.0]), mm.CovarianceMatrix(mm.L1, zero), cfg)
+
+
+@pytest.mark.parametrize("every", [1, 46, 47, 48, 100])
+def test_failure_names_the_exact_step(every):
+    """Step 47 is stored at sample_every 1 and 47 (found by the bulk row
+    check) and not stored at 46, 48 and 100 (found by the per-step check);
+    both report the earliest non-finite step."""
+    with pytest.raises(IntegrationError, match="step 47 ") as err:
+        _explode(mm.IntegratorConfig(1.0, 100.0, every))
+    assert err.value.step == 47 and err.value.t == 47.0
+
+
+def test_dense_blow_up_stops_within_one_block():
+    """At sample_every = 1 every step is stored, so the run is checked one
+    block of rows at a time. A run that went on to t_end would write the
+    whole 480 MB table: at least 229 page faults even in 2 MiB huge pages
+    (about 1 700 measured). Stopping after the first block of 4096 rows
+    touches 196 KB, 48 pages of 4 KiB."""
+    cfg = mm.IntegratorConfig(1.0, 1e7, 1)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with pytest.raises(IntegrationError, match="step 47 "):
+        _explode(cfg)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 150
+
+
 def test_convergence_order_sbth(params):
     means0, cov0 = mm.coherent_initial_state(params)
     order = mm.convergence_order(
         mm.build_sbth(params), means0, cov0, mm.IntegratorConfig(0.08, 8.0, 1)
     )
     assert 3.7 <= order <= 4.3
+
+
+@pytest.mark.parametrize("dt", [0.08, 1e-3])
+def test_convergence_order_equals_the_dense_runs(params, dt):
+    """Storing only the final state changes no bit of the estimate: it is
+    the order of the last samples of three dense runs."""
+    system = mm.build_sbth(params)
+    means0, cov0 = mm.coherent_initial_state(params)
+    finals = []
+    for divisor in (1, 2, 4):
+        run = mm.integrate(system, means0, cov0, mm.IntegratorConfig(dt / divisor, 8.0, 1))
+        finals.append(np.concatenate([run.means[-1], run.covs[-1].ravel()]))
+    want = math.log2(np.abs(finals[0] - finals[1]).max() / np.abs(finals[1] - finals[2]).max())
+    assert mm.convergence_order(system, means0, cov0, mm.IntegratorConfig(dt, 8.0, 1)) == want
 
 
 def test_convergence_order_linear_scalar():

@@ -235,6 +235,15 @@ def test_thermal_margin_overflow_is_an_overflow_error(params, hbar, gamma):
         lindblad_margin(p)
 
 
+@pytest.mark.parametrize("hbar, gamma, nbar", [(1.0, 0.08, 1e300), (1e10, 1e300, 0.0)])
+def test_thermal_margin_product_overflow_is_an_overflow_error(params, hbar, gamma, nbar):
+    """A finite ``(hbar*gamma)**2`` times a huge ``nbar*(nbar + 1)`` was
+    returned as inf; an overflowed one times ``nbar = 0`` is NaN."""
+    p = dataclasses.replace(params, hbar=hbar, gamma=gamma, nbar=nbar)
+    with pytest.raises(OverflowError, match="thermal diffusion margin overflows"):
+        lindblad_margin(p)
+
+
 def test_coherent_state_saturates_moment_margin(params):
     means0, cov0 = mm.coherent_initial_state(params)
     rep = mm.diffusion_report(params, cov0)
