@@ -32,6 +32,7 @@ from .csvio import (
     read_csv,
     run_config,
     trajectory_from_columns,
+    validate_columns,
     write_csv,
 )
 from .diagnostics import (
@@ -40,6 +41,7 @@ from .diagnostics import (
     audit,
     compare,
     coherent_initial_state,
+    join_audits,
     trajectory_columns,
 )
 from .integrator import IntegrationError, IntegratorConfig, integrate
@@ -71,6 +73,11 @@ _CONFIG_KEYS = {"model", *(p.key for p in PARAMS), "emit-xy", "preset", "out", "
 # this fraction of the column's largest magnitude (another BLAS build may
 # round differently; a file rebuilt on one platform differs by 0)
 _RECOMPUTE_RTOL = 1e-12
+
+# Samples simulate and check analyse at a time: a block's rebuilt run, XY
+# view, energies and derived columns hold about 500 bytes a sample, 2 MB for
+# a block, however long the run is.
+ANALYSIS_BLOCK = 4096
 
 
 def _load_config_file(path: str) -> dict:
@@ -168,20 +175,76 @@ def _run_model(model: str, params: ModelParams, grid: IntegratorConfig,
     return integrate(system, means0, cov0, grid)
 
 
-def _derived_mismatch(run: Run, derived: dict) -> str | None:
-    """The first of a file's ``derived`` columns (name: values read; every
-    header column but its model's ``stored`` ones) that its rebuilt run does
-    not reproduce, with its first bad data row; None if every one matches."""
-    for name, value in trajectory_columns(run, derived).items():
-        read = derived[name]
-        scale = np.abs(value[np.isfinite(value)]).max(initial=0.0)
-        with np.errstate(invalid="ignore", over="ignore"):
-            off = ~((read == value) | (np.abs(read - value) <= _RECOMPUTE_RTOL * scale))
-        if off.any():
-            row = int(np.argmax(off))
-            return (f"derived column {name} differs at data row {row + 1}: "
-                    f"file {float(read[row])!r}, recomputed {float(value[row])!r}")
-    return None
+def _blocks(n: int):
+    """Consecutive slices of ``ANALYSIS_BLOCK`` rows covering ``n`` rows."""
+    size = ANALYSIS_BLOCK
+    return (slice(start, start + size) for start in range(0, n, size))
+
+
+def _audited_run(traj: Trajectory, tol: float, derived: dict):
+    """The audits of a quantum run's blocks, in order. After each block's
+    audit, its rows of the ``derived`` columns (name: whole-run array) are
+    filled from it; a corrupted state raises in its block."""
+    for rows in _blocks(traj.n_samples):
+        block = Run(Trajectory(traj.frame, traj.ts[rows], traj.means[rows], traj.covs[rows],
+                               traj.params))
+        yield audit(block, tol)
+        for name, value in trajectory_columns(block, derived).items():
+            derived[name][rows] = value
+
+
+def _audited_file(config: dict, columns: dict, tol: float, recomputed):
+    """The audits of a checked file's run, block by block, each block rebuilt
+    from its rows of the parsed table. While every audit is clean, each
+    block's derived columns are held to ``recomputed``: a state that fails
+    the audit may have no energies to recompute."""
+    clean = True
+    for rows in _blocks(len(columns["t"])):
+        block = Run(trajectory_from_columns(config, columns, rows))
+        part = audit(block, tol)
+        yield part
+        clean = clean and part.ok
+        if clean:
+            recomputed.add(rows, columns, trajectory_columns(block, recomputed.names))
+
+
+class _Recomputed:
+    """A file's columns held to their recomputation, block by block.
+
+    Only the rows where a column differs from its recomputation at all are
+    kept, with each column's largest finite recomputed magnitude. A kept row
+    is a mismatch unless it is within ``_RECOMPUTE_RTOL`` of that whole
+    column's scale, which is known only once every block is in.
+    """
+
+    def __init__(self, names):
+        self.names = list(names)
+        self.scale = dict.fromkeys(self.names, 0.0)
+        self.differ = {name: [] for name in self.names}
+
+    def add(self, rows: slice, read: dict, recomputed: dict) -> None:
+        for name in self.names:
+            file, value = read[name][rows], recomputed[name]
+            scale = np.abs(value[np.isfinite(value)]).max(initial=0.0)
+            self.scale[name] = max(self.scale[name], float(scale))
+            differ = np.flatnonzero(~(file == value))
+            if differ.size:
+                self.differ[name].append((differ + rows.start, file[differ], value[differ]))
+
+    def first_mismatch(self) -> str | None:
+        """The first column, in file order, with a mismatch, and its first
+        bad data row; None if every column matches."""
+        for name in self.names:
+            if not self.differ[name]:
+                continue
+            at, file, value = (np.concatenate(part) for part in zip(*self.differ[name]))
+            with np.errstate(invalid="ignore", over="ignore"):
+                off = ~(np.abs(file - value) <= _RECOMPUTE_RTOL * self.scale[name])
+            if off.any():
+                k = int(np.argmax(off))
+                return (f"derived column {name} differs at data row {at[k] + 1}: "
+                        f"file {float(file[k])!r}, recomputed {float(value[k])!r}")
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -197,16 +260,24 @@ def cmd_simulate(args) -> int:
     frame, _, _, xy_names = MODELS[model]
     with_xy = emit_xy(cfg) and bool(xy_names)
     out = _file_name(args.out) if args.out is not None else cfg.get("out", f"{model}.csv")
-    run = Run(_run_model(model, params, grid, judge_margins=True))
+    traj = _run_model(model, params, grid, judge_margins=True)
     echo = {"model": model, **run_config(params, grid)}
     if xy_names:  # echoed only by a model that has XY columns
         echo["emit-xy"] = with_xy
     names = MODELS[model].layout(with_xy)
-    # judged before writing, so a run that fails numerically leaves no file
-    result = audit(run, tol) if frame is not None else None
-    cols = trajectory_columns(run, names)
+    result = None
+    if frame is None:
+        cols = trajectory_columns(traj, names)
+    else:
+        # the stored columns view the run; the others are derived block by
+        # block. Judged before writing, so a run that fails numerically
+        # leaves no file.
+        cols = trajectory_columns(traj, MODELS[model].stored)
+        derived = {name: np.empty(traj.n_samples) for name in names if name not in cols}
+        result = join_audits(traj.ts, _audited_run(traj, tol, derived), params)
+        cols.update(derived)
     write_csv(out, echo, [(name, cols[name]) for name in names])
-    print(f"wrote {out} ({run.traj.n_samples} samples, t in [0, {run.traj.ts[-1]:g}])")
+    print(f"wrote {out} ({traj.n_samples} samples, t in [0, {traj.ts[-1]:g}])")
     if result is not None:
         print(result.summary())
     return 0
@@ -267,22 +338,21 @@ def cmd_compare(args) -> int:
 def cmd_check(args) -> int:
     config, columns = read_csv(args.csv)
     tol = _tolerance(args.tol, [config], 1e-9)
-    traj = trajectory_from_columns(config, columns)
-    if traj is None:
+    model = validate_columns(config, columns)
+    params, grid = _params_and_grid(config)
+    if MODELS[model].frame is None:  # x and p are the closed form the echo describes
+        recomputed = _Recomputed(["x", "p"])
+        closed = _run_model(model, params, grid)
+        recomputed.add(slice(0, closed.n_samples), columns, trajectory_columns(closed, ["x", "p"]))
         print(f"{args.csv}: classical run, no quantum moments to audit")
-        return 0
-    # the run holds its own copies of the stored columns; each derived one is
-    # copied out of read_csv's table, so the table is freed before the audit
-    stored = MODELS[config["model"]].stored
-    derived = {name: np.array(value) for name, value in columns.items() if name not in stored}
-    del columns
-    print(f"audit of {args.csv}")
-    run = Run(traj)
-    result = audit(run, tol)
-    print(result.summary())
-    if not result.ok:
-        return 1  # a state that fails the audit may have no energies to recompute
-    mismatch = _derived_mismatch(run, derived)
+    else:
+        recomputed = _Recomputed(name for name in columns if name not in MODELS[model].stored)
+        print(f"audit of {args.csv}")
+        result = join_audits(columns["t"], _audited_file(config, columns, tol, recomputed), params)
+        print(result.summary())
+        if not result.ok:
+            return 1
+    mismatch = recomputed.first_mismatch()
     if mismatch is not None:
         print(mismatch)
         return 1

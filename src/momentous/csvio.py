@@ -55,6 +55,7 @@ __all__ = [
     "config_lines",
     "parse_config_text",
     "emit_xy",
+    "validate_columns",
     "trajectory_from_columns",
 ]
 
@@ -611,19 +612,19 @@ def emit_xy(config: dict) -> bool:
     return value
 
 
-def trajectory_from_columns(config: dict, columns: dict[str, np.ndarray]) -> Trajectory | None:
-    """Reconstruct the run a file's echo describes from its columns.
+def validate_columns(config: dict, columns: dict[str, np.ndarray]) -> str:
+    """Hold a file's columns to the run its echo describes; return its model.
 
     The header must be the echoed model's layout and ``t`` the echoed grid's
     ``sample_times`` bit for bit, else :class:`CsvFormatError` names the
-    first column or data row that differs. Classical files return None.
+    first column or data row that differs; an unusable echoed parameter is
+    a ``ValueError`` naming its key.
     """
     model = config.get("model")
     if model not in MODELS:
         raise CsvFormatError(f"unknown or missing model in config: {model!r}")
-    params = from_config(ModelParams, config)
+    from_config(ModelParams, config)
     grid = from_config(IntegratorConfig, config)
-    frame, moment_columns, _, _ = MODELS[model]
     layout = MODELS[model].layout(emit_xy(config))
     for k, (found, expected) in enumerate(itertools.zip_longest(columns, layout), 1):
         if found != expected:
@@ -638,14 +639,33 @@ def trajectory_from_columns(config: dict, columns: dict[str, np.ndarray]) -> Tra
         row = int(off[0])
         raise CsvFormatError(f"t = {float(read[row])!r} at data row {row + 1}, the echoed "
                              f"grid has {float(ts[row])!r}")
+    return model
 
+
+def trajectory_from_columns(config: dict, columns: dict[str, np.ndarray],
+                            rows: slice | None = None) -> Trajectory | None:
+    """Reconstruct the run a file's echo describes from its columns.
+
+    Without ``rows``, the file is first held to its echo
+    (:func:`validate_columns`) and every data row is rebuilt. With
+    ``rows``, a slice of data rows of a file that has passed
+    :func:`validate_columns`, only those rows are rebuilt, so a long file
+    can be analysed block by block from the table :func:`read_csv` returns.
+    The trajectory owns fresh arrays; none of them views the table.
+    Classical files return None.
+    """
+    if rows is None:
+        validate_columns(config, columns)
+        rows = slice(None)
+    frame, moment_columns, _, _ = MODELS[config["model"]]
     if frame is None:
         return None
-    means = np.column_stack([columns[c] for c in frame.labels])
+    ts = np.array(columns["t"][rows])
+    means = np.column_stack([columns[c][rows] for c in frame.labels])
     # both triangles straight from the moment columns, in moment_order
     covs = np.empty((len(ts), frame.dim, frame.dim))
     for name, i, j in zip(moment_columns, *np.triu_indices(frame.dim)):
-        covs[:, i, j] = covs[:, j, i] = columns[name]
+        covs[:, i, j] = covs[:, j, i] = columns[name][rows]
     for arr in (ts, means, covs):  # fresh arrays: the trajectory adopts them
         arr.setflags(write=False)
-    return Trajectory(frame, ts, means, covs, params)
+    return Trajectory(frame, ts, means, covs, from_config(ModelParams, config))

@@ -40,6 +40,7 @@ __all__ = [
     "energy_report",
     "InvariantAudit",
     "audit",
+    "join_audits",
     "ColumnMetrics",
     "compare",
     "trajectory_columns",
@@ -118,7 +119,13 @@ class Run:
     """A trajectory and what derives from it, each computed at most once and
     only when read: ``physical``, the physical oscillator's run (the XY view
     of a BT1 run, else the run itself), and ``energies``, its energy report.
-    The analysis functions take a ``Run`` or a bare trajectory."""
+    The analysis functions take a ``Run`` or a bare trajectory.
+
+    A ``Run`` may hold one block of a longer run, its trajectory built over
+    read-only views of that run's samples (a ``Trajectory`` adopts them
+    without a copy). Every derived value is per sample, so a block's values
+    are those rows of the whole run's, bit for bit, and its XY view and
+    energies last only as long as the block's ``Run``."""
 
     traj: Trajectory
 
@@ -232,6 +239,7 @@ class InvariantAudit:
     margin_moment_min: float | None = None
     final_mean_energy: float = math.nan
     ground_state_bound: float = math.nan
+    corrupted: bool = False  # a physical variance is negative: no energies
 
     @property
     def ok(self) -> bool:
@@ -261,30 +269,73 @@ def audit(traj: Run | Trajectory, tol: float = 1e-9) -> InvariantAudit:
     """Audit a run against the uncertainty bound and diffusion margins.
 
     Never raises on violations; inspect ``ok``/``n_violations``. Expects a
-    run with quantum moments (BT1, XY, or the single-pair frame).
+    run with quantum moments (BT1, XY, or the single-pair frame). A run with
+    a negative physical variance has no energies: it is ``corrupted`` and
+    its final mean energy is NaN.
+
+    A long run may be audited block by block: :func:`join_audits` makes
+    the audits of its consecutive blocks into the audit of the whole run.
     """
     run = _as_run(traj)
     traj = run.traj
     params = _run_params(traj)
-    hb = params.hbar
-    u_pair1, flags = _uncertainty_test(traj.covs, hb, tol)
-    min_uncertainty = u_pair1.min()
-    u_xy = margin_moment_min = None
+    u_pair1, flags = _uncertainty_test(traj.covs, params.hbar, tol)
+    u_xy = None
     if traj.frame == BT1:
-        u_xy, xy_flags = _uncertainty_test(run.physical.covs, hb, tol)
+        u_xy, xy_flags = _uncertainty_test(run.physical.covs, params.hbar, tol)
         flags = flags | xy_flags
+    try:
+        final_energy, corrupted = float(run.energies.e_mean[-1]), False
+    except CorruptedStateError:
+        final_energy, corrupted = math.nan, True  # corrupted moments; already flagged above
+    omega_e = _default_energy_omega(traj.frame, params)
+    return _summarized(params, tol, traj.ts, u_pair1, u_xy, flags, final_energy, corrupted,
+                       ground_state_bound=0.5 * params.hbar * omega_e)
+
+
+def join_audits(ts: np.ndarray, parts, params: ModelParams) -> InvariantAudit:
+    """The audit of a run from the audits of its consecutive blocks.
+
+    ``ts`` and ``params`` are the whole run's; ``parts`` gives the blocks'
+    audits in order and is read one audit at a time, so a generator may
+    build each block when it is asked for. The per-sample arrays are copied
+    into arrays of the whole run, and the summary is computed from those as
+    :func:`audit` computes it: the whole run's audit, NaN minima included.
+    The final energy is the last block's, NaN when any block is
+    ``corrupted``.
+    """
+    n = len(ts)
+    u_pair1, flags, u_xy = np.empty(n), np.empty(n, bool), None
+    stop, corrupted = 0, False
+    for part in parts:
+        rows = slice(stop, stop + len(part.ts))
+        u_pair1[rows], flags[rows] = part.u_pair1, part.violation_flags
+        if part.u_xy is not None:
+            if u_xy is None:
+                u_xy = np.empty(n)
+            u_xy[rows] = part.u_xy
+        corrupted |= part.corrupted
+        stop = rows.stop
+    if stop != n:
+        raise ValueError(f"the blocks' audits cover {stop} of the run's {n} samples")
+    return _summarized(params, part.tol, ts, u_pair1, u_xy, flags,
+                       math.nan if corrupted else part.final_mean_energy, corrupted,
+                       ground_state_bound=part.ground_state_bound)
+
+
+def _summarized(params, tol, ts, u_pair1, u_xy, flags, final_energy, corrupted,
+                ground_state_bound) -> InvariantAudit:
+    """An audit's summary from its per-sample arrays (``u_xy`` is None but
+    for a BT1 run)."""
+    min_uncertainty = u_pair1.min()
+    margin_moment_min = None
+    if u_xy is not None:
         min_uncertainty = min(min_uncertainty, u_xy.min())
         margin_moment_min = float(moment_margin(params, u_pair1).min())
-
-    omega_e = _default_energy_omega(traj.frame, params)
-    try:
-        final_energy = float(run.energies.e_mean[-1])
-    except CorruptedStateError:
-        final_energy = math.nan  # corrupted moments; already flagged above
     return InvariantAudit(
         tol=tol,
-        hbar=hb,
-        ts=traj.ts,
+        hbar=params.hbar,
+        ts=ts,
         u_pair1=u_pair1,
         u_xy=u_xy,
         violation_flags=flags,
@@ -293,7 +344,8 @@ def audit(traj: Run | Trajectory, tol: float = 1e-9) -> InvariantAudit:
         margin_lindblad=lindblad_margin(params),
         margin_moment_min=margin_moment_min,
         final_mean_energy=final_energy,
-        ground_state_bound=0.5 * hb * omega_e,
+        ground_state_bound=ground_state_bound,
+        corrupted=corrupted,
     )
 
 

@@ -311,6 +311,26 @@ def test_check_classical_is_trivially_ok(tmp_path):
     assert run("check", str(out)) == 0
 
 
+def test_check_holds_a_classical_file_to_its_closed_form(tmp_path, capsys):
+    """A classical file's x and p are the closed form its echo describes:
+    an edited value is exit 1 naming the column and the data row. check
+    once exited 0 on any classical file."""
+    out = tmp_path / "run.csv"
+    assert run("simulate", "--model", "classical", "--dt", "0.01", "--t-end", "2",
+               "--sample-every", "10", "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run("check", str(out)) == 0
+    assert capsys.readouterr().out == f"{out}: classical run, no quantum moments to audit\n"
+    for column in ("x", "p"):
+        edited = tmp_path / f"{column}.csv"
+        edited.write_text(out.read_text())
+        _corrupt(edited, column, 11, "9.0")  # t = 1
+        assert run("check", str(edited)) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"{edited}: classical run, no quantum moments to audit"
+        assert lines[1].startswith(f"derived column {column} differs at data row 11: file 9.0,")
+
+
 # ---------------------------------------------------------------------------
 # compare
 
@@ -615,6 +635,101 @@ def test_dense_check_stores_each_sample_once(tmp_path, traced_peak):
                "--emit-xy", "--out", str(out)) == 0
     assert run("check", str(out)) == 0  # lazily built tables and caches
     assert traced_peak(lambda: run("check", str(out))) <= 540 * 20_001
+
+
+def test_dense_simulate_analyses_block_by_block(tmp_path, traced_peak):
+    """A dense simulate audits and derives the XY columns one block of
+    samples at a time: no XY view or energy report of the whole run is
+    held. It peaked near 360 bytes a sample (run, kept derived columns,
+    audit arrays and the writer's block); the bound leaves about 10 %. It
+    peaked at 489, holding the whole run's XY view and energies."""
+    argv = ("simulate", "--model", "sbth", "--t-end", "20", "--sample-every", "1",
+            "--emit-xy", "--out", str(tmp_path / "dense.csv"))
+    assert run(*argv) == 0  # lazily built tables and caches
+    assert traced_peak(lambda: run(*argv)) <= 400 * 20_001
+
+
+def test_dense_check_analyses_block_by_block(tmp_path, traced_peak):
+    """A dense check rebuilds, audits and recomputes one block of rows of
+    the parsed table at a time, keeping only the rows whose derived values
+    differ. It peaked near 335 bytes a sample (the table and the audit
+    arrays); the bound leaves about 10 %. It peaked at 491, rebuilding the
+    whole run and its XY view."""
+    out = tmp_path / "dense.csv"
+    assert run("simulate", "--model", "sbth", "--t-end", "20", "--sample-every", "1",
+               "--emit-xy", "--out", str(out)) == 0
+    assert run("check", str(out)) == 0  # lazily built tables and caches
+    assert traced_peak(lambda: run("check", str(out))) <= 370 * 20_001
+
+
+# block sizes below, at and above the 2 001 samples of a dense t-end 2 run
+_BLOCK_SIZES = (1, 7, 10_000)
+
+
+def _outputs(capsys, *argv):
+    capsys.readouterr()
+    code = run(*argv)
+    printed = capsys.readouterr()
+    return code, printed.out, printed.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "sbth", "--emit-xy", "--sample-every", "1", "--t-end", "2"],
+    ["--model", "lindblad", "--nbar", "2"],
+])
+def test_block_size_changes_no_simulate_output(tmp_path, capsys, monkeypatch, argv):
+    reference = tmp_path / "reference.csv"
+    expected = _outputs(capsys, "simulate", *argv, "--out", str(reference))
+    assert expected[0] == 0
+    for size in _BLOCK_SIZES:
+        monkeypatch.setattr(cli, "ANALYSIS_BLOCK", size)
+        out = tmp_path / f"{size}.csv"
+        got = _outputs(capsys, "simulate", *argv, "--out", str(out))
+        assert got == (0, expected[1].replace(str(reference), str(out)), ""), size
+        assert out.read_bytes() == reference.read_bytes(), size
+
+
+def _check_cases(tmp_path):
+    """Files whose check must not depend on the block size, with the exit
+    code and a line check prints for each."""
+    dense = tmp_path / "dense.csv"
+    assert run("simulate", "--model", "sbth", "--emit-xy", "--sample-every", "1",
+               "--t-end", "2", "--out", str(dense)) == 0
+    short = tmp_path / "short.csv"
+    assert run("simulate", "--model", "lindblad", *_SHORT_GRID, "--out", str(short)) == 0
+    nan = tmp_path / "nan.csv"  # 1e300 moments at t = 1: a NaN determinant
+    nan.write_text(short.read_text())
+    for name in ("G20", "G02", "G11"):
+        _corrupt(nan, name, 2, "1.0000000000000000e+300")
+    violation = tmp_path / "violation.csv"
+    violation.write_text(dense.read_text())
+    _corrupt(violation, "G1_2000", 2001, "0.0")
+    derived = tmp_path / "derived.csv"
+    derived.write_text(dense.read_text())
+    _corrupt(derived, "E_mean", 2001)
+    return [(dense, 0, "uncertainty violations: 0 "),
+            (nan, 1, "first violation: t = 1, data row 2"),
+            (violation, 1, "first violation: t = 2, data row 2001"),
+            (derived, 1, "derived column E_mean differs at data row 2001: file -5.0,")]
+
+
+def test_block_size_changes_no_check_output(tmp_path, capsys, monkeypatch):
+    for path, code, line in _check_cases(tmp_path):
+        expected = _outputs(capsys, "check", str(path))
+        assert expected[0] == code and expected[2] == "", path
+        assert any(printed.startswith(line) for printed in expected[1].splitlines()), path
+        for size in _BLOCK_SIZES:
+            monkeypatch.setattr(cli, "ANALYSIS_BLOCK", size)
+            assert _outputs(capsys, "check", str(path)) == expected, (path, size)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("size", _BLOCK_SIZES)
+def test_block_size_keeps_the_first_negative_variance(tmp_path, capsys, monkeypatch, size):
+    monkeypatch.setattr(cli, "ANALYSIS_BLOCK", size)
+    test_negative_variance_is_exit_3_naming_its_time(
+        tmp_path, capsys, ["--model", "sbth", "--dt", "1", "--t-end", "200",
+                           "--sample-every", "1", "--emit-xy"], "92")
 
 
 def test_console_script_is_cli_main():

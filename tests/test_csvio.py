@@ -12,6 +12,7 @@ from momentous.csvio import (
     read_csv,
     run_config,
     trajectory_from_columns,
+    validate_columns,
     write_csv,
 )
 
@@ -324,3 +325,19 @@ def test_rebuilt_trajectory_stores_each_sample_once(tmp_path, traced_peak):
     for name, i, j in zip(MODELS["sbth"].moments, *np.triu_indices(4)):
         assert np.array_equal(traj.covs[:, i, j], columns[name])
         assert np.array_equal(traj.covs[:, j, i], columns[name])
+
+
+def test_rows_of_a_validated_file_rebuild_that_slice_of_its_run(tmp_path):
+    """A row range rebuilds those rows of the whole run, into arrays of its
+    own: no view of the parsed table outlives the block."""
+    path = tmp_path / "run.csv"
+    assert cli.main(["simulate", "--model", "sbth", "--t-end", "2", "--sample-every", "1",
+                     "--emit-xy", "--out", str(path)]) == 0
+    config, columns = read_csv(path)
+    assert validate_columns(config, columns) == "sbth"
+    whole = trajectory_from_columns(config, columns)
+    block = trajectory_from_columns(config, columns, slice(1000, 1007))
+    for name in ("ts", "means", "covs"):
+        part = getattr(block, name)
+        assert np.array_equal(part, getattr(whole, name)[1000:1007]), name
+        assert not any(np.shares_memory(part, column) for column in columns.values()), name

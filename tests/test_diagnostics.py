@@ -155,6 +155,30 @@ def test_audit_flags_negative_variance_without_raising(params, lindblad_run):
     assert math.isnan(result.final_mean_energy)
 
 
+def test_joined_block_audits_are_the_whole_run_audit(params, sbth_run, lindblad_run):
+    """The audits of consecutive blocks of a run, joined, are the audit of
+    the whole run: the same arrays and the same summary. A negative
+    variance in an early block leaves the joined final energy NaN, though
+    the last block has energies."""
+    covs = np.array(lindblad_run.covs)
+    covs[3, 0, 0] = covs[3, 1, 1] = -0.5
+    broken = mm.Trajectory(mm.L1, lindblad_run.ts, lindblad_run.means, covs, params)
+    for traj in (sbth_run, lindblad_run, broken):
+        whole = mm.audit(traj)
+        parts = [mm.audit(mm.Trajectory(traj.frame, traj.ts[k:k + 7], traj.means[k:k + 7],
+                                        traj.covs[k:k + 7], params))
+                 for k in range(0, traj.n_samples, 7)]
+        joined = mm.join_audits(traj.ts, parts, params)
+        assert repr(joined) == repr(whole) and joined.summary() == whole.summary()
+        for name in ("ts", "u_pair1", "u_xy", "violation_flags"):
+            if getattr(whole, name) is None:
+                assert getattr(joined, name) is None
+            else:
+                assert np.array_equal(getattr(joined, name), getattr(whole, name)), name
+    assert joined.corrupted and math.isnan(joined.final_mean_energy)
+    assert not parts[-1].corrupted and math.isfinite(parts[-1].final_mean_energy)
+
+
 def test_lindblad_steady_uncertainty(params, lindblad_runs_long):
     run = lindblad_runs_long[2.0]
     result = mm.audit(run)
