@@ -43,8 +43,15 @@ from .systems import (
     xy_view,
     xy_variance_rate_residual,
 )
-from .integrator import IntegrationError, IntegratorConfig, convergence_order, integrate
+from .integrator import (
+    IntegrationError,
+    IntegratorConfig,
+    TrajectoryBlocks,
+    convergence_order,
+    integrate,
+)
 from .diagnostics import (
+    AuditJoin,
     EnergyReport,
     InvariantAudit,
     Run,

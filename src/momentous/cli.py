@@ -28,23 +28,25 @@ from .csvio import (
     CsvFormatError,
     emit_xy,
     from_config,
+    grid_fault,
     parse_config_text,
     read_csv,
+    row_count_fault,
     run_config,
     trajectory_from_columns,
-    validate_columns,
+    validate_header,
     write_csv,
 )
 from .diagnostics import (
+    AuditJoin,
     CorruptedStateError,
     Run,
     audit,
     compare,
     coherent_initial_state,
-    join_audits,
     trajectory_columns,
 )
-from .integrator import IntegrationError, IntegratorConfig, integrate
+from .integrator import IntegrationError, IntegratorConfig, TrajectoryBlocks, integrate
 from .model import BT1, L1, ModelParams, Trajectory, finite_real
 from .systems import (
     build_lindblad,
@@ -74,9 +76,13 @@ _CONFIG_KEYS = {"model", *(p.key for p in PARAMS), "emit-xy", "preset", "out", "
 # round differently; a file rebuilt on one platform differs by 0)
 _RECOMPUTE_RTOL = 1e-12
 
-# Samples simulate and check analyse at a time: a block's rebuilt run, XY
-# view, energies and derived columns hold about 500 bytes a sample, 2 MB for
-# a block, however long the run is.
+# Samples simulate and check hold at a time: simulate integrates, audits,
+# derives and writes a block before it steps the next; check parses, audits
+# and recomputes one. A block's states or parsed rows, run, XY view,
+# energies and columns, with the writer's or the parser's buffers, make a
+# traced peak of about 4 MB. Beyond a block, each command keeps only the
+# run's audit arrays (times, determinants and flags), about 25 bytes a
+# sample: 2 MB for a dense paper-fig1 run.
 ANALYSIS_BLOCK = 4096
 
 
@@ -150,20 +156,19 @@ def _tolerance(flag, configs, default: float) -> float:
 
 
 def _run_model(model: str, params: ModelParams, grid: IntegratorConfig,
-               judge_margins: bool = False) -> Trajectory:
+               judge_margins: bool = False, block: int | None = None):
     """Integrate one model (or evaluate the classical closed form).
 
     With ``judge_margins``, the diffusion margins that ``audit`` reports are
     evaluated at the initial state between the build and the first step:
     their overflow depends only on ``params``, so such a run fails
-    (``OverflowError``) before it costs any step.
+    (``OverflowError``) before it costs any step. With ``block``, a quantum
+    run comes back unintegrated, as ``integrate``'s blocks of that size.
     """
     if model == "classical":
         ts = grid.sample_times
-        means0, _ = coherent_initial_state(params, L1)
-        x, p = classical_analytic(params, *means0.values, ts)
         covs = np.zeros((len(ts), 2, 2))
-        return Trajectory(L1, ts, np.column_stack([x, p]), covs, params)
+        return Trajectory(L1, ts, np.column_stack(_classical_means(params, ts)), covs, params)
     if model == "sbth":
         system, (means0, cov0) = build_sbth(params), coherent_initial_state(params, BT1)
     else:
@@ -172,40 +177,32 @@ def _run_model(model: str, params: ModelParams, grid: IntegratorConfig,
         lindblad_margin(params)
         if model == "sbth":
             moment_margin(params, cov0.pair_determinant(0))
-    return integrate(system, means0, cov0, grid)
+    return integrate(system, means0, cov0, grid, block)
 
 
-def _blocks(n: int):
-    """Consecutive slices of ``ANALYSIS_BLOCK`` rows covering ``n`` rows."""
-    size = ANALYSIS_BLOCK
-    return (slice(start, start + size) for start in range(0, n, size))
+def _classical_means(params: ModelParams, ts: np.ndarray):
+    """``x`` and ``p`` of the classical closed form at the times ``ts``."""
+    means0, _ = coherent_initial_state(params, L1)
+    return classical_analytic(params, *means0.values, ts)
 
 
-def _audited_run(traj: Trajectory, tol: float, derived: dict):
-    """The audits of a quantum run's blocks, in order. After each block's
-    audit, its rows of the ``derived`` columns (name: whole-run array) are
-    filled from it; a corrupted state raises in its block."""
-    for rows in _blocks(traj.n_samples):
-        block = Run(Trajectory(traj.frame, traj.ts[rows], traj.means[rows], traj.covs[rows],
-                               traj.params))
-        yield audit(block, tol)
-        for name, value in trajectory_columns(block, derived).items():
-            derived[name][rows] = value
-
-
-def _audited_file(config: dict, columns: dict, tol: float, recomputed):
-    """The audits of a checked file's run, block by block, each block rebuilt
-    from its rows of the parsed table. While every audit is clean, each
-    block's derived columns are held to ``recomputed``: a state that fails
-    the audit may have no energies to recompute."""
-    clean = True
-    for rows in _blocks(len(columns["t"])):
-        block = Run(trajectory_from_columns(config, columns, rows))
-        part = audit(block, tol)
-        yield part
-        clean = clean and part.ok
-        if clean:
-            recomputed.add(rows, columns, trajectory_columns(block, recomputed.names))
+def _analysed(run: TrajectoryBlocks, tol: float, names: list[str], joined: AuditJoin):
+    """The file columns ``names`` of a quantum run, one block at a time:
+    each block is audited into ``joined`` and its columns derived from it.
+    A block whose analysis raises ends the analysis, but the run is
+    integrated to its end first: a non-finite state anywhere in it is the
+    error reported, as when the whole run was integrated before any
+    analysis."""
+    try:
+        for traj in run.blocks:
+            block = Run(traj)
+            joined.add(audit(block, tol))
+            columns = trajectory_columns(block, names)
+            yield [columns[name] for name in names]
+    except Exception:
+        for _ in run.blocks:
+            pass
+        raise
 
 
 class _Recomputed:
@@ -222,14 +219,16 @@ class _Recomputed:
         self.scale = dict.fromkeys(self.names, 0.0)
         self.differ = {name: [] for name in self.names}
 
-    def add(self, rows: slice, read: dict, recomputed: dict) -> None:
+    def add(self, start: int, read: dict, recomputed: dict) -> None:
+        """Hold ``read``, the columns of data rows ``start``, ``start + 1``,
+        ..., to ``recomputed``."""
         for name in self.names:
-            file, value = read[name][rows], recomputed[name]
+            file, value = read[name], recomputed[name]
             scale = np.abs(value[np.isfinite(value)]).max(initial=0.0)
             self.scale[name] = max(self.scale[name], float(scale))
             differ = np.flatnonzero(~(file == value))
             if differ.size:
-                self.differ[name].append((differ + rows.start, file[differ], value[differ]))
+                self.differ[name].append((differ + start, file[differ], value[differ]))
 
     def first_mismatch(self) -> str | None:
         """The first column, in file order, with a mismatch, and its first
@@ -260,24 +259,30 @@ def cmd_simulate(args) -> int:
     frame, _, _, xy_names = MODELS[model]
     with_xy = emit_xy(cfg) and bool(xy_names)
     out = _file_name(args.out) if args.out is not None else cfg.get("out", f"{model}.csv")
-    traj = _run_model(model, params, grid, judge_margins=True)
+    run = _run_model(model, params, grid, judge_margins=True, block=ANALYSIS_BLOCK)
     echo = {"model": model, **run_config(params, grid)}
     if xy_names:  # echoed only by a model that has XY columns
         echo["emit-xy"] = with_xy
     names = MODELS[model].layout(with_xy)
     result = None
     if frame is None:
-        cols = trajectory_columns(traj, names)
+        cols = trajectory_columns(run, names)
+        write_csv(out, echo, [(name, cols[name]) for name in names])
+        ts = run.ts
     else:
-        # the stored columns view the run; the others are derived block by
-        # block. Judged before writing, so a run that fails numerically
-        # leaves no file.
-        cols = trajectory_columns(traj, MODELS[model].stored)
-        derived = {name: np.empty(traj.n_samples) for name in names if name not in cols}
-        result = join_audits(traj.ts, _audited_run(traj, tol, derived), params)
-        cols.update(derived)
-    write_csv(out, echo, [(name, cols[name]) for name in names])
-    print(f"wrote {out} ({traj.n_samples} samples, t in [0, {traj.ts[-1]:g}])")
+        # integrated, audited, derived and written block by block; the file
+        # replaces out only once the whole run is in
+        joined = AuditJoin(run.n_samples, params)
+        blocks = _analysed(run, tol, names, joined)
+        try:
+            write_csv(out, echo, names, blocks)
+        except OSError:
+            for _ in blocks:  # a numerical failure of the run is reported first
+                pass
+            raise
+        result = joined.audit()
+        ts = result.ts
+    print(f"wrote {out} ({len(ts)} samples, t in [0, {ts[-1]:g}])")
     if result is not None:
         print(result.summary())
     return 0
@@ -336,19 +341,59 @@ def cmd_compare(args) -> int:
 
 
 def cmd_check(args) -> int:
-    config, columns = read_csv(args.csv)
-    tol = _tolerance(args.tol, [config], 1e-9)
-    model = validate_columns(config, columns)
+    config, table = read_csv(args.csv, ANALYSIS_BLOCK)
+    try:
+        tol = _tolerance(args.tol, [config], 1e-9)
+        model = validate_header(config, table.header)
+    except ValueError:
+        for _ in table.blocks:  # a data row that cannot be read is reported first
+            pass
+        raise
     params, grid = _params_and_grid(config)
-    if MODELS[model].frame is None:  # x and p are the closed form the echo describes
+    frame = MODELS[model].frame
+    if frame is None:  # x and p are the closed form the echo describes
         recomputed = _Recomputed(["x", "p"])
-        closed = _run_model(model, params, grid)
-        recomputed.add(slice(0, closed.n_samples), columns, trajectory_columns(closed, ["x", "p"]))
+    else:
+        recomputed = _Recomputed(name for name in table.header
+                                 if name not in MODELS[model].stored)
+        joined = AuditJoin(grid.n_samples, params)
+    # The file is read to its end whatever it holds, so that a row it
+    # cannot parse is the error reported; then the row count, then the
+    # first row off the grid, then the first error of the analysis.
+    rows, off_grid, failure, clean = 0, None, None, True
+    for columns in table.blocks:
+        start, rows = rows, rows + len(columns["t"])
+        off_grid = off_grid or grid_fault(columns["t"], grid, start)
+        if off_grid is not None or failure is not None or rows > grid.n_samples:
+            continue
+        try:
+            if frame is None:
+                x, p = _classical_means(params, columns["t"])
+                recomputed.add(start, columns, {"x": x, "p": p})
+            else:
+                block = Run(trajectory_from_columns(config, columns, slice(None)))
+                part = audit(block, tol)
+                joined.add(part)
+                # while every audit is clean, each block's derived columns are
+                # held to their recomputation: a state that fails the audit
+                # may have no energies to recompute
+                clean = clean and part.ok
+                if clean:
+                    recomputed.add(start, columns, trajectory_columns(block, recomputed.names))
+        except Exception as exc:  # raised below, once the file is read
+            failure = exc
+    fault = row_count_fault(rows, grid) or off_grid
+    if fault is not None:
+        raise CsvFormatError(fault)
+    if frame is None:
+        if failure is not None:
+            raise failure
         print(f"{args.csv}: classical run, no quantum moments to audit")
     else:
-        recomputed = _Recomputed(name for name in columns if name not in MODELS[model].stored)
         print(f"audit of {args.csv}")
-        result = join_audits(columns["t"], _audited_file(config, columns, tol, recomputed), params)
+        if failure is not None:
+            raise failure
+        result = joined.audit()
         print(result.summary())
         if not result.ok:
             return 1

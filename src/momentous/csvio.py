@@ -28,10 +28,13 @@ part of the contract.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import os
 import re
+import stat
+from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -52,10 +55,14 @@ __all__ = [
     "from_config",
     "write_csv",
     "read_csv",
+    "CsvBlocks",
     "config_lines",
     "parse_config_text",
     "emit_xy",
     "validate_columns",
+    "validate_header",
+    "row_count_fault",
+    "grid_fault",
     "trajectory_from_columns",
 ]
 
@@ -183,25 +190,73 @@ def parse_config_text(lines) -> dict:
     return out
 
 
-def write_csv(path, config: dict, columns: list[tuple[str, np.ndarray]]) -> None:
+def write_csv(path, config: dict, columns, blocks=None) -> None:
     """Write a simulation CSV: config comments, header row, data rows.
+
+    ``columns`` lists the table's (name, array) pairs. A table made as it
+    is written comes as the list of its column names instead, with
+    ``blocks`` yielding its consecutive blocks of rows, each a list of one
+    array per column; only one block is held at a time.
 
     Each value is written byte for byte as ``"%.16e" % value`` would write
     it. Rows are stacked and rendered ``WRITE_BLOCK`` at a time by
     :func:`_render_rows` and written as bytes, so neither the file nor the
-    table of its values is ever held whole in memory.
+    table of its values is ever held whole in memory. The file is written
+    beside ``path`` and moved onto it once the last block is in (see
+    :func:`_replacing`), so a write that fails, ``blocks`` raising
+    included, leaves ``path`` as it was.
     """
-    names = [name for name, _ in columns]
-    arrays = [np.asarray(arr, dtype=float) for _, arr in columns]
-    n = arrays[0].shape[0]
-    if any(a.shape != (n,) for a in arrays):
-        raise ValueError("all columns must share one length")
+    if blocks is None:
+        names, blocks = [name for name, _ in columns], [[arr for _, arr in columns]]
+    else:
+        names = list(columns)
     head = [f"# {line}" for line in config_lines(config)] + [",".join(names)]
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write("".join(f"{line}\n" for line in head).encode())
-        for start in range(0, n, WRITE_BLOCK):
-            block = np.column_stack([a[start:start + WRITE_BLOCK] for a in arrays])
-            fh.write(_render_rows(block))
+        for block in blocks:
+            arrays = [np.asarray(arr, dtype=float) for arr in block]
+            n = arrays[0].shape[0]
+            if len(arrays) != len(names) or any(a.shape != (n,) for a in arrays):
+                raise ValueError("all columns must share one length")
+            for start in range(0, n, WRITE_BLOCK):
+                fh.write(_render_rows(np.column_stack([a[start:start + WRITE_BLOCK]
+                                                       for a in arrays])))
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """A binary file whose bytes replace ``path`` when the block ends
+    without an error.
+
+    It is a new file beside ``path`` (beside the file a symbolic link
+    names), moved onto it at the end with ``os.replace`` and removed on an
+    error. An existing file keeps its permission bits, and one that cannot
+    be written, or a directory, fails as writing it in place would. Any
+    other existing path, such as a device or a pipe, is written in place.
+    """
+    target = os.path.realpath(path)
+    exists = os.path.exists(target)
+    if exists and not os.path.isfile(target):  # a directory fails here
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    if exists:
+        open(path, "ab").close()  # fails where writing in place would; changes nothing
+    directory, name = os.path.split(target)
+    temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        fh = open(temp, "xb")
+    except OSError as exc:  # e.g. no such directory, named as writing path would name it
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with fh:
+            if exists:
+                os.chmod(temp, stat.S_IMODE(os.stat(target).st_mode))
+            yield fh
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 # Exact "%.16e" rendering. A finite x != 0 is d.ddddddddddddddddde±XX with
@@ -339,31 +394,94 @@ def _render_rows(block: np.ndarray) -> bytes:
     return out.tobytes().translate(None, b"\0")
 
 
-def read_csv(path) -> tuple[dict, dict[str, np.ndarray]]:
+def read_csv(path, block: int | None = None):
     """Read a simulation CSV back into (config, column arrays).
 
     ``#`` lines before the header are the configuration; after it they are
     comments and skipped, as are blank lines. Each value is the double
     ``float`` makes of its field. A file whose rows all have the writer's
     shape is parsed block by block (:func:`_read_rows`); any other file is
-    read again from the start by ``np.loadtxt``.
+    read whole by ``np.loadtxt``.
+
+    With ``block``, only the configuration and the header are read yet:
+    the second item is a :class:`CsvBlocks` whose ``blocks`` parses the
+    data rows as they are read, ``block`` rows at a time.
     """
-    try:
-        with open(path, "rb") as fh:
-            config_text, header, line = _head(_plain_lines(fh), path)
-            data = _read_rows(fh, line, len(header))
-    except _OtherShape:
-        with open(path) as fh:
-            config_text, header, line = _head(fh, path)
-            rows = itertools.chain([line], filter(None, map(str.strip, fh)))
-            try:
-                data = np.loadtxt(rows, delimiter=",", ndmin=2)
-            except ValueError:
-                data = None
-        if data is None or data.shape[1] != len(header):
-            raise CsvFormatError(f"{path}: {_bad_row(path, len(header)) or 'non-numeric data row'}")
+    if block is not None and block < 1:
+        raise ValueError(f"block must be at least 1 row, got {block!r}")
+    config_text, header, blocks = _open_table(path, block)
     config = parse_config_text(config_text)
-    return config, {name: data[:, k] for k, name in enumerate(header)}
+    if block is not None:
+        return config, CsvBlocks(header, blocks)
+    return config, next(blocks)  # without a block size, the whole table is one block
+
+
+class CsvBlocks(NamedTuple):
+    """A CSV file's header and its data rows, parsed as they are read:
+    ``blocks`` yields consecutive blocks of rows as dicts of column arrays,
+    can be read once and raises :class:`CsvFormatError` at a row it cannot
+    read. A block's arrays are overwritten by the next block."""
+
+    header: list[str]
+    blocks: Iterator[dict[str, np.ndarray]]
+
+
+def _open_table(path, rows: int | None):
+    """The configuration lines and the header of a file, and a generator of
+    its data rows in blocks of ``rows`` (or one block of them all).
+
+    The rows are parsed by :func:`_read_rows` while they have the writer's
+    shape. At the first block that does not, the file is read whole by
+    ``np.loadtxt``, and its rows from that block on are served from there.
+    """
+    fh = open(path, "rb")
+    try:
+        config_text, header, line = _head(_plain_lines(fh), path)
+    except _OtherShape:
+        fh.close()
+        config_text, header, data = _loadtxt(path)
+        return config_text, header, _blocks_of(data, header, rows, 0)
+    except BaseException:
+        fh.close()
+        raise
+    return config_text, header, _parsed(fh, line, header, path, rows)
+
+
+def _parsed(fh, line, header, path, rows):
+    """:func:`_open_table`'s generator for a file whose head has the
+    writer's shape; ``line`` is its first data row."""
+    done = 0  # rows already yielded
+    try:
+        with fh:
+            for data in _read_rows(fh, line, len(header), rows):
+                yield dict(zip(header, data.T))
+                done += len(data)
+            return
+    except _OtherShape:
+        pass
+    yield from _blocks_of(_loadtxt(path)[2], header, rows, done)
+
+
+def _blocks_of(data: np.ndarray, header, rows: int | None, start: int):
+    """The rows of a whole table from ``start`` on, in blocks of ``rows``."""
+    rows = rows or max(len(data), 1)
+    for first in range(start, len(data), rows):
+        yield dict(zip(header, data[first:first + rows].T))
+
+
+def _loadtxt(path):
+    """The configuration lines, the header and the data of a file read by
+    ``np.loadtxt``."""
+    with open(path) as fh:
+        config_text, header, line = _head(fh, path)
+        lines = itertools.chain([line], filter(None, map(str.strip, fh)))
+        try:
+            data = np.loadtxt(lines, delimiter=",", ndmin=2)
+        except ValueError:
+            data = None
+    if data is None or data.shape[1] != len(header):
+        raise CsvFormatError(f"{path}: {_bad_row(path, len(header)) or 'non-numeric data row'}")
+    return config_text, header, data
 
 
 class _OtherShape(Exception):
@@ -419,13 +537,15 @@ _U = np.uint64
 _ZEROS = _U(0x3030303030303030)  # "00000000"
 
 
-def _read_rows(fh, line: str, width: int) -> np.ndarray:
+def _read_rows(fh, line: str, width: int, rows: int | None):
     """The data rows of a file, from its first data row ``line`` and the
-    rest of ``fh``, as a (rows, width) array. Raises :class:`_OtherShape`
-    at the first block with a row the writer would not write.
+    rest of ``fh``, as (rows, width) arrays of ``rows`` rows each (the last
+    may be shorter), or one array of them all when ``rows`` is None; the
+    next array overwrites the one before. Raises :class:`_OtherShape` at
+    the first buffer with a row the writer would not write.
 
     The rows pass through one buffer of ``READ_BLOCK`` rows of the longest
-    shape; a row left incomplete at its end starts the next block.
+    shape; a row left incomplete at its end starts the next buffer.
     """
     cap = READ_BLOCK * _FIELD * width
     buf = np.zeros(_READ_PAD + cap + 1 + 32, np.uint8)
@@ -436,16 +556,19 @@ def _read_rows(fh, line: str, width: int) -> np.ndarray:
         raise _OtherShape  # a row longer than the writer writes
     # rows are no shorter than 23 bytes a field; pages never written stay unmapped
     size = first.size + os.fstat(fh.fileno()).st_size - fh.tell()
-    data = np.empty((size // (23 * width) + 1, width))
+    most = size // (23 * width) + 1
+    data = np.empty((most if rows is None else min(rows, most), width))
     buf[_READ_PAD:_READ_PAD + first.size] = first
     end = _READ_PAD + first.size  # the end of the bytes not yet parsed
-    rows = 0
+    filled = 0  # rows of data holding this block's rows
     while True:
         got = fh.readinto(memoryview(buf)[end:_READ_PAD + cap])
         end += got
         if not got:
             if end == _READ_PAD:
-                return data[:rows]
+                if filled:
+                    yield data[:filled]
+                return
             if buf[end - 1] != ord("\n"):  # the last row, unterminated
                 buf[end] = ord("\n")
                 end += 1
@@ -455,8 +578,14 @@ def _read_rows(fh, line: str, width: int) -> np.ndarray:
             raise _OtherShape  # a row longer than the writer writes
         stop = tail + int(newlines[-1]) + 1
         values = _parse_rows(buf, window, _READ_PAD, stop, width)
-        data[rows:rows + len(values)] = values
-        rows += len(values)
+        while len(values):
+            taken = values[:len(data) - filled]
+            data[filled:filled + len(taken)] = taken
+            filled += len(taken)
+            values = values[len(taken):]
+            if filled == len(data):
+                yield data
+                filled = 0
         buf[_READ_PAD:_READ_PAD + end - stop] = buf[stop:end]
         end = _READ_PAD + end - stop
 
@@ -620,26 +749,49 @@ def validate_columns(config: dict, columns: dict[str, np.ndarray]) -> str:
     first column or data row that differs; an unusable echoed parameter is
     a ``ValueError`` naming its key.
     """
+    model = validate_header(config, list(columns))
+    grid = from_config(IntegratorConfig, config)
+    fault = row_count_fault(len(columns["t"]), grid) or grid_fault(columns["t"], grid)
+    if fault is not None:
+        raise CsvFormatError(fault)
+    return model
+
+
+def validate_header(config: dict, header: list[str]) -> str:
+    """The first half of :func:`validate_columns`, which needs no data row:
+    the echo's model and parameters, and the header."""
     model = config.get("model")
     if model not in MODELS:
         raise CsvFormatError(f"unknown or missing model in config: {model!r}")
     from_config(ModelParams, config)
-    grid = from_config(IntegratorConfig, config)
+    from_config(IntegratorConfig, config)
     layout = MODELS[model].layout(emit_xy(config))
-    for k, (found, expected) in enumerate(itertools.zip_longest(columns, layout), 1):
+    for k, (found, expected) in enumerate(itertools.zip_longest(header, layout), 1):
         if found != expected:
             raise CsvFormatError(f"header column {k} is {found or '(none)'}, the echoed "
                                  f"{model} layout has {expected or '(none)'}")
-    ts, read = grid.sample_times, columns["t"]
-    if len(read) != len(ts):
-        raise CsvFormatError(f"{len(read)} data rows, the echoed grid (dt, t-end, "
-                             f"sample-every) has {len(ts)} samples")
-    off = np.flatnonzero(read.view(np.uint64) != ts.view(np.uint64))
-    if off.size:
-        row = int(off[0])
-        raise CsvFormatError(f"t = {float(read[row])!r} at data row {row + 1}, the echoed "
-                             f"grid has {float(ts[row])!r}")
     return model
+
+
+def row_count_fault(n_rows: int, grid: IntegratorConfig) -> str | None:
+    """Why a file of ``n_rows`` data rows is not a run on ``grid``, or None."""
+    if n_rows != grid.n_samples:
+        return (f"{n_rows} data rows, the echoed grid (dt, t-end, sample-every) has "
+                f"{grid.n_samples} samples")
+    return None
+
+
+def grid_fault(read: np.ndarray, grid: IntegratorConfig, start: int = 0) -> str | None:
+    """The first of the times ``read`` of data rows ``start``, ``start + 1``,
+    ... that is not the time of that sample of ``grid`` bit for bit, or
+    None. Rows beyond the grid are not compared."""
+    ts = grid.block_times(start, start + len(read))
+    off = np.flatnonzero(read[:len(ts)].view(np.uint64) != ts.view(np.uint64))
+    if not off.size:
+        return None
+    row = int(off[0])
+    return (f"t = {float(read[row])!r} at data row {start + row + 1}, the echoed grid has "
+            f"{float(ts[row])!r}")
 
 
 def trajectory_from_columns(config: dict, columns: dict[str, np.ndarray],

@@ -40,6 +40,7 @@ __all__ = [
     "energy_report",
     "InvariantAudit",
     "audit",
+    "AuditJoin",
     "join_audits",
     "ColumnMetrics",
     "compare",
@@ -293,34 +294,52 @@ def audit(traj: Run | Trajectory, tol: float = 1e-9) -> InvariantAudit:
                        ground_state_bound=0.5 * params.hbar * omega_e)
 
 
+class AuditJoin:
+    """The audit of a run assembled from the audits of its consecutive
+    blocks, added in order with :meth:`add`. Each block's per-sample arrays
+    (its times included) are copied into arrays of the whole run of ``n``
+    samples, so a block's audit need not outlive its block. :meth:`audit`
+    computes the summary from those arrays as :func:`audit` computes it:
+    the whole run's audit, NaN minima included. The final energy is the
+    last block's, NaN when any block is ``corrupted``."""
+
+    def __init__(self, n: int, params: ModelParams):
+        self.params = params
+        self.ts, self.u_pair1, self.flags = np.empty(n), np.empty(n), np.empty(n, bool)
+        self.u_xy = None
+        self.stop, self.corrupted, self.last = 0, False, None
+
+    def add(self, part: InvariantAudit) -> None:
+        rows = slice(self.stop, self.stop + len(part.ts))
+        self.ts[rows], self.u_pair1[rows] = part.ts, part.u_pair1
+        self.flags[rows] = part.violation_flags
+        if part.u_xy is not None:
+            if self.u_xy is None:
+                self.u_xy = np.empty(len(self.ts))
+            self.u_xy[rows] = part.u_xy
+        self.corrupted |= part.corrupted
+        self.stop, self.last = rows.stop, part
+
+    def audit(self) -> InvariantAudit:
+        n, part = len(self.ts), self.last
+        if self.stop != n:
+            raise ValueError(f"the blocks' audits cover {self.stop} of the run's {n} samples")
+        return _summarized(self.params, part.tol, self.ts, self.u_pair1, self.u_xy, self.flags,
+                           math.nan if self.corrupted else part.final_mean_energy,
+                           self.corrupted, ground_state_bound=part.ground_state_bound)
+
+
 def join_audits(ts: np.ndarray, parts, params: ModelParams) -> InvariantAudit:
     """The audit of a run from the audits of its consecutive blocks.
 
     ``ts`` and ``params`` are the whole run's; ``parts`` gives the blocks'
     audits in order and is read one audit at a time, so a generator may
-    build each block when it is asked for. The per-sample arrays are copied
-    into arrays of the whole run, and the summary is computed from those as
-    :func:`audit` computes it: the whole run's audit, NaN minima included.
-    The final energy is the last block's, NaN when any block is
-    ``corrupted``.
+    build each block when it is asked for. See :class:`AuditJoin`.
     """
-    n = len(ts)
-    u_pair1, flags, u_xy = np.empty(n), np.empty(n, bool), None
-    stop, corrupted = 0, False
+    joined = AuditJoin(len(ts), params)
     for part in parts:
-        rows = slice(stop, stop + len(part.ts))
-        u_pair1[rows], flags[rows] = part.u_pair1, part.violation_flags
-        if part.u_xy is not None:
-            if u_xy is None:
-                u_xy = np.empty(n)
-            u_xy[rows] = part.u_xy
-        corrupted |= part.corrupted
-        stop = rows.stop
-    if stop != n:
-        raise ValueError(f"the blocks' audits cover {stop} of the run's {n} samples")
-    return _summarized(params, part.tol, ts, u_pair1, u_xy, flags,
-                       math.nan if corrupted else part.final_mean_energy, corrupted,
-                       ground_state_bound=part.ground_state_bound)
+        joined.add(part)
+    return joined.audit()
 
 
 def _summarized(params, tol, ts, u_pair1, u_xy, flags, final_energy, corrupted,

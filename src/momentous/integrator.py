@@ -13,30 +13,43 @@ matrix, the degree-4 Taylor polynomial of ``h`` times the rate matrix. It
 is built once per run; each step is then one matrix-vector product. A
 step that is not stored is checked for finiteness at once, since its
 value is lost; stored samples are checked together, one block of rows at
-a time and once more at the end. A failure still names its exact step:
-the earliest non-finite one of either kind.
+a time, before the block is handed on. A failure still names its exact
+step: the earliest non-finite one of either kind.
+
+One loop steps every run, a block of samples at a time. ``integrate``
+copies the blocks into arrays of the whole run; asked for blocks, it
+hands them out as they are stepped, so a caller holds one block at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import CovarianceMatrix, FrameError, MeanVector, Trajectory
+from .model import CanonicalFrame, CovarianceMatrix, FrameError, MeanVector, ModelParams
+from .model import Trajectory
 from .model import covariances_from_moments, finite_real
 from .systems import ModelSystem, moment_rows
 
-__all__ = ["MAX_STEPS", "IntegratorConfig", "IntegrationError", "integrate", "convergence_order"]
+__all__ = [
+    "MAX_STEPS", "IntegratorConfig", "IntegrationError", "TrajectoryBlocks", "integrate",
+    "convergence_order",
+]
 
 
 # Largest accepted step count t_end/dt: 50 times the largest grid the tests
 # and the benchmark run (200 000 steps). At sample_every = 1 a two-oscillator
 # trajectory stores 168 bytes a sample (t, 4 means, the 4x4 covariance), and
-# integrating it peaks at 288 bytes a sample (traced by tracemalloc): this
-# grid would hold 1.7 GB of samples and need 2.9 GB while it is integrated,
-# so larger grids are refused before anything is allocated.
+# integrate() of the whole run peaks near 180 bytes a sample (traced by
+# tracemalloc at 80 000 and 160 000 samples: the run plus one block): this
+# grid would hold 1.7 GB of samples and need 1.8 GB while it is integrated,
+# so larger grids are refused before anything is allocated. Read block by
+# block, as simulate reads it, a run holds one block (1.9 MB at 4096
+# samples) however long it is.
 MAX_STEPS = 10**7
 
 # Stored samples are checked for finiteness this many rows at a time, so a
@@ -90,9 +103,17 @@ class IntegratorConfig:
         return int(math.floor(raw))
 
     @property
+    def n_samples(self) -> int:
+        return self.n_steps // self.sample_every + 1
+
+    @property
     def sample_times(self) -> np.ndarray:
         """The sample grid ``(k*sample_every)*dt``, k = 0 .. n_steps//sample_every."""
-        return (np.arange(self.n_steps // self.sample_every + 1) * self.sample_every) * self.dt
+        return self.block_times(0, self.n_samples)
+
+    def block_times(self, start: int, stop: int) -> np.ndarray:
+        """``sample_times[start:stop]`` bit for bit, without the rest of the grid."""
+        return (np.arange(start, min(stop, self.n_samples)) * self.sample_every) * self.dt
 
 
 class IntegrationError(RuntimeError):
@@ -129,8 +150,90 @@ def _rk4_step_matrix(hm: np.ndarray) -> np.ndarray:
 def _first_nonfinite(states: np.ndarray, start: int, stop: int) -> int | None:
     """Index of the first of the rows ``states[start:stop]`` whose sum is
     not finite (the per-step test, vectorised), or None."""
-    bad = ~np.isfinite(states[start:stop].sum(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = ~np.isfinite(states[start:stop].sum(axis=1))
     return start + int(np.argmax(bad)) if bad.any() else None
+
+
+def _steps(step_matrix: np.ndarray, y: np.ndarray, start: int, stop: int, every: int,
+           rows: np.ndarray):
+    """Take the steps ``start + 1 .. stop`` from ``y``, the state at step
+    ``start``. Each ``every``-th state is written into the next row of
+    ``rows``; any other is checked for finiteness at once, and the first
+    that is not finite ends the steps. Returns the last state, the number
+    of rows written and that failed step (None if there is none)."""
+    advance = step_matrix.dot
+    out = 0
+    # overflow is expected on divergent systems and reported as an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(start + 1, stop + 1):
+            if step % every:
+                y = advance(y)
+                if not math.isfinite(float(y.sum())):
+                    return y, out, step
+            else:  # a sample: the product is written into its row
+                y = np.dot(step_matrix, y, out=rows[out])
+                out += 1
+    return y, out, None
+
+
+def _sample_blocks(system: ModelSystem, y: np.ndarray, cfg: IntegratorConfig, size: int):
+    """The run from the packed state ``y`` as consecutive trajectories of
+    up to ``size`` samples. Each block is stepped into one buffer, reused
+    for every block, and yielded once its rows are known to be finite; the
+    last block also takes the steps after the last sample. Raises
+    :class:`IntegrationError` naming the earliest non-finite step of the
+    block that holds it."""
+    d = system.frame.dim
+    every, n = cfg.sample_every, cfg.n_samples
+    with np.errstate(over="ignore", invalid="ignore"):
+        step_matrix = _rk4_step_matrix(cfg.dt * _rate_matrix(system))
+    states = np.empty((min(size, n), y.size))
+    states[0] = y
+    for first in range(0, n, size):
+        stop = min(first + size, n)
+        lead = 1 if first == 0 else 0  # row 0 of the first block is the initial state
+        last_step = (stop - 1) * every if stop < n else cfg.n_steps
+        # a copy: y may view the buffer row this block writes first
+        y, out, failed = _steps(step_matrix, y.copy(), (first + lead - 1) * every, last_step,
+                                every, states[lead:stop - first])
+        row = _first_nonfinite(states, lead, lead + out)
+        if row is not None:  # a stored step comes before ``failed``
+            failed = (first + row) * every
+        if failed is not None:
+            raise IntegrationError(failed, failed * cfg.dt)
+        block = states[:stop - first]
+        ts = cfg.block_times(first, stop)
+        means = block[:, :d].copy()
+        covs = covariances_from_moments(block[:, d:-1], d)
+        for arr in (ts, means, covs):  # fresh arrays: the trajectory adopts them
+            arr.setflags(write=False)
+        yield Trajectory(system.frame, ts, means, covs, system.params)
+
+
+@dataclass(frozen=True, eq=False)
+class TrajectoryBlocks:
+    """A run integrated as it is read. Iterating ``blocks`` takes the steps
+    and yields the run's samples as consecutive trajectories, each once its
+    samples are known to be finite; a non-finite state raises
+    :class:`IntegrationError` from the block that holds it. ``blocks`` can
+    be read once. ``ts``, the whole run's sample times, is computed when
+    first read."""
+
+    frame: CanonicalFrame
+    grid: IntegratorConfig
+    params: ModelParams | None
+    blocks: Iterator[Trajectory]
+
+    @property
+    def n_samples(self) -> int:
+        return self.grid.n_samples
+
+    @functools.cached_property
+    def ts(self) -> np.ndarray:
+        ts = self.grid.sample_times
+        ts.setflags(write=False)
+        return ts
 
 
 def integrate(
@@ -138,7 +241,8 @@ def integrate(
     means0: MeanVector,
     cov0: CovarianceMatrix,
     cfg: IntegratorConfig,
-) -> Trajectory:
+    block: int | None = None,
+) -> Trajectory | TrajectoryBlocks:
     """Propagate a (means, covariance) state under a model system.
 
     Classical fourth-order accuracy; identical inputs produce bit-identical
@@ -146,55 +250,32 @@ def integrate(
     Raises :class:`IntegrationError` naming the first step whose state is
     not finite, as soon as it is seen: at once for a step that is not
     stored, within ``_CHECK_ROWS`` samples for a stored one.
+
+    With ``block``, no step is taken yet: the run comes back as
+    :class:`TrajectoryBlocks` of ``block`` samples each, and a stored step
+    is checked within its block. The steps are the same either way, so a
+    block's samples are those rows of the whole run, bit for bit.
     """
     if means0.frame != system.frame or cov0.frame != system.frame:
         raise FrameError(
             f"initial state frame does not match system frame {system.frame.name}"
         )
+    if block is not None and block < 1:
+        raise ValueError(f"block must be at least 1 sample, got {block!r}")
     d = system.frame.dim
     y = np.concatenate([means0.values, cov0.entries[np.triu_indices(d)], [1.0]])
-
-    n_steps = cfg.n_steps
-    every = cfg.sample_every
-    states = np.empty((n_steps // every + 1, y.size))
-    states[0] = y
-
-    h = cfg.dt
-    out = 1
-    checked = 1  # rows states[:checked] are known to be finite
-    failed = None  # the first step not stored whose state is not finite
-    # overflow is expected on divergent systems and reported as an error
-    with np.errstate(over="ignore", invalid="ignore"):
-        step_matrix = _rk4_step_matrix(h * _rate_matrix(system))
-        advance = step_matrix.dot
-        for step in range(1, n_steps + 1):
-            if step % every:
-                y = advance(y)
-                if not math.isfinite(float(y.sum())):
-                    failed = step
-                    break
-            else:  # a sample: the product is written into its row
-                y = np.dot(step_matrix, y, out=states[out])
-                out += 1
-                if out - checked == _CHECK_ROWS:
-                    if _first_nonfinite(states, checked, out) is not None:
-                        break
-                    checked = out
-        # the rows not checked yet; a bad one comes before ``failed``
-        row = _first_nonfinite(states, checked, out)
-    if row is not None:
-        failed = row * every
-    if failed is not None:
-        raise IntegrationError(failed, failed * h)
-
-    # the trajectory adopts these arrays read-only, without copying them;
-    # states, which y may still view, goes before it is built. The sample
-    # times come last, so a run that fails has filled no more than a block.
+    blocks = _sample_blocks(system, y, cfg, block or _CHECK_ROWS)
+    if block is not None:
+        return TrajectoryBlocks(system.frame, cfg, system.params, blocks)
+    means, covs = np.empty((cfg.n_samples, d)), np.empty((cfg.n_samples, d, d))
+    stop = 0
+    for part in blocks:
+        rows = slice(stop, stop + part.n_samples)
+        means[rows], covs[rows] = part.means, part.covs
+        stop = rows.stop
+    # after the steps, so a run that fails has filled no more than a block
     ts = cfg.sample_times
-    covs = covariances_from_moments(states[:, d:-1], d)
-    means = states[:, :d].copy()
-    del states, y
-    for arr in (ts, means, covs):
+    for arr in (ts, means, covs):  # the trajectory adopts them read-only, without a copy
         arr.setflags(write=False)
     return Trajectory(system.frame, ts, means, covs, system.params)
 

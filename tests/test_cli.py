@@ -732,6 +732,113 @@ def test_block_size_keeps_the_first_negative_variance(tmp_path, capsys, monkeypa
                            "--sample-every", "1", "--emit-xy"], "92")
 
 
+@pytest.mark.parametrize("size", _BLOCK_SIZES)
+def test_a_later_nonfinite_step_beats_an_earlier_negative_variance(tmp_path, capsys,
+                                                                   monkeypatch, size):
+    """The run reaches a negative variance at t = 92 and a non-finite state
+    at step 1816. Analysed as it is integrated, the negative variance
+    streams past first; the non-finite step is still the error reported,
+    as when the whole run was integrated first, and no file is written."""
+    monkeypatch.setattr(cli, "ANALYSIS_BLOCK", size)
+    out = tmp_path / "run.csv"
+    assert run("simulate", "--model", "sbth", "--dt", "1", "--t-end", "5000",
+               "--sample-every", "1", "--emit-xy", "--out", str(out)) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: non-finite state at step 1816 (t = 1816)\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_check_reports_file_faults_in_their_order(tmp_path, capsys, monkeypatch):
+    """check reads the whole file before it reports, so a fault is reported
+    whatever block holds it: a row that does not parse before a wrong
+    header, the row count before a row off the grid, and a row off the grid
+    before an error of the analysis (here the thermal margin of an echoed
+    nbar = 1e300 overflows). Each is one line on stderr, and nothing is
+    printed."""
+    monkeypatch.setattr(cli, "ANALYSIS_BLOCK", 7)
+    dense = tmp_path / "dense.csv"
+    assert run("simulate", "--model", "lindblad", "--sample-every", "1", "--t-end", "2",
+               "--out", str(dense)) == 0
+    text = dense.read_text()
+    header = text.splitlines().index("t,x,p,G20,G02,G11,E_mean,E_analytic,U")
+    unparsed = tmp_path / "unparsed.csv"
+    unparsed.write_text(text.replace("t,x,p,", "t,y,p,"))
+    _corrupt(unparsed, "E_mean", 2000, "five")
+    long = tmp_path / "long.csv"
+    long.write_text(text + text.splitlines()[-1] + "\n")
+    _corrupt(long, "t", 5, "4.0000000000000001e-03")
+    margin = tmp_path / "margin.csv"
+    margin.write_text(re.sub(r"# nbar = .*", "# nbar = 1e+300", text))
+    _corrupt(margin, "t", 1990, "0.0")
+    cases = {
+        unparsed: f"non-numeric data row at line {header + 1 + 2000} (field 'five')",
+        long: "2002 data rows, the echoed grid (dt, t-end, sample-every) has 2001 samples",
+        margin: "t = 0.0 at data row 1990, the echoed grid has 1.989",
+    }
+    for path, message in cases.items():
+        capsys.readouterr()
+        assert run("check", str(path)) == 2, path
+        printed = capsys.readouterr()
+        assert printed.out == "" and printed.err.startswith("error: "), path
+        assert message in printed.err and len(printed.err.splitlines()) == 1, printed.err
+
+
+_FAILING_RUNS = {
+    "blow-up": ["--dt", "30", "--t-end", "3e8", "--sample-every", "1"],
+    "negative variance": ["--dt", "1", "--t-end", "200", "--sample-every", "1", "--emit-xy"],
+}
+
+
+@pytest.mark.parametrize("argv", _FAILING_RUNS.values(), ids=_FAILING_RUNS)
+@pytest.mark.parametrize("existing", [False, True], ids=["new out", "existing out"])
+def test_failing_simulate_leaves_its_directory_as_it_was(tmp_path, argv, existing):
+    """simulate writes a temporary file beside --out and moves it onto
+    --out only once the whole run is clean: a failing run leaves no file,
+    not even the temporary one, and an existing --out byte for byte."""
+    out = tmp_path / "run.csv"
+    if existing:
+        assert run("simulate", "--model", "sbth", "--t-end", "2", "--out", str(out)) == 0
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert run("simulate", "--model", "sbth", *argv, "--out", str(out)) == 3
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("argv,code,err", [
+    (["--t-end", "2"], 2, "error: [Errno 2] No such file or directory: '{out}'\n"),
+    (_FAILING_RUNS["negative variance"], 3,
+     "numerical failure: negative diagonal moment at t = 92; upstream state is corrupted\n"),
+])
+def test_out_in_a_missing_directory(tmp_path, capsys, argv, code, err):
+    """An --out that cannot be written is exit 2 in the words writing it
+    in place gives, naming --out, not the temporary file; a run that fails
+    numerically is still exit 3, reported first."""
+    out = tmp_path / "missing" / "run.csv"
+    assert run("simulate", "--model", "sbth", *argv, "--out", str(out)) == code
+    assert capsys.readouterr().err == err.format(out=out)
+    assert run("simulate", "--model", "sbth", "--t-end", "2", "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "check"])
+def test_dense_memory_is_bounded_by_a_block(tmp_path, traced_peak, command):
+    """Beyond one block of samples, simulate and check keep only the run's
+    audit arrays: its times, determinants and flags, about 25 bytes a
+    sample. Doubling the run adds at most 40 bytes a sample to their traced
+    peak. Holding the whole run or the parsed table, they grew by about
+    360 and 330 bytes a sample."""
+    peaks = []
+    for t_end in ("20", "40"):
+        out = tmp_path / f"{t_end}.csv"
+        argv = ("simulate", "--model", "sbth", "--t-end", t_end, "--sample-every", "1",
+                "--emit-xy", "--out", str(out))
+        assert run(*argv) == 0  # the file, lazily built tables and caches
+        if command == "check":
+            argv = ("check", str(out))
+            assert run(*argv) == 0
+        peaks.append(traced_peak(lambda: run(*argv)))
+    assert peaks[1] - peaks[0] <= 40 * 20_000
+
+
 def test_console_script_is_cli_main():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).parents[1] / "pyproject.toml"

@@ -282,3 +282,30 @@ def test_reader_never_holds_the_file(tmp_path, writer_shaped_only):
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * path.stat().st_size
+
+
+@pytest.mark.parametrize("other_row", [None, 0, READ_BLOCK + 3, 3 * READ_BLOCK - 1],
+                         ids=["writer's shape", "first row", "second buffer", "last row"])
+@pytest.mark.parametrize("block", [1, 100, READ_BLOCK, 10_000])
+def test_blocks_are_the_whole_table(tmp_path, other_row, block):
+    """Read block by block, a file gives the rows it gives read whole, bit
+    for bit, ``block`` rows at a time. A row of another shape (here ``1e0``)
+    in a later buffer sends the rest of the read to ``np.loadtxt``, after
+    the blocks before it have been handed out. Each block's arrays are
+    overwritten by the next, so they are copied as they come."""
+    rng = np.random.default_rng(11)
+    rows = [["%.16e" % v for v in values] for values in _longest_fields(rng, 3 * READ_BLOCK)]
+    if other_row is not None:
+        rows[other_row][1] = "1e0"
+    path = tmp_path / "table.csv"
+    _write_fields(path, rows)
+    with pytest.raises(ValueError, match="block must be at least 1 row"):
+        read_csv(path, 0)
+    config, whole = read_csv(path)
+    config_too, table = read_csv(path, block)
+    assert config_too == config and table.header == list(whole)
+    parts = [{name: column.copy() for name, column in part.items()} for part in table.blocks]
+    assert [len(part["t"]) for part in parts[:-1]] == [block] * (len(parts) - 1)
+    for name, column in whole.items():
+        joined = np.concatenate([part[name] for part in parts])
+        assert np.array_equal(_bits(joined), _bits(column)), name

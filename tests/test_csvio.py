@@ -290,6 +290,34 @@ def test_model_table_is_the_file_schema(tmp_path, model):
         assert len(moments) == frame.dim * (frame.dim + 1) // 2
 
 
+def test_write_csv_replaces_the_file_only_once_every_block_is_in(tmp_path):
+    """A table written block by block goes to a temporary file beside the
+    target and is moved onto it at the end. A write whose blocks raise
+    leaves the target and its directory as they were; a finished one keeps
+    the target's permission bits and writes through a symbolic link."""
+    path = tmp_path / "run.csv"
+    path.write_text("before\n")
+    path.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(path)
+
+    def blocks(fail):
+        yield [np.arange(3.0), np.ones(3)]
+        if fail:
+            raise ArithmeticError("no more rows")
+        yield [np.arange(3.0, 5.0), np.ones(2)]
+
+    with pytest.raises(ArithmeticError):
+        write_csv(link, {"model": "test"}, ["t", "a"], blocks(True))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "run.csv"]
+    assert path.read_text() == "before\n"
+    write_csv(link, {"model": "test"}, ["t", "a"], blocks(False))
+    assert link.is_symlink() and path.stat().st_mode & 0o777 == 0o640
+    whole = tmp_path / "whole.csv"
+    write_csv(whole, {"model": "test"}, [("t", np.arange(5.0)), ("a", np.ones(5))])
+    assert path.read_bytes() == whole.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # memory: each sample stored once
 

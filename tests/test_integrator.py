@@ -178,6 +178,45 @@ def test_dense_blow_up_stops_within_one_block():
     assert faults < 150
 
 
+@pytest.mark.parametrize("block", [1, 7, 4096])
+@pytest.mark.parametrize("grid", [(0.3, 7.0, 1), (0.3, 7.0, 4), (0.1, 20.0, 7)])
+def test_blocks_are_the_whole_run(params, block, grid):
+    """Read block by block, a run is the whole run bit for bit, its sample
+    times included; the steps after the last sample are taken too."""
+    cfg = mm.IntegratorConfig(*grid)
+    system, (means0, cov0) = mm.build_sbth(params), mm.coherent_initial_state(params)
+    whole = mm.integrate(system, means0, cov0, cfg)
+    run = mm.integrate(system, means0, cov0, cfg, block)
+    parts = list(run.blocks)
+    assert {part.n_samples for part in parts[:-1]} <= {block}
+    assert run.n_samples == whole.n_samples and np.array_equal(run.ts, whole.ts)
+    for name in ("ts", "means", "covs"):
+        joined = np.concatenate([getattr(part, name) for part in parts])
+        assert np.array_equal(joined.view(np.uint64), getattr(whole, name).view(np.uint64))
+
+
+@pytest.mark.parametrize("block", [1, 7, 46, 47, 4096])
+@pytest.mark.parametrize("every", [1, 47, 48])
+def test_blocks_name_the_exact_failing_step(block, every):
+    """A run read block by block fails at the step the whole run names,
+    from the block that holds it, once the blocks before it are read."""
+    a = np.diag([100.0, 100.0])
+    zero = np.zeros((2, 2))
+    sys = mm.ModelSystem("explode", mm.L1, a, zero, zero)
+    cfg = mm.IntegratorConfig(1.0, 100.0, every)
+    run = mm.integrate(sys, mm.MeanVector(mm.L1, [1.0, 1.0]), mm.CovarianceMatrix(mm.L1, zero),
+                       cfg, block)
+    with pytest.raises(ValueError, match="block must be at least 1 sample"):
+        mm.integrate(sys, mm.MeanVector(mm.L1, [1.0, 1.0]), mm.CovarianceMatrix(mm.L1, zero),
+                     cfg, 0)
+    read = 0
+    with pytest.raises(IntegrationError, match="step 47 "):
+        for part in run.blocks:
+            read += part.n_samples
+    stepping = -(-47 // every)  # the sample whose steps reach step 47
+    assert read == stepping // block * block
+
+
 def test_convergence_order_sbth(params):
     means0, cov0 = mm.coherent_initial_state(params)
     order = mm.convergence_order(
