@@ -41,7 +41,6 @@ from .systems import (
     generate_dynamics,
     sbth_moment_rows,
     xy_view,
-    xy_variance_rate_residual,
 )
 from .integrator import (
     IntegrationError,

@@ -80,9 +80,11 @@ _RECOMPUTE_RTOL = 1e-12
 # derives and writes a block before it steps the next; check parses, audits
 # and recomputes one. A block's states or parsed rows, run, XY view,
 # energies and columns, with the writer's or the parser's buffers, make a
-# traced peak of about 4 MB. Beyond a block, each command keeps only the
-# run's audit arrays (times, determinants and flags), about 25 bytes a
-# sample: 2 MB for a dense paper-fig1 run.
+# traced peak of about 6.5 MB on a dense paper-fig1 run (tracemalloc: 6.5 MB
+# for simulate, the integrator's 0.46 MB power table included, 6.7 MB for
+# check). Beyond a block, each command keeps only the run's audit arrays
+# (times, determinants and flags), about 25 bytes a sample: 2 MB for a
+# dense paper-fig1 run.
 ANALYSIS_BLOCK = 4096
 
 

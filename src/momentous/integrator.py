@@ -9,16 +9,25 @@ diffusion source (Van Loan, IEEE TAC 23(3), 1978). The covariance is
 unpacked from the moments, so it is symmetric by construction.
 
 The system is linear and time-invariant, so one RK4 step is one fixed
-matrix, the degree-4 Taylor polynomial of ``h`` times the rate matrix. It
-is built once per run; each step is then one matrix-vector product. A
-step that is not stored is checked for finiteness at once, since its
-value is lost; stored samples are checked together, one block of rows at
-a time, before the block is handed on. A failure still names its exact
-step: the earliest non-finite one of either kind.
+matrix ``P = I + H``, whose increment ``H`` is the degree-4 Taylor
+polynomial of ``h`` times the rate matrix less its constant term. It is
+built once per run. When every step is stored (``sample_every = 1``), the
+run also builds a table of ``D_j = P^j - I`` for j = 1 .. 256, by doubling
+from ``H``, and fills the samples 256 at a time as ``y_a + D_j y_a``: one
+product of the whole table with an anchor ``y_a``, a sample whose index is
+a multiple of 256. Keeping the identity out of the table keeps its rounding
+relative to the change of the state, not to the state. Otherwise each step
+is one matrix-vector product. A step that is not stored is checked for
+finiteness at once, since its value is lost; stored samples are checked
+together, one block of rows at a time, before the block is handed on. A
+table row that is not finite sends its 256 samples back through the step
+loop from their anchor, so a failure still names its exact step: the
+earliest non-finite one of either kind.
 
-One loop steps every run, a block of samples at a time. ``integrate``
+One loop hands out every run, a block of samples at a time. ``integrate``
 copies the blocks into arrays of the whole run; asked for blocks, it
-hands them out as they are stepped, so a caller holds one block at a time.
+hands them out as they are filled, so a caller holds one block at a time.
+The anchors do not depend on the block size, so neither does any sample.
 """
 
 from __future__ import annotations
@@ -55,6 +64,10 @@ MAX_STEPS = 10**7
 # Stored samples are checked for finiteness this many rows at a time, so a
 # run that blows up stops within one block of its failing step.
 _CHECK_ROWS = 4096
+
+# Powers of the step matrix in the table a run that stores every step is
+# filled from: 0.46 MB for the 15-wide state of two oscillators.
+_TABLE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -136,15 +149,34 @@ def _rate_matrix(system: ModelSystem) -> np.ndarray:
     return mat
 
 
-def _rk4_step_matrix(hm: np.ndarray) -> np.ndarray:
-    """One classical RK4 step of ``y' = M y`` as a matrix, from ``hm = h*M``.
+def _rk4_increment(hm: np.ndarray) -> np.ndarray:
+    """The increment ``H = P - I`` of one classical RK4 step ``P`` of
+    ``y' = M y``, from ``hm = h*M``.
 
     On a linear autonomous system the four stages compose to the degree-4
-    Taylor polynomial ``I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24``, here in
-    Horner form.
+    Taylor polynomial ``I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24``; ``H``
+    is that polynomial less ``I``, here in Horner form.
     """
     eye = np.eye(len(hm))
-    return eye + hm @ (eye + hm @ (eye / 2.0 + hm @ (eye / 6.0 + hm / 24.0)))
+    return hm @ (eye + hm @ (eye / 2.0 + hm @ (eye / 6.0 + hm / 24.0)))
+
+
+def _power_table(increment: np.ndarray) -> np.ndarray:
+    """``D_j = P^j - I`` for j = 1 .. ``_TABLE_ROWS``, with ``P = I +
+    increment``, stacked. Built by doubling, ``D_(i+k) = D_i + D_k + D_i
+    D_k``, so no power holds the identity and its rounding stays relative
+    to ``D_j``."""
+    table = np.empty((_TABLE_ROWS, *increment.shape))
+    table[0] = increment
+    known = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while known < _TABLE_ROWS:
+            new = table[known:2 * known]
+            last, low = table[known - 1], table[:len(new)]
+            np.add(low, last, out=new)
+            new += low @ last
+            known += len(new)
+    return table
 
 
 def _first_nonfinite(states: np.ndarray, start: int, stop: int) -> int | None:
@@ -177,26 +209,72 @@ def _steps(step_matrix: np.ndarray, y: np.ndarray, start: int, stop: int, every:
     return y, out, None
 
 
+def _tabulator(increment: np.ndarray, step_matrix: np.ndarray, y: np.ndarray, n: int):
+    """Filler of a run of ``n`` samples that stores every step:
+    ``fill(start, stop, rows)`` writes the samples ``start .. stop - 1``
+    into ``rows``, going on from the sample before ``start`` (``y`` is
+    sample 0), and returns how many it wrote. The samples ``a + 1 .. a +
+    _TABLE_ROWS``, ``a`` a multiple of ``_TABLE_ROWS``, are one product of
+    the whole power table of ``increment`` with the anchor ``y_a``, into a
+    buffer reused for the run, so no sample depends on how the run is
+    split. If one of them that lies in the run is not finite, they are
+    stepped again from ``y_a`` by ``step_matrix``; if one still is, the
+    fill stops after them."""
+    flat = _power_table(increment).reshape(-1, y.size)
+    held = np.empty((_TABLE_ROWS, y.size))  # the samples held_at + 1 ..
+    anchor, held_at, failing = y.copy(), None, False
+
+    def fill(start, stop, rows):
+        nonlocal anchor, held_at, failing
+        row = start
+        while row < stop:
+            a = (row - 1) // _TABLE_ROWS * _TABLE_ROWS
+            if a != held_at:
+                if held_at is not None:
+                    anchor = held[-1].copy()
+                count = min(_TABLE_ROWS, n - 1 - a)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    np.dot(flat, anchor, out=held.reshape(-1))
+                    np.add(held, anchor, out=held)
+                if _first_nonfinite(held, 0, count) is not None:
+                    _steps(step_matrix, anchor.copy(), a, a + count, 1, held)
+                    failing = _first_nonfinite(held, 0, count) is not None
+                held_at = a
+            end = min(stop, a + _TABLE_ROWS + 1)
+            rows[row - start:end - start] = held[row - 1 - a:end - 1 - a]
+            if failing:  # the rows after its first non-finite one are not needed
+                return end - start
+            row = end
+        return stop - start
+
+    return fill
+
+
 def _sample_blocks(system: ModelSystem, y: np.ndarray, cfg: IntegratorConfig, size: int):
     """The run from the packed state ``y`` as consecutive trajectories of
-    up to ``size`` samples. Each block is stepped into one buffer, reused
-    for every block, and yielded once its rows are known to be finite; the
-    last block also takes the steps after the last sample. Raises
-    :class:`IntegrationError` naming the earliest non-finite step of the
-    block that holds it."""
+    up to ``size`` samples. Each block is filled into one buffer, reused
+    for every block, and yielded once its rows are known to be finite.
+    Raises :class:`IntegrationError` naming the earliest non-finite step of
+    the block that holds it."""
     d = system.frame.dim
     every, n = cfg.sample_every, cfg.n_samples
     with np.errstate(over="ignore", invalid="ignore"):
-        step_matrix = _rk4_step_matrix(cfg.dt * _rate_matrix(system))
+        increment = _rk4_increment(cfg.dt * _rate_matrix(system))
+        step_matrix = np.eye(y.size) + increment
+    tabulate = _tabulator(increment, step_matrix, y, n) if every == 1 else None
     states = np.empty((min(size, n), y.size))
     states[0] = y
     for first in range(0, n, size):
         stop = min(first + size, n)
         lead = 1 if first == 0 else 0  # row 0 of the first block is the initial state
-        last_step = (stop - 1) * every if stop < n else cfg.n_steps
-        # a copy: y may view the buffer row this block writes first
-        y, out, failed = _steps(step_matrix, y.copy(), (first + lead - 1) * every, last_step,
-                                every, states[lead:stop - first])
+        rows = states[lead:stop - first]
+        if tabulate:
+            out, failed = tabulate(first + lead, stop, rows), None
+        else:  # the last block also takes the steps after the last sample
+            last_step = (stop - 1) * every if stop < n else cfg.n_steps
+            # a copy: y may view the buffer row this block writes first
+            y, out, failed = _steps(step_matrix, y.copy(), (first + lead - 1) * every,
+                                    last_step, every, rows)
         row = _first_nonfinite(states, lead, lead + out)
         if row is not None:  # a stored step comes before ``failed``
             failed = (first + row) * every
@@ -288,17 +366,19 @@ def convergence_order(
 ) -> float:
     """Observed order from a Richardson triple at dt, dt/2, dt/4.
 
-    Integrates to ``cfg.t_end`` three times, storing only the final state,
-    and returns ``log2(|y_dt - y_dt/2| / |y_dt/2 - y_dt/4|)`` over it
-    (packed, max norm). Choose dt large enough that truncation error stays
-    clear of round-off, else the estimate degrades.
+    Integrates to ``cfg.t_end`` three times, every step stored and read a
+    block at a time, keeping only the final state, and returns
+    ``log2(|y_dt - y_dt/2| / |y_dt/2 - y_dt/4|)`` over it (packed, max
+    norm): the estimate of three dense runs. Choose dt large enough that
+    truncation error stays clear of round-off, else the estimate degrades.
     """
     finals = []
     for divisor in (1, 2, 4):
-        n_steps = IntegratorConfig(cfg.dt / divisor, cfg.t_end).n_steps
-        sub = IntegratorConfig(cfg.dt / divisor, cfg.t_end, sample_every=n_steps)
-        traj = integrate(system, means0, cov0, sub)
-        finals.append(np.concatenate([traj.means[-1], traj.covs[-1].ravel()]))
+        run = integrate(system, means0, cov0, IntegratorConfig(cfg.dt / divisor, cfg.t_end, 1),
+                        _CHECK_ROWS)
+        for last in run.blocks:
+            pass
+        finals.append(np.concatenate([last.means[-1], last.covs[-1].ravel()]))
     err_coarse = float(np.abs(finals[0] - finals[1]).max())
     err_fine = float(np.abs(finals[1] - finals[2]).max())
     if err_fine == 0.0:

@@ -63,7 +63,6 @@ __all__ = [
     "lindblad_margin",
     "moment_margin",
     "xy_view",
-    "xy_variance_rate_residual",
 ]
 
 
@@ -372,40 +371,3 @@ def xy_view(traj: Trajectory) -> Trajectory:
     for arr in (means, covs):  # fresh arrays: the trajectory adopts them
         arr.setflags(write=False)
     return Trajectory(XY, traj.ts, means, covs, traj.params)
-
-
-def xy_variance_rate_residual(traj: Trajectory) -> np.ndarray:
-    """Residual of the transported position-variance rate identity.
-
-    The XY position variance of a BT1 run must satisfy
-
-        d/dt G[2000]_xy = -2*lam*G[2000]_xy + (2/m)*G[1100]_xy
-                          + (2/m)*(G[0011] + G[1010])
-                          + 2*lam*(G[2000] + G[1001])
-
-    with the unlabelled moments taken from the BT1 state. The left side is
-    estimated with a fourth-order central difference on the sample grid,
-    whose spacing is taken from ``ts`` as ``ts[1] - ts[0]``, so the residual
-    is meaningful only for uniformly and finely sampled runs.
-    Returns the per-sample residual on the interior of the grid.
-    """
-    if traj.frame != BT1:
-        raise FrameError("xy_variance_rate_residual expects a BT1 trajectory")
-    params = traj.params
-    if params is None:
-        raise ValueError("trajectory carries no parameters")
-    if traj.n_samples < 5:
-        raise ValueError("need at least 5 samples for the stencil")
-    lam, m = params.lambda_damp, params.m
-    xy = xy_view(traj)
-    g20 = xy.covs[:, 0, 0]
-    g11 = xy.covs[:, 0, 1]
-    h = traj.ts[1] - traj.ts[0]
-    lhs = (-g20[4:] + 8.0 * g20[3:-1] - 8.0 * g20[1:-3] + g20[:-4]) / (12.0 * h)
-    rhs = (
-        -2.0 * lam * g20
-        + (2.0 / m) * g11
-        + (2.0 / m) * (traj.covs[:, 2, 3] + traj.covs[:, 0, 2])
-        + 2.0 * lam * (traj.covs[:, 0, 0] + traj.covs[:, 0, 3])
-    )
-    return lhs - rhs[2:-2]

@@ -546,7 +546,7 @@ def test_energy_report_once_per_simulate(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("argv,t_bad", [
     (["--model", "lindblad", "--dt", "2", "--t-end", "200"], "200"),
-    (["--model", "sbth", "--dt", "1", "--t-end", "200", "--sample-every", "1", "--emit-xy"], "92"),
+    (["--model", "sbth", "--dt", "1", "--t-end", "200", "--sample-every", "1", "--emit-xy"], "89"),
 ])
 def test_negative_variance_is_exit_3_naming_its_time(tmp_path, capsys, argv, t_bad):
     """A step too large for the dynamics drives a variance negative while the
@@ -568,7 +568,7 @@ def test_simulate_and_check_print_one_audit(tmp_path, capsys):
     assert simulated[0].startswith("wrote ") and checked[0] == f"audit of {out}"
     assert simulated[1:] == checked[1:]
     assert checked[2].startswith("uncertainty violations: 95 ")
-    assert checked[3] == "first violation: t = 12, data row 7"
+    assert checked[3] == "first violation: t = 10, data row 6"
 
 
 def test_models_share_one_sample_grid(params):
@@ -729,14 +729,14 @@ def test_block_size_keeps_the_first_negative_variance(tmp_path, capsys, monkeypa
     monkeypatch.setattr(cli, "ANALYSIS_BLOCK", size)
     test_negative_variance_is_exit_3_naming_its_time(
         tmp_path, capsys, ["--model", "sbth", "--dt", "1", "--t-end", "200",
-                           "--sample-every", "1", "--emit-xy"], "92")
+                           "--sample-every", "1", "--emit-xy"], "89")
 
 
 @pytest.mark.parametrize("size", _BLOCK_SIZES)
 def test_a_later_nonfinite_step_beats_an_earlier_negative_variance(tmp_path, capsys,
                                                                    monkeypatch, size):
-    """The run reaches a negative variance at t = 92 and a non-finite state
-    at step 1816. Analysed as it is integrated, the negative variance
+    """The run reaches a negative variance at t = 89 and a non-finite state
+    at step 1813. Analysed as it is integrated, the negative variance
     streams past first; the non-finite step is still the error reported,
     as when the whole run was integrated first, and no file is written."""
     monkeypatch.setattr(cli, "ANALYSIS_BLOCK", size)
@@ -744,7 +744,7 @@ def test_a_later_nonfinite_step_beats_an_earlier_negative_variance(tmp_path, cap
     assert run("simulate", "--model", "sbth", "--dt", "1", "--t-end", "5000",
                "--sample-every", "1", "--emit-xy", "--out", str(out)) == 3
     assert capsys.readouterr().err == (
-        "numerical failure: non-finite state at step 1816 (t = 1816)\n")
+        "numerical failure: non-finite state at step 1813 (t = 1813)\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -806,7 +806,7 @@ def test_failing_simulate_leaves_its_directory_as_it_was(tmp_path, argv, existin
 @pytest.mark.parametrize("argv,code,err", [
     (["--t-end", "2"], 2, "error: [Errno 2] No such file or directory: '{out}'\n"),
     (_FAILING_RUNS["negative variance"], 3,
-     "numerical failure: negative diagonal moment at t = 92; upstream state is corrupted\n"),
+     "numerical failure: negative diagonal moment at t = 89; upstream state is corrupted\n"),
 ])
 def test_out_in_a_missing_directory(tmp_path, capsys, argv, code, err):
     """An --out that cannot be written is exit 2 in the words writing it
