@@ -307,15 +307,18 @@ def cmd_compare(args) -> int:
         configs.append(side_cfg)
     tol = _tolerance(args.tol, configs, 1e-6)
     model_a, model_b = (cfg["model"] for cfg in configs)
-    run_a, run_b = (Run(_run_model(cfg["model"], *_params_and_grid(cfg))) for cfg in configs)
     if args.columns is not None:
         columns = [c.strip() for c in args.columns.split(",") if c.strip()]
         if not columns:
             raise ConfigError(f"--columns names no column: {args.columns!r}")
+        twice = [name for name in columns if columns.count(name) > 1]
+        if twice:  # the joint file would name its columns twice
+            raise ConfigError(f"--columns names column {twice[0]!r} more than once")
     elif None in (MODELS[model_a].frame, MODELS[model_b].frame):
         columns = ["x", "p"]
     else:
         columns = ["x", "p", "G20", "G02", "G11", "E_mean"]
+    run_a, run_b = (Run(_run_model(cfg["model"], *_params_and_grid(cfg))) for cfg in configs)
 
     try:
         metrics = compare(run_a, run_b, columns)

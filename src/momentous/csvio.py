@@ -11,16 +11,16 @@ in float64/int64 arithmetic; the few values it cannot settle exactly
 (near a rounding tie, beyond 1e-270..1e270 in magnitude, or not finite)
 are formatted one by one with ``"%.16e"`` itself.
 
-The reader mirrors the writer. It streams the data rows through one
-buffer of ``READ_BLOCK`` rows, reused from block to block, so a file is
-never held whole. Fields of the shape the writer emits are parsed and
-converted to the correctly rounded double in float64/uint64 arithmetic;
-the few values it cannot settle exactly (near a rounding midpoint, with a
-zero lead digit, or beyond 1e-270..1e270 in magnitude) are converted one
-by one with ``float``. A file with any row of another shape (blank lines,
+The reader mirrors the writer. It reads a file once, through one buffer
+of ``READ_BLOCK`` rows reused from block to block, so a file is never held
+whole. A buffer of rows of the writer's shape is parsed and converted to
+the correctly rounded double in float64/uint64 arithmetic; the few values
+it cannot settle exactly (near a rounding midpoint, with a zero lead
+digit, or beyond 1e-270..1e270 in magnitude) are converted one by one
+with ``float``. A buffer with a line of any other shape (blank lines,
 ``#`` comments, CRLF, other number syntax, ``nan``, a wrong field count)
-is read by ``np.loadtxt`` instead. Either way each value is the double
-``float`` makes of its field.
+is parsed line by line, each field by ``float``. Either way each value
+is the double ``float`` makes of its field.
 
 Each model's column schema is its row of :data:`MODELS`; column order is
 part of the contract.
@@ -399,9 +399,9 @@ def read_csv(path, block: int | None = None):
 
     ``#`` lines before the header are the configuration; after it they are
     comments and skipped, as are blank lines. Each value is the double
-    ``float`` makes of its field. A file whose rows all have the writer's
-    shape is parsed block by block (:func:`_read_rows`); any other file is
-    read whole by ``np.loadtxt``.
+    ``float`` makes of its field. The file is read once; a buffer of rows of
+    the writer's shape is parsed as a block (:func:`_parse_rows`), any other
+    line by line (:func:`_parse_lines`).
 
     With ``block``, only the configuration and the header are read yet:
     the second item is a :class:`CsvBlocks` whose ``blocks`` parses the
@@ -409,8 +409,14 @@ def read_csv(path, block: int | None = None):
     """
     if block is not None and block < 1:
         raise ValueError(f"block must be at least 1 row, got {block!r}")
-    config_text, header, blocks = _open_table(path, block)
-    config = parse_config_text(config_text)
+    fh = open(path, "rb")
+    try:
+        config_text, header, rest, number = _head(fh, path)
+        config = parse_config_text(config_text)
+    except BaseException:
+        fh.close()
+        raise
+    blocks = _read_rows(fh, rest, number, header, path, block)
     if block is not None:
         return config, CsvBlocks(header, blocks)
     return config, next(blocks)  # without a block size, the whole table is one block
@@ -426,99 +432,54 @@ class CsvBlocks(NamedTuple):
     blocks: Iterator[dict[str, np.ndarray]]
 
 
-def _open_table(path, rows: int | None):
-    """The configuration lines and the header of a file, and a generator of
-    its data rows in blocks of ``rows`` (or one block of them all).
-
-    The rows are parsed by :func:`_read_rows` while they have the writer's
-    shape. At the first block that does not, the file is read whole by
-    ``np.loadtxt``, and its rows from that block on are served from there.
-    """
-    fh = open(path, "rb")
+def _text(raw: bytes, path, number: int) -> str:
+    """File line ``number`` decoded as UTF-8."""
     try:
-        config_text, header, line = _head(_plain_lines(fh), path)
-    except _OtherShape:
-        fh.close()
-        config_text, header, data = _loadtxt(path)
-        return config_text, header, _blocks_of(data, header, rows, 0)
-    except BaseException:
-        fh.close()
-        raise
-    return config_text, header, _parsed(fh, line, header, path, rows)
+        return raw.decode()
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: line {number} is not UTF-8 text "
+                             f"(byte {raw[exc.start]:#04x})") from None
 
 
-def _parsed(fh, line, header, path, rows):
-    """:func:`_open_table`'s generator for a file whose head has the
-    writer's shape; ``line`` is its first data row."""
-    done = 0  # rows already yielded
-    try:
-        with fh:
-            for data in _read_rows(fh, line, len(header), rows):
-                yield dict(zip(header, data.T))
-                done += len(data)
-            return
-    except _OtherShape:
-        pass
-    yield from _blocks_of(_loadtxt(path)[2], header, rows, done)
-
-
-def _blocks_of(data: np.ndarray, header, rows: int | None, start: int):
-    """The rows of a whole table from ``start`` on, in blocks of ``rows``."""
-    rows = rows or max(len(data), 1)
-    for first in range(start, len(data), rows):
-        yield dict(zip(header, data[first:first + rows].T))
-
-
-def _loadtxt(path):
-    """The configuration lines, the header and the data of a file read by
-    ``np.loadtxt``."""
-    with open(path) as fh:
-        config_text, header, line = _head(fh, path)
-        lines = itertools.chain([line], filter(None, map(str.strip, fh)))
-        try:
-            data = np.loadtxt(lines, delimiter=",", ndmin=2)
-        except ValueError:
-            data = None
-    if data is None or data.shape[1] != len(header):
-        raise CsvFormatError(f"{path}: {_bad_row(path, len(header)) or 'non-numeric data row'}")
-    return config_text, header, data
-
-
-class _OtherShape(Exception):
-    """A line the block reader does not take: the file is read by ``np.loadtxt``."""
-
-
-def _plain_lines(fh):
-    """The lines of a binary file as text, while they read the same as in
-    text mode: ASCII, with no carriage return."""
-    for raw in fh:
-        if b"\r" in raw or not raw.isascii():
-            raise _OtherShape
-        yield raw.decode()
-
-
-def _head(lines, path):
-    """The configuration lines, the header and the first data row (stripped)
-    of a file's lines; the lines after the first data row are left unread."""
+def _head(fh, path):
+    """The configuration lines and the header of a binary file, the bytes
+    read past the header's line (at most one read of ``READ_BLOCK · _FIELD``
+    bytes, so they fit the data buffer), and the header's line number."""
     config_text = []
-    header = None
-    for raw in lines:
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if header is None:
+    number = 0
+    text = b""  # read, not yet split into lines
+    while True:
+        chunk = fh.read(READ_BLOCK * _FIELD)
+        text += chunk
+        stop = _line_end(np.frombuffer(text, np.uint8), 0, len(text)) if chunk else len(text)
+        parts = text[:stop].splitlines(keepends=True)  # as text mode splits them
+        for k, part in enumerate(parts):
+            number += 1
+            line = _text(part, path, number).strip()
+            if not line:
+                continue
+            if line.startswith("#"):
                 config_text.append(line.lstrip("#"))
-            continue
-        if header is not None:
-            return config_text, header, line
-        header = [c.strip() for c in line.split(",")]
-        twice = [name for name in header if header.count(name) > 1]
-        if twice:  # a dict of the columns would keep only the last copy
-            raise CsvFormatError(f"{path}: header names column {twice[0]!r} more than once")
-    if header is None:
-        raise CsvFormatError(f"{path}: no header row found")
-    raise CsvFormatError(f"{path}: no data rows after the header")
+                continue
+            header = [c.strip() for c in line.split(",")]
+            twice = [name for name in header if header.count(name) > 1]
+            if twice:  # a dict of the columns would keep only the last copy
+                raise CsvFormatError(f"{path}: header names column {twice[0]!r} more than once")
+            return config_text, header, b"".join(parts[k + 1:]) + text[stop:], number
+        text = text[stop:]
+        if not chunk:
+            raise CsvFormatError(f"{path}: no header row found")
+
+
+def _line_end(text: np.ndarray, start: int, end: int) -> int:
+    """The offset after the last line end in ``text[start:end]``, or 0: a
+    ``\\n``, or a ``\\r`` before the last byte (the last may start a
+    ``\\r\\n``)."""
+    part = text[start:end]
+    ends = part == ord("\n")
+    ends[:-1] |= part[:-1] == ord("\r")
+    found = np.flatnonzero(ends)
+    return start + int(found[-1]) + 1 if found.size else 0
 
 
 # Exact parsing of the writer's fields, -?d.dddddddddddddddde[+-]dd(d). A
@@ -537,57 +498,111 @@ _U = np.uint64
 _ZEROS = _U(0x3030303030303030)  # "00000000"
 
 
-def _read_rows(fh, line: str, width: int, rows: int | None):
-    """The data rows of a file, from its first data row ``line`` and the
-    rest of ``fh``, as (rows, width) arrays of ``rows`` rows each (the last
-    may be shorter), or one array of them all when ``rows`` is None; the
-    next array overwrites the one before. Raises :class:`_OtherShape` at
-    the first buffer with a row the writer would not write.
+def _read_rows(fh, rest: bytes, number: int, header, path, rows: int | None):
+    """The data rows after the header, file line ``number``: those of
+    ``rest``, then those of ``fh``. They come in blocks of ``rows`` rows
+    (the last may be shorter; one block when None), each a dict of column
+    arrays that the next block overwrites."""
+    width = len(header)
+    with fh:
+        # rows of the writer's shape are no shorter than 23 bytes a field;
+        # pages never written stay unmapped
+        size = len(rest) + os.fstat(fh.fileno()).st_size - fh.tell()
+        most = size // (23 * width) + 1
+        data = np.empty((most if rows is None else min(rows, most), width))
+        filled = total = 0  # rows of data holding this block's rows, rows read
+        for values in _buffers(fh, rest, number, width, path):
+            total += len(values)
+            while len(values):
+                if filled == len(data):  # shorter fields than the writer's: grow
+                    grow = len(data) if rows is None else min(len(data), rows - len(data))
+                    data = np.resize(data, (len(data) + grow, width))
+                taken = values[:len(data) - filled]
+                data[filled:filled + len(taken)] = taken
+                filled += len(taken)
+                values = values[len(taken):]
+                if filled == rows:
+                    yield dict(zip(header, data.T))
+                    filled = 0
+    if not total:
+        raise CsvFormatError(f"{path}: no data rows after the header")
+    if filled:
+        yield dict(zip(header, data[:filled].T))
 
-    The rows pass through one buffer of ``READ_BLOCK`` rows of the longest
-    shape; a row left incomplete at its end starts the next buffer.
-    """
+
+def _buffers(fh, rest: bytes, number: int, width: int, path):
+    """:func:`_read_rows`'s rows as (rows, width) arrays, one for each
+    buffer of whole lines: ``rest``, then what is read from ``fh``. A line
+    left incomplete at a buffer's end starts the next one; a line longer
+    than the buffer is completed by ``fh.readline``."""
     cap = READ_BLOCK * _FIELD * width
     buf = np.zeros(_READ_PAD + cap + 1 + 32, np.uint8)
     # 24 bytes from each offset: a field's two digit groups and its exponent
     window = np.ndarray((buf.size - 23,), "V24", buffer=buf, strides=(1,))
-    first = np.frombuffer(line.encode() + b"\n", np.uint8)
-    if first.size > _FIELD * width:
-        raise _OtherShape  # a row longer than the writer writes
-    # rows are no shorter than 23 bytes a field; pages never written stay unmapped
-    size = first.size + os.fstat(fh.fileno()).st_size - fh.tell()
-    most = size // (23 * width) + 1
-    data = np.empty((most if rows is None else min(rows, most), width))
-    buf[_READ_PAD:_READ_PAD + first.size] = first
-    end = _READ_PAD + first.size  # the end of the bytes not yet parsed
-    filled = 0  # rows of data holding this block's rows
+    buf[_READ_PAD:_READ_PAD + len(rest)] = np.frombuffer(rest, np.uint8)
+    end = _READ_PAD + len(rest)  # the end of the bytes not yet parsed
     while True:
-        got = fh.readinto(memoryview(buf)[end:_READ_PAD + cap])
+        room = memoryview(buf)[end:_READ_PAD + cap]
+        got = fh.readinto(room)
         end += got
-        if not got:
+        if room.nbytes and not got:  # no byte where there was room: the end
             if end == _READ_PAD:
-                if filled:
-                    yield data[:filled]
                 return
-            if buf[end - 1] != ord("\n"):  # the last row, unterminated
+            if buf[end - 1] != ord("\n"):  # the last line, unterminated
                 buf[end] = ord("\n")
                 end += 1
-        tail = max(_READ_PAD, end - _FIELD * width)  # holds a whole row's newline
-        newlines = np.flatnonzero(buf[tail:end] == ord("\n"))
-        if not newlines.size:
-            raise _OtherShape  # a row longer than the writer writes
-        stop = tail + int(newlines[-1]) + 1
-        values = _parse_rows(buf, window, _READ_PAD, stop, width)
-        while len(values):
-            taken = values[:len(data) - filled]
-            data[filled:filled + len(taken)] = taken
-            filled += len(taken)
-            values = values[len(taken):]
-            if filled == len(data):
-                yield data
-                filled = 0
+        # a writer's row ends in the tail; a longer line, further back
+        stop = (_line_end(buf, max(_READ_PAD, end - _FIELD * width), end)
+                or _line_end(buf, _READ_PAD, end))
+        if stop:
+            try:
+                values = _parse_rows(buf, window, _READ_PAD, stop, width)
+                lines = len(values)
+            except _OtherShape:
+                values, lines = _parse_lines(buf[_READ_PAD:stop].tobytes(), number, width, path)
+        else:  # the buffer is inside one line
+            stop = end
+            values, lines = _parse_lines(buf[_READ_PAD:end].tobytes() + fh.readline(), number,
+                                         width, path)
+        number += lines
+        yield values
         buf[_READ_PAD:_READ_PAD + end - stop] = buf[stop:end]
         end = _READ_PAD + end - stop
+
+
+class _OtherShape(Exception):
+    """A buffer :func:`_parse_rows` does not take: :func:`_parse_lines` reads it."""
+
+
+def _parse_lines(text: bytes, number: int, width: int, path):
+    """The values of the data rows in ``text``, the whole lines after file
+    line ``number``, as a (rows, width) array, and the count of its lines.
+    Blank lines and ``#`` comments are skipped. Each field is the double
+    ``float`` makes of it, but one holding ``_`` or a non-ASCII character
+    (``float`` takes them, numpy's parser not) is a :class:`CsvFormatError`
+    naming its file line, as is a row of another width."""
+    rows = []
+    lines = text.splitlines()  # as text mode splits them
+    for number, raw in enumerate(lines, number + 1):
+        line = _text(raw, path, number).split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != width:
+            raise CsvFormatError(f"{path}: data does not match header width at line {number} "
+                                 f"({len(fields)} fields, header has {width})")
+        row = []
+        for field in fields:
+            field = field.strip()
+            try:
+                if "_" in field or not field.isascii():
+                    raise ValueError(field)
+                row.append(float(field))
+            except ValueError:
+                raise CsvFormatError(f"{path}: non-numeric data row at line {number} "
+                                     f"(field {field!r})") from None
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(-1, width), len(lines)
 
 
 def _parse_rows(buf, window, lo: int, hi: int, width: int) -> np.ndarray:
@@ -688,27 +703,6 @@ def _digit_words(words: np.ndarray) -> np.ndarray:
     words *= _U(10000 * 2**32 + 1)
     words >>= _U(32)
     return not_digits
-
-
-def _bad_row(path, width: int) -> str | None:
-    """The fault of the first data row that is not ``width`` numbers, naming
-    its file line (``np.loadtxt`` counts data rows only); None if no row has
-    one. A second pass over the file, taken only after a failed read."""
-    with open(path) as fh:
-        lines = ((n, raw.split("#", 1)[0].strip()) for n, raw in enumerate(fh, 1))
-        for number, text in itertools.islice(filter(lambda nl: nl[1], lines), 1, None):
-            fields = text.split(",")  # a data row: the header was skipped
-            if len(fields) != width:
-                return (f"data does not match header width at line {number} "
-                        f"({len(fields)} fields, header has {width})")
-            for field in fields:
-                try:
-                    if "_" in field:  # float() takes digit separators, loadtxt not
-                        raise ValueError(field)
-                    float(field)
-                except ValueError:
-                    return f"non-numeric data row at line {number} (field {field.strip()!r})"
-    return None
 
 
 def run_config(params: ModelParams, grid: IntegratorConfig) -> dict:

@@ -368,6 +368,7 @@ def test_compare_joint_csv_and_columns(tmp_path):
     ("x,foo", "unknown column 'foo'"),
     (",", "--columns names no column"),
     ("", "--columns names no column"),
+    ("x,p, x", "--columns names column 'x' more than once"),
 ])
 def test_compare_bad_columns_is_exit_2(capsys, columns, message):
     assert run("compare", "sbth", "lindblad", "--t-end", "1", "--columns", columns) == 2

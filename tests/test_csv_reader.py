@@ -1,12 +1,15 @@
 """The CSV reader returns what ``float`` makes of each field, bit for bit.
 
-Files of the writer's shape are parsed block by block; any other file is
-read by ``np.loadtxt``. Both must give the values and errors the reader
-always gave, so each test here compares with ``float`` or ``np.loadtxt``.
+The reader reads a file once. A buffer of rows of the writer's shape is
+parsed as a block; a buffer with a line of any other shape is parsed line
+by line, each field by ``float``. Both must give the values and errors the
+reader always gave, so each test here compares with ``float`` or with
+``np.loadtxt``, which read the files of other shapes before.
 """
 
 import decimal
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -14,15 +17,16 @@ import numpy as np
 import pytest
 from test_csvio import _contract_values
 
+from momentous import cli, csvio
 from momentous.csvio import READ_BLOCK, CsvFormatError, read_csv, write_csv
 
 
 @pytest.fixture
 def writer_shaped_only(monkeypatch):
-    """Fail any read that leaves the block parser for ``np.loadtxt``."""
+    """Fail any read that leaves the block parser for the line parser."""
     def refuse(*args, **kwargs):
-        raise AssertionError("np.loadtxt called on a file of the writer's shape")
-    monkeypatch.setattr(np, "loadtxt", refuse)
+        raise AssertionError("a file of the writer's shape parsed line by line")
+    monkeypatch.setattr(csvio, "_parse_lines", refuse)
 
 
 def _write_fields(path, rows, names=("t", "a", "b"), ending="\n"):
@@ -290,8 +294,8 @@ def test_reader_never_holds_the_file(tmp_path, writer_shaped_only):
 def test_blocks_are_the_whole_table(tmp_path, other_row, block):
     """Read block by block, a file gives the rows it gives read whole, bit
     for bit, ``block`` rows at a time. A row of another shape (here ``1e0``)
-    in a later buffer sends the rest of the read to ``np.loadtxt``, after
-    the blocks before it have been handed out. Each block's arrays are
+    in a later buffer is parsed line by line with the rest of that buffer,
+    after the blocks before it have been handed out. Each block's arrays are
     overwritten by the next, so they are copied as they come."""
     rng = np.random.default_rng(11)
     rows = [["%.16e" % v for v in values] for values in _longest_fields(rng, 3 * READ_BLOCK)]
@@ -309,3 +313,93 @@ def test_blocks_are_the_whole_table(tmp_path, other_row, block):
     for name, column in whole.items():
         joined = np.concatenate([part[name] for part in parts])
         assert np.array_equal(_bits(joined), _bits(column)), name
+
+
+@pytest.mark.parametrize("edit", ["comment", "crlf", "bare cr"])
+def test_a_line_of_another_shape_keeps_the_read_in_its_buffer(tmp_path, monkeypatch, edit):
+    """A ``# note`` line before the last row, or CRLF or bare CR line ends,
+    are parsed where the reader meets them, one buffer at a time. Read
+    block by block, such a file never has more than a buffer's lines in
+    memory, and the line parser sees only the lines of the note's buffer."""
+    rng = np.random.default_rng(5)
+    data = _longest_fields(rng, 200 * READ_BLOCK)
+    path = tmp_path / "big.csv"
+    write_csv(path, {"model": "test"}, [(name, data[:, k]) for k, name in enumerate("tab")])
+    text = path.read_bytes()
+    if edit != "comment":
+        text = text.replace(b"\n", b"\r\n" if edit == "crlf" else b"\r")
+    else:
+        cut = text.rindex(b"\n", 0, -1) + 1
+        text = text[:cut] + b"# note\n" + text[cut:]
+    path.write_bytes(text)
+    note = text.count(b"\n") - 1  # the note's file line, in the comment case
+    parsed = []  # the file lines each call of the line parser read
+
+    def spy(text, number, width, where):
+        values, count = parse_lines(text, number, width, where)
+        parsed.append(range(number + 1, number + count + 1))
+        return values, count
+
+    parse_lines = csvio._parse_lines
+    monkeypatch.setattr(csvio, "_parse_lines", spy)
+    tracemalloc.start()
+    try:
+        _, table = read_csv(path, READ_BLOCK)
+        rows = sum(len(block["t"]) for block in table.blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == len(data)
+    assert peak < 0.1 * path.stat().st_size
+    if edit == "comment":
+        assert len(parsed) == 1 and note in parsed[0] and len(parsed[0]) <= READ_BLOCK + 1
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "bare cr"])
+def test_a_line_end_across_buffers_is_one_line_end(tmp_path, ending):
+    """The first buffer (``READ_BLOCK`` rows of the longest fields, from the
+    first data row on) here ends on a row's ``\\r``. The read stops before
+    it, so a ``\\r\\n`` is never split into two line ends, and a bad field
+    further on names its line as text mode counts it."""
+    rng = np.random.default_rng(3)
+    rows = [["%.16e" % v for v in values] for values in _longest_fields(rng, 3 * READ_BLOCK)]
+    cap = READ_BLOCK * csvio._FIELD * 3  # the data buffer of a three-column file
+    row = len(",".join(rows[0]))  # a row's bytes before its line end
+    rows[0][0] = " " * ((cap - 1 - row) % (row + len(ending))) + rows[0][0]
+    rows[-2][1] = "x"
+    path = tmp_path / "ends.csv"
+    _write_fields(path, rows, ending=ending)
+    first = path.read_bytes().index(b"t,a,b" + ending.encode()) + len("t,a,b" + ending)
+    assert path.read_bytes()[first + cap - 1:first + cap] == b"\r"
+    with pytest.raises(CsvFormatError, match=f"non-numeric data row at line {len(rows) + 1} "):
+        read_csv(path)
+
+
+def test_a_one_column_file_whose_header_ends_a_read(tmp_path):
+    """The header's bare ``\\r`` is the last byte of the head's first read,
+    so the bytes the head read past it fill a one-column file's data buffer
+    to the byte; the read goes on after them."""
+    size = READ_BLOCK * csvio._FIELD  # the head's read
+    head = b"# model = test\r"
+    head += b"#" * (size - len(head) - 3) + b"\rt\r"
+    values = np.arange(3 * size) + 0.5
+    path = tmp_path / "one.csv"
+    path.write_bytes(head + "".join(f"{v}\r" for v in values.tolist()).encode())
+    assert path.read_bytes()[size - 1:size] == b"\r"
+    _, columns = read_csv(path)
+    assert columns["t"].tolist() == values.tolist()
+
+
+@pytest.mark.parametrize("line", [1, 2 + 2 * READ_BLOCK + 7], ids=["head comment", "data row"])
+def test_a_byte_that_is_not_utf8_names_its_file_line(tmp_path, capsys, line):
+    rows = [["%.16e" % v for v in values] for values in np.arange(9 * READ_BLOCK).reshape(-1, 3)]
+    path = tmp_path / "latin1.csv"
+    _write_fields(path, rows)
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] += b" # caf\xe9"
+    path.write_bytes(b"\n".join(lines))
+    message = f"{path}: line {line} is not UTF-8 text (byte 0xe9)"
+    with pytest.raises(CsvFormatError, match=re.escape(message)):
+        read_csv(path)
+    assert cli.main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
