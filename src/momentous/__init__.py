@@ -58,7 +58,6 @@ from .diagnostics import (
     coherent_initial_state,
     compare,
     energy_report,
-    join_audits,
     lindblad_mean_energy,
     trajectory_columns,
 )

@@ -399,9 +399,10 @@ def read_csv(path, block: int | None = None):
 
     ``#`` lines before the header are the configuration; after it they are
     comments and skipped, as are blank lines. Each value is the double
-    ``float`` makes of its field. The file is read once; a buffer of rows of
-    the writer's shape is parsed as a block (:func:`_parse_rows`), any other
-    line by line (:func:`_parse_lines`).
+    ``float`` makes of its field. The file is read once, front to back, so
+    it may be a pipe; a buffer of rows of the writer's shape is parsed as a
+    block (:func:`_parse_rows`), any other line by line
+    (:func:`_parse_lines`).
 
     With ``block``, only the configuration and the header are read yet:
     the second item is a :class:`CsvBlocks` whose ``blocks`` parses the
@@ -506,9 +507,12 @@ def _read_rows(fh, rest: bytes, number: int, header, path, rows: int | None):
     width = len(header)
     with fh:
         # rows of the writer's shape are no shorter than 23 bytes a field;
-        # pages never written stay unmapped
-        size = len(rest) + os.fstat(fh.fileno()).st_size - fh.tell()
-        most = size // (23 * width) + 1
+        # pages never written stay unmapped. A pipe has no size to read:
+        # its table starts at READ_BLOCK rows and grows as rows come.
+        most = READ_BLOCK
+        status = os.fstat(fh.fileno())
+        if stat.S_ISREG(status.st_mode):  # the bytes after those _head consumed
+            most = (len(rest) + status.st_size - fh.tell()) // (23 * width) + 1
         data = np.empty((most if rows is None else min(rows, most), width))
         filled = total = 0  # rows of data holding this block's rows, rows read
         for values in _buffers(fh, rest, number, width, path):
@@ -789,29 +793,27 @@ def grid_fault(read: np.ndarray, grid: IntegratorConfig, start: int = 0) -> str 
 
 
 def trajectory_from_columns(config: dict, columns: dict[str, np.ndarray],
-                            rows: slice | None = None) -> Trajectory | None:
+                            validate: bool = True) -> Trajectory | None:
     """Reconstruct the run a file's echo describes from its columns.
 
-    Without ``rows``, the file is first held to its echo
-    (:func:`validate_columns`) and every data row is rebuilt. With
-    ``rows``, a slice of data rows of a file that has passed
-    :func:`validate_columns`, only those rows are rebuilt, so a long file
-    can be analysed block by block from the table :func:`read_csv` returns.
-    The trajectory owns fresh arrays; none of them views the table.
-    Classical files return None.
+    The file is first held to its echo (:func:`validate_columns`), unless
+    ``validate`` is False: then the columns are a block of data rows of a
+    file whose header and rows are held to the echo as they are read, so a
+    long file can be analysed block by block from the :class:`CsvBlocks`
+    :func:`read_csv` returns. The trajectory owns fresh arrays; none of
+    them views the columns. Classical files return None.
     """
-    if rows is None:
+    if validate:
         validate_columns(config, columns)
-        rows = slice(None)
     frame, moment_columns, _, _ = MODELS[config["model"]]
     if frame is None:
         return None
-    ts = np.array(columns["t"][rows])
-    means = np.column_stack([columns[c][rows] for c in frame.labels])
+    ts = np.array(columns["t"])
+    means = np.column_stack([columns[c] for c in frame.labels])
     # both triangles straight from the moment columns, in moment_order
     covs = np.empty((len(ts), frame.dim, frame.dim))
     for name, i, j in zip(moment_columns, *np.triu_indices(frame.dim)):
-        covs[:, i, j] = covs[:, j, i] = columns[name][rows]
+        covs[:, i, j] = covs[:, j, i] = columns[name]
     for arr in (ts, means, covs):  # fresh arrays: the trajectory adopts them
         arr.setflags(write=False)
     return Trajectory(frame, ts, means, covs, from_config(ModelParams, config))

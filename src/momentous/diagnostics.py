@@ -41,7 +41,6 @@ __all__ = [
     "InvariantAudit",
     "audit",
     "AuditJoin",
-    "join_audits",
     "ColumnMetrics",
     "compare",
     "trajectory_columns",
@@ -274,7 +273,7 @@ def audit(traj: Run | Trajectory, tol: float = 1e-9) -> InvariantAudit:
     a negative physical variance has no energies: it is ``corrupted`` and
     its final mean energy is NaN.
 
-    A long run may be audited block by block: :func:`join_audits` makes
+    A long run may be audited block by block: an :class:`AuditJoin` makes
     the audits of its consecutive blocks into the audit of the whole run.
     """
     run = _as_run(traj)
@@ -329,19 +328,6 @@ class AuditJoin:
                            self.corrupted, ground_state_bound=part.ground_state_bound)
 
 
-def join_audits(ts: np.ndarray, parts, params: ModelParams) -> InvariantAudit:
-    """The audit of a run from the audits of its consecutive blocks.
-
-    ``ts`` and ``params`` are the whole run's; ``parts`` gives the blocks'
-    audits in order and is read one audit at a time, so a generator may
-    build each block when it is asked for. See :class:`AuditJoin`.
-    """
-    joined = AuditJoin(len(ts), params)
-    for part in parts:
-        joined.add(part)
-    return joined.audit()
-
-
 def _summarized(params, tol, ts, u_pair1, u_xy, flags, final_energy, corrupted,
                 ground_state_bound) -> InvariantAudit:
     """An audit's summary from its per-sample arrays (``u_xy`` is None but
@@ -385,21 +371,9 @@ G1_COLUMNS = _moment_columns("G1_", 4)
 PAIR_COLUMNS = _moment_columns("G", 2)
 
 
-def _view_mean(run: Run, label: str) -> np.ndarray:
-    view = run.physical
-    if label in ("p", "p_x"):  # the physical momentum, under either name
-        label = "p_x" if "p_x" in view.frame.labels else "p"
-    return view.means[:, view.frame.index(label)]
-
-
-# columns by name, as f(run); the means and moments here are the physical run's
+# columns by name, as f(run); the moments here are the physical run's
 _COLUMNS = {
     "t": lambda run: run.traj.ts,
-    "x": lambda run: _view_mean(run, "x"),
-    "p": lambda run: _view_mean(run, "p"),
-    "p_x": lambda run: _view_mean(run, "p_x"),
-    "y": lambda run: _view_mean(run, "y"),
-    "p_y": lambda run: _view_mean(run, "p_y"),
     **{
         name: lambda run, i=i, j=j: run.physical.covs[:, i, j]
         for name, (i, j) in PAIR_COLUMNS.items()
@@ -414,6 +388,28 @@ _COLUMNS = {
 }
 
 
+def _column(frame: CanonicalFrame, name: str):
+    """Column ``name`` of a run in ``frame``, as f(run): the one rule that
+    says which names :func:`trajectory_columns` knows. An unknown name
+    raises ``KeyError``."""
+    if name in frame.labels:
+        k = frame.index(name)
+        return lambda run: run.traj.means[:, k]
+    if frame == BT1 and name in G1_COLUMNS:
+        i, j = G1_COLUMNS[name]
+        return lambda run: run.traj.covs[:, i, j]
+    view = XY if frame == BT1 else frame  # the frame of Run.physical
+    label = name
+    if name in ("p", "p_x"):  # the physical momentum, under either name
+        label = "p_x" if "p_x" in view.labels else "p"
+    if label in view.labels:  # a mean of the physical run
+        k = view.index(label)
+        return lambda run: run.physical.means[:, k]
+    if name in _COLUMNS:
+        return _COLUMNS[name]
+    raise KeyError(f"unknown column {name!r} for frame {frame.name}")
+
+
 def trajectory_columns(traj: Run | Trajectory, names) -> dict[str, np.ndarray]:
     """Extract named observable columns from a run.
 
@@ -426,20 +422,7 @@ def trajectory_columns(traj: Run | Trajectory, names) -> dict[str, np.ndarray]:
     directly comparable. An unknown name raises ``KeyError``.
     """
     run = _as_run(traj)
-    traj = run.traj
-    frame = traj.frame
-    out: dict[str, np.ndarray] = {}
-    for name in names:
-        if name in frame.labels:
-            out[name] = traj.means[:, frame.index(name)]
-        elif frame == BT1 and name in G1_COLUMNS:
-            i, j = G1_COLUMNS[name]
-            out[name] = traj.covs[:, i, j]
-        elif name in _COLUMNS:
-            out[name] = _COLUMNS[name](run)
-        else:
-            raise KeyError(f"unknown column {name!r} for frame {frame.name}")
-    return out
+    return {name: _column(run.traj.frame, name)(run) for name in names}
 
 
 @dataclass(frozen=True)

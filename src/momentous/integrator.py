@@ -18,11 +18,13 @@ product of the whole table with an anchor ``y_a``, a sample whose index is
 a multiple of 256. Keeping the identity out of the table keeps its rounding
 relative to the change of the state, not to the state. Otherwise each step
 is one matrix-vector product. A step that is not stored is checked for
-finiteness at once, since its value is lost; stored samples are checked
-together, one block of rows at a time, before the block is handed on. A
-table row that is not finite sends its 256 samples back through the step
-loop from their anchor, so a failure still names its exact step: the
-earliest non-finite one of either kind.
+finiteness at once, since its value is lost. A stored sample is checked
+once, by the pass that fills it: the step loop scans the rows it wrote in
+one vectorised pass, and a dense run scans each product of the table
+before any of its rows is handed on. A table row that is not finite sends
+its 256 samples back through the step loop from their anchor, so a
+failure still names its exact step: the earliest non-finite one of either
+kind.
 
 One loop hands out every run, a block of samples at a time. ``integrate``
 copies the blocks into arrays of the whole run; asked for blocks, it
@@ -61,8 +63,10 @@ __all__ = [
 # samples) however long it is.
 MAX_STEPS = 10**7
 
-# Stored samples are checked for finiteness this many rows at a time, so a
-# run that blows up stops within one block of its failing step.
+# Samples the step loop stores before it scans them for finiteness (the
+# block of a run integrated whole), so a run that blows up stops within
+# one block of its failing step; a dense run scans each table product, so
+# it stops within 256 samples.
 _CHECK_ROWS = 4096
 
 # Powers of the step matrix in the table a run that stores every step is
@@ -179,53 +183,59 @@ def _power_table(increment: np.ndarray) -> np.ndarray:
     return table
 
 
-def _first_nonfinite(states: np.ndarray, start: int, stop: int) -> int | None:
-    """Index of the first of the rows ``states[start:stop]`` whose sum is
-    not finite (the per-step test, vectorised), or None."""
+def _first_nonfinite(states: np.ndarray) -> int | None:
+    """Index of the first row of ``states`` whose sum is not finite (the
+    per-step test, vectorised), or None."""
     with np.errstate(over="ignore", invalid="ignore"):
-        bad = ~np.isfinite(states[start:stop].sum(axis=1))
-    return start + int(np.argmax(bad)) if bad.any() else None
+        bad = ~np.isfinite(states.sum(axis=1))
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def _steps(step_matrix: np.ndarray, y: np.ndarray, start: int, stop: int, every: int,
            rows: np.ndarray):
     """Take the steps ``start + 1 .. stop`` from ``y``, the state at step
-    ``start``. Each ``every``-th state is written into the next row of
-    ``rows``; any other is checked for finiteness at once, and the first
-    that is not finite ends the steps. Returns the last state, the number
-    of rows written and that failed step (None if there is none)."""
+    ``start``, a multiple of ``every``. Each ``every``-th state is written
+    into the next row of ``rows``; any other is checked for finiteness at
+    once, and the first that is not finite ends the steps. The rows written
+    are then checked in one scan. Returns the last state and the first step
+    whose state is not finite, stored or not (None if there is none)."""
     advance = step_matrix.dot
-    out = 0
+    out, failed = 0, None
     # overflow is expected on divergent systems and reported as an error
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(start + 1, stop + 1):
             if step % every:
                 y = advance(y)
                 if not math.isfinite(float(y.sum())):
-                    return y, out, step
+                    failed = step
+                    break
             else:  # a sample: the product is written into its row
                 y = np.dot(step_matrix, y, out=rows[out])
                 out += 1
-    return y, out, None
+    row = _first_nonfinite(rows[:out])
+    if row is not None:  # a stored step comes before a failed one not stored
+        failed = (start // every + 1 + row) * every
+    return y, failed
 
 
 def _tabulator(increment: np.ndarray, step_matrix: np.ndarray, y: np.ndarray, n: int):
     """Filler of a run of ``n`` samples that stores every step:
     ``fill(start, stop, rows)`` writes the samples ``start .. stop - 1``
     into ``rows``, going on from the sample before ``start`` (``y`` is
-    sample 0), and returns how many it wrote. The samples ``a + 1 .. a +
-    _TABLE_ROWS``, ``a`` a multiple of ``_TABLE_ROWS``, are one product of
-    the whole power table of ``increment`` with the anchor ``y_a``, into a
-    buffer reused for the run, so no sample depends on how the run is
-    split. If one of them that lies in the run is not finite, they are
-    stepped again from ``y_a`` by ``step_matrix``; if one still is, the
-    fill stops after them."""
+    sample 0), and returns the first of them that is not finite, or None.
+    The samples ``a + 1 .. a + _TABLE_ROWS``, ``a`` a multiple of
+    ``_TABLE_ROWS``, are one product of the whole power table of
+    ``increment`` with the anchor ``y_a``, into a buffer reused for the
+    run, so no sample depends on how the run is split. Each product is
+    scanned once; if one of its samples that lies in the run is not
+    finite, they are stepped again from ``y_a`` by ``step_matrix``, and the
+    fill stops at the first that still is."""
     flat = _power_table(increment).reshape(-1, y.size)
     held = np.empty((_TABLE_ROWS, y.size))  # the samples held_at + 1 ..
-    anchor, held_at, failing = y.copy(), None, False
+    anchor, held_at, failed = y.copy(), None, None  # failed: the first bad one held
 
     def fill(start, stop, rows):
-        nonlocal anchor, held_at, failing
+        nonlocal anchor, held_at, failed
         row = start
         while row < stop:
             a = (row - 1) // _TABLE_ROWS * _TABLE_ROWS
@@ -236,16 +246,16 @@ def _tabulator(increment: np.ndarray, step_matrix: np.ndarray, y: np.ndarray, n:
                 with np.errstate(over="ignore", invalid="ignore"):
                     np.dot(flat, anchor, out=held.reshape(-1))
                     np.add(held, anchor, out=held)
-                if _first_nonfinite(held, 0, count) is not None:
-                    _steps(step_matrix, anchor.copy(), a, a + count, 1, held)
-                    failing = _first_nonfinite(held, 0, count) is not None
+                failed = None
+                if _first_nonfinite(held[:count]) is not None:
+                    failed = _steps(step_matrix, anchor.copy(), a, a + count, 1, held)[1]
                 held_at = a
             end = min(stop, a + _TABLE_ROWS + 1)
             rows[row - start:end - start] = held[row - 1 - a:end - 1 - a]
-            if failing:  # the rows after its first non-finite one are not needed
-                return end - start
+            if failed is not None and failed < end:
+                return failed
             row = end
-        return stop - start
+        return None
 
     return fill
 
@@ -253,9 +263,9 @@ def _tabulator(increment: np.ndarray, step_matrix: np.ndarray, y: np.ndarray, n:
 def _sample_blocks(system: ModelSystem, y: np.ndarray, cfg: IntegratorConfig, size: int):
     """The run from the packed state ``y`` as consecutive trajectories of
     up to ``size`` samples. Each block is filled into one buffer, reused
-    for every block, and yielded once its rows are known to be finite.
-    Raises :class:`IntegrationError` naming the earliest non-finite step of
-    the block that holds it."""
+    for every block, and yielded once the pass that filled it has found its
+    rows finite. Raises :class:`IntegrationError` naming the earliest
+    non-finite step of the block that holds it."""
     d = system.frame.dim
     every, n = cfg.sample_every, cfg.n_samples
     with np.errstate(over="ignore", invalid="ignore"):
@@ -269,15 +279,12 @@ def _sample_blocks(system: ModelSystem, y: np.ndarray, cfg: IntegratorConfig, si
         lead = 1 if first == 0 else 0  # row 0 of the first block is the initial state
         rows = states[lead:stop - first]
         if tabulate:
-            out, failed = tabulate(first + lead, stop, rows), None
+            failed = tabulate(first + lead, stop, rows)
         else:  # the last block also takes the steps after the last sample
             last_step = (stop - 1) * every if stop < n else cfg.n_steps
             # a copy: y may view the buffer row this block writes first
-            y, out, failed = _steps(step_matrix, y.copy(), (first + lead - 1) * every,
-                                    last_step, every, rows)
-        row = _first_nonfinite(states, lead, lead + out)
-        if row is not None:  # a stored step comes before ``failed``
-            failed = (first + row) * every
+            y, failed = _steps(step_matrix, y.copy(), (first + lead - 1) * every, last_step,
+                               every, rows)
         if failed is not None:
             raise IntegrationError(failed, failed * cfg.dt)
         block = states[:stop - first]
@@ -292,8 +299,8 @@ def _sample_blocks(system: ModelSystem, y: np.ndarray, cfg: IntegratorConfig, si
 @dataclass(frozen=True, eq=False)
 class TrajectoryBlocks:
     """A run integrated as it is read. Iterating ``blocks`` takes the steps
-    and yields the run's samples as consecutive trajectories, each once its
-    samples are known to be finite; a non-finite state raises
+    and yields the run's samples as consecutive trajectories, each once the
+    pass that filled it has found them finite; a non-finite state raises
     :class:`IntegrationError` from the block that holds it. ``blocks`` can
     be read once. ``ts``, the whole run's sample times, is computed when
     first read."""

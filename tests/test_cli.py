@@ -268,6 +268,48 @@ def test_check_accepts_good_runs(tmp_path):
         assert run("check", str(out)) == 0
 
 
+def _pipe_of(data: bytes) -> int:
+    """The read end of a pipe holding ``data`` (under the 64 KiB a pipe
+    buffers, so no writer thread is needed), its write end closed."""
+    r, w = os.pipe()
+    try:
+        assert os.write(w, data) == len(data)
+    finally:
+        os.close(w)
+    return r
+
+
+def test_check_reads_a_pipe(tmp_path, capsys):
+    """A file read through a pipe, which has no size and cannot seek, is
+    checked and read as the file itself."""
+    out = tmp_path / "run.csv"
+    assert run("simulate", "--model", "sbth", "--preset", "paper-fig1",
+               "--t-end", "2", "--out", str(out)) == 0
+    data = out.read_bytes()
+    assert len(data) == 12_570
+    capsys.readouterr()
+    assert run("check", str(out)) == 0
+    from_file = capsys.readouterr()
+    for read in ("check", "read_csv"):
+        r = _pipe_of(data)
+        try:
+            if read == "check":
+                assert run("check", f"/dev/fd/{r}") == 0
+                from_pipe = capsys.readouterr()
+                assert from_pipe.out.splitlines()[0] == f"audit of /dev/fd/{r}"
+                assert from_pipe.out.splitlines()[1:] == from_file.out.splitlines()[1:]
+                assert from_pipe.err == ""
+            else:
+                config, columns = read_csv(f"/dev/fd/{r}")
+                expected_config, expected = read_csv(out)
+                assert config == expected_config and list(columns) == list(expected)
+                for name in expected:
+                    assert np.array_equal(columns[name].view(np.uint64),
+                                          expected[name].view(np.uint64)), name
+        finally:
+            os.close(r)
+
+
 def test_check_flags_corrupted_file(tmp_path):
     out = tmp_path / "run.csv"
     assert run("simulate", "--model", "sbth", "--preset", "paper-fig1",
@@ -375,6 +417,25 @@ def test_compare_bad_columns_is_exit_2(capsys, columns, message):
     out = capsys.readouterr()
     assert message in out.err
     assert "PASS" not in out.out
+
+
+@pytest.mark.parametrize("columns, message", [
+    ("foo", "unknown column 'foo' for frame BT1"),
+    ("x,y", "unknown column 'y' for frame L1"),
+])
+def test_compare_refuses_an_unknown_column_before_integrating(capsys, monkeypatch, columns,
+                                                              message):
+    """A --columns name is held to the rule trajectory_columns reads columns
+    by, for the frames of both runs, before either run is integrated. The
+    L1 run has no ``y``: that is an unknown column too, not a frame error."""
+    calls = []
+    integrate = cli.integrate
+    monkeypatch.setattr(cli, "integrate", lambda *args: calls.append(args) or integrate(*args))
+    assert run("compare", "sbth", "lindblad", "--dt", "1e-4", "--t-end", "8",
+               "--columns", columns) == 2
+    out = capsys.readouterr()
+    assert out.err == f"error: --columns: {message}\n" and out.out == ""
+    assert calls == []
 
 
 def test_compare_unknown_spec(tmp_path):

@@ -168,7 +168,10 @@ def test_joined_block_audits_are_the_whole_run_audit(params, sbth_run, lindblad_
         parts = [mm.audit(mm.Trajectory(traj.frame, traj.ts[k:k + 7], traj.means[k:k + 7],
                                         traj.covs[k:k + 7], params))
                  for k in range(0, traj.n_samples, 7)]
-        joined = mm.join_audits(traj.ts, parts, params)
+        join = mm.AuditJoin(traj.n_samples, params)
+        for part in parts:
+            join.add(part)
+        joined = join.audit()
         assert repr(joined) == repr(whole) and joined.summary() == whole.summary()
         for name in ("ts", "u_pair1", "u_xy", "violation_flags"):
             if getattr(whole, name) is None:
