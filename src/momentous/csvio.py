@@ -322,7 +322,8 @@ def _render_tables():
 
 def _scaled(a: np.ndarray, e: np.ndarray, pow10):
     """``a·10^(16−e)`` as ``p + t``: ``p`` its rounded product, ``t`` the rest."""
-    hi, hi_high, hi_low, lo = (column[e + _E_MAX] for column in pow10)
+    e_row = e + _E_MAX
+    hi, hi_high, hi_low, lo = (column[e_row] for column in pow10)
     p = a * hi
     a_high, a_low = _split(a)
     t = (((a_high * hi_high - p) + a_high * hi_low + a_low * hi_high) + a_low * hi_low) + a * lo
@@ -382,15 +383,17 @@ def _render_rows(block: np.ndarray) -> bytes:
         chunk = part // 10**4
         words[:, col] = digits[chunk]
         words[:, col + 1] = digits[part - chunk * 10**4]
-    words[:, 5] = exp_high[e + _E_MAX]
+    e_row = e + _E_MAX
+    words[:, 5] = exp_high[e_row]
     separators = np.full(block.shape[1], comma)
     separators[-1] = newline
-    out[..., 6] = exp_low[e + _E_MAX].reshape(block.shape) | separators
-    # the rest as "%.16e" writes them, padded with 0 up to the separator
-    inexact = np.flatnonzero(~exact)
-    text = "".join(("%.16e" % v).ljust(25, "\0") for v in x[inexact].tolist())
-    out.view(np.uint8).reshape(-1, 28)[inexact, :25] = np.frombuffer(
-        text.encode(), np.uint8).reshape(-1, 25)
+    out[..., 6] = exp_low[e_row].reshape(block.shape) | separators
+    if not exact.all():
+        # the rest as "%.16e" writes them, padded with 0 up to the separator
+        inexact = np.flatnonzero(~exact)
+        text = "".join(("%.16e" % v).ljust(25, "\0") for v in x[inexact].tolist())
+        out.view(np.uint8).reshape(-1, 28)[inexact, :25] = np.frombuffer(
+            text.encode(), np.uint8).reshape(-1, 25)
     return out.tobytes().translate(None, b"\0")
 
 

@@ -18,7 +18,8 @@ product of the whole table with an anchor ``y_a``, a sample whose index is
 a multiple of 256. Keeping the identity out of the table keeps its rounding
 relative to the change of the state, not to the state. Otherwise each step
 is one matrix-vector product. A step that is not stored is checked for
-finiteness at once, since its value is lost. A stored sample is checked
+finiteness at once, since its value is lost: its sum, one dot of the state
+with a vector of ones, must be finite. A stored sample is checked
 once, by the pass that fills it: the step loop scans the rows it wrote in
 one vectorised pass, and a dense run scans each product of the table
 before any of its rows is handed on. A table row that is not finite sends
@@ -196,17 +197,18 @@ def _steps(step_matrix: np.ndarray, y: np.ndarray, start: int, stop: int, every:
     """Take the steps ``start + 1 .. stop`` from ``y``, the state at step
     ``start``, a multiple of ``every``. Each ``every``-th state is written
     into the next row of ``rows``; any other is checked for finiteness at
-    once, and the first that is not finite ends the steps. The rows written
-    are then checked in one scan. Returns the last state and the first step
-    whose state is not finite, stored or not (None if there is none)."""
-    advance = step_matrix.dot
+    once (its sum, one dot with a vector of ones, must be finite), and the
+    first that is not finite ends the steps. The rows written are then
+    checked in one scan. Returns the last state and the first step whose
+    state is not finite, stored or not (None if there is none)."""
+    advance, total = step_matrix.dot, np.ones(y.size).dot
     out, failed = 0, None
     # overflow is expected on divergent systems and reported as an error
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(start + 1, stop + 1):
             if step % every:
                 y = advance(y)
-                if not math.isfinite(float(y.sum())):
+                if not math.isfinite(total(y)):
                     failed = step
                     break
             else:  # a sample: the product is written into its row

@@ -86,6 +86,20 @@ def test_overflowing_step_is_exit_3_at_step_1(tmp_path, capsys):
     assert "non-finite state at step 1 " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("every", [2, 7, 10, 100])
+@pytest.mark.parametrize(("dt", "failing"), [("1", "step 1816 (t = 1816)"),
+                                             ("2", "step 194 (t = 388)")])
+def test_a_step_between_samples_fails_at_its_own_step(tmp_path, capsys, dt, failing, every):
+    """A step that is not stored is tested for finiteness as it is taken,
+    so the step named is the same whichever steps are stored, and no file
+    is written."""
+    out = tmp_path / "run.csv"
+    assert run("simulate", "--model", "sbth", "--dt", dt, "--t-end", "5000",
+               "--sample-every", str(every), "--out", str(out)) == 3
+    assert capsys.readouterr().err == f"numerical failure: non-finite state at {failing}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_echo_round_trip(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"

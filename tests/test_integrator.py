@@ -6,7 +6,7 @@ import pytest
 
 import momentous as mm
 from momentous import model
-from momentous.integrator import MAX_STEPS, IntegrationError
+from momentous.integrator import MAX_STEPS, IntegrationError, _steps
 
 RNG = np.random.default_rng(7)
 
@@ -162,6 +162,20 @@ def test_failure_names_the_exact_step(every):
     with pytest.raises(IntegrationError, match="step 47 ") as err:
         _explode(mm.IntegratorConfig(1.0, 100.0, every))
     assert err.value.step == 47 and err.value.t == 47.0
+
+
+def test_a_step_of_opposite_infinities_is_not_finite():
+    """Between samples a step is tested by its sum: entries +inf and -inf
+    sum to NaN, so that step ends the steps. Here the first two entries of
+    (1, -1, 1) grow by 1e100 a step: finite up to the stored step 3
+    (1e300, -1e300, 1), then (+inf, -inf, 1) at step 4, which is not
+    stored."""
+    step_matrix = np.diag([1e100, 1e100, 1.0])
+    rows = np.empty((2, 3))
+    y, failed = _steps(step_matrix, np.array([1.0, -1.0, 1.0]), 0, 8, 3, rows)
+    assert failed == 4
+    assert y.tolist() == [math.inf, -math.inf, 1.0]
+    assert rows[0].tolist() == [1e300, -1e300, 1.0]
 
 
 def test_dense_blow_up_stops_within_one_block():
