@@ -43,19 +43,14 @@ from .diagnostics import (
     Run,
     _column,
     audit,
+    classical_trajectory,
     compare,
     coherent_initial_state,
     trajectory_columns,
 )
 from .integrator import IntegrationError, IntegratorConfig, TrajectoryBlocks, integrate
-from .model import BT1, L1, ModelParams, Trajectory, finite_real
-from .systems import (
-    build_lindblad,
-    build_sbth,
-    classical_analytic,
-    lindblad_margin,
-    moment_margin,
-)
+from .model import BT1, L1, ModelParams, finite_real
+from .systems import build_lindblad, build_sbth, lindblad_margin, moment_margin
 
 __all__ = ["main", "ConfigError", "PRESETS"]
 
@@ -77,15 +72,16 @@ _CONFIG_KEYS = {"model", *(p.key for p in PARAMS), "emit-xy", "preset", "out", "
 # round differently; a file rebuilt on one platform differs by 0)
 _RECOMPUTE_RTOL = 1e-12
 
-# Samples simulate and check hold at a time: simulate integrates, audits,
-# derives and writes a block before it steps the next; check parses, audits
-# and recomputes one. A block's states or parsed rows, run, XY view,
-# energies and columns, with the writer's or the parser's buffers, make a
-# traced peak of about 6.5 MB on a dense paper-fig1 run (tracemalloc: 6.5 MB
-# for simulate, the integrator's 0.46 MB power table included, 6.7 MB for
-# check). Beyond a block, each command keeps only the run's audit arrays
-# (times, determinants and flags), about 25 bytes a sample: 2 MB for a
-# dense paper-fig1 run.
+# Samples simulate and check hold at a time, whatever the model: simulate
+# integrates, audits, derives and writes a block before it steps the next;
+# check parses, rebuilds, audits and recomputes one. A block's states or
+# parsed rows, run, XY view, energies and columns, with the writer's or the
+# parser's buffers, make a traced peak of about 6.5 MB on a dense
+# paper-fig1 run (tracemalloc: 6.5 MB for simulate, the integrator's
+# 0.46 MB power table included, 6.7 MB for check). Beyond a block, each
+# command keeps only the run's audit arrays (times, determinants and
+# flags), about 25 bytes a sample: 2 MB for a dense paper-fig1 run, none
+# for a classical run, which has no moments to audit.
 ANALYSIS_BLOCK = 4096
 
 
@@ -165,13 +161,15 @@ def _run_model(model: str, params: ModelParams, grid: IntegratorConfig,
     With ``judge_margins``, the diffusion margins that ``audit`` reports are
     evaluated at the initial state between the build and the first step:
     their overflow depends only on ``params``, so such a run fails
-    (``OverflowError``) before it costs any step. With ``block``, a quantum
-    run comes back unintegrated, as ``integrate``'s blocks of that size.
+    (``OverflowError``) before it costs any step. With ``block``, the run
+    comes back unevaluated, as ``integrate``'s blocks of that size.
     """
     if model == "classical":
-        ts = grid.sample_times
-        covs = np.zeros((len(ts), 2, 2))
-        return Trajectory(L1, ts, np.column_stack(_classical_means(params, ts)), covs, params)
+        if block is None:
+            return classical_trajectory(params, grid.sample_times)
+        return TrajectoryBlocks(L1, grid, params, (
+            classical_trajectory(params, grid.block_times(first, first + block))
+            for first in range(0, grid.n_samples, block)))
     if model == "sbth":
         system, (means0, cov0) = build_sbth(params), coherent_initial_state(params, BT1)
     else:
@@ -183,23 +181,19 @@ def _run_model(model: str, params: ModelParams, grid: IntegratorConfig,
     return integrate(system, means0, cov0, grid, block)
 
 
-def _classical_means(params: ModelParams, ts: np.ndarray):
-    """``x`` and ``p`` of the classical closed form at the times ``ts``."""
-    means0, _ = coherent_initial_state(params, L1)
-    return classical_analytic(params, *means0.values, ts)
-
-
-def _analysed(run: TrajectoryBlocks, tol: float, names: list[str], joined: AuditJoin):
-    """The file columns ``names`` of a quantum run, one block at a time:
-    each block is audited into ``joined`` and its columns derived from it.
-    A block whose analysis raises ends the analysis, but the run is
-    integrated to its end first: a non-finite state anywhere in it is the
-    error reported, as when the whole run was integrated before any
-    analysis."""
+def _analysed(run: TrajectoryBlocks, tol: float, names: list[str],
+              joined: AuditJoin | None):
+    """The file columns ``names`` of a run, one block at a time: each
+    block's columns are derived from it, once it is audited into
+    ``joined`` (None for a model without moments). A block whose analysis
+    raises ends the analysis, but the run is integrated to its end first:
+    a non-finite state anywhere in it is the error reported, as when the
+    whole run was integrated before any analysis."""
     try:
         for traj in run.blocks:
             block = Run(traj)
-            joined.add(audit(block, tol))
+            if joined is not None:
+                joined.add(audit(block, tol))
             columns = trajectory_columns(block, names)
             yield [columns[name] for name in names]
     except Exception:
@@ -259,35 +253,29 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--model must be one of {tuple(MODELS)}, got {model!r}")
     params, grid = _params_and_grid(cfg)
     tol = _tolerance(args.tol, [cfg], 1e-9)
-    frame, _, _, xy_names = MODELS[model]
+    schema = MODELS[model]
+    xy_names = schema.xy_columns
     with_xy = emit_xy(cfg) and bool(xy_names)
     out = _file_name(args.out) if args.out is not None else cfg.get("out", f"{model}.csv")
     run = _run_model(model, params, grid, judge_margins=True, block=ANALYSIS_BLOCK)
     echo = {"model": model, **run_config(params, grid)}
     if xy_names:  # echoed only by a model that has XY columns
         echo["emit-xy"] = with_xy
-    names = MODELS[model].layout(with_xy)
-    result = None
-    if frame is None:
-        cols = trajectory_columns(run, names)
-        write_csv(out, echo, [(name, cols[name]) for name in names])
-        ts = run.ts
-    else:
-        # integrated, audited, derived and written block by block; the file
-        # replaces out only once the whole run is in
-        joined = AuditJoin(run.n_samples, params)
-        blocks = _analysed(run, tol, names, joined)
-        try:
-            write_csv(out, echo, names, blocks)
-        except OSError:
-            for _ in blocks:  # a numerical failure of the run is reported first
-                pass
-            raise
-        result = joined.audit()
-        ts = result.ts
-    print(f"wrote {out} ({len(ts)} samples, t in [0, {ts[-1]:g}])")
-    if result is not None:
-        print(result.summary())
+    names = schema.layout(with_xy)
+    # integrated, audited, derived and written block by block; the file
+    # replaces out only once the whole run is in
+    joined = AuditJoin(grid.n_samples, params) if schema.moments else None
+    blocks = _analysed(run, tol, names, joined)
+    try:
+        write_csv(out, echo, names, blocks)
+    except OSError:
+        for _ in blocks:  # a numerical failure of the run is reported first
+            pass
+        raise
+    t_last = grid.block_times(grid.n_samples - 1, grid.n_samples)[0]
+    print(f"wrote {out} ({grid.n_samples} samples, t in [0, {t_last:g}])")
+    if joined is not None:
+        print(joined.audit().summary())
     return 0
 
 
@@ -333,13 +321,13 @@ def cmd_compare(args) -> int:
         m = metrics[name]
         print(f"{name:>10}  {m.max_abs:12.5e}  {m.rms:12.5e}  {m.at_time:9.3f}")
     if out is not None:
-        joint = [("t", run_a.traj.ts)]
         cols_a = trajectory_columns(run_a, columns)
         cols_b = trajectory_columns(run_b, columns)
+        names, joint = ["t"], [run_a.traj.ts]
         for name in columns:
-            joint.append((f"{name}_a", cols_a[name]))
-            joint.append((f"{name}_b", cols_b[name]))
-        write_csv(out, {"model": f"{model_a}-vs-{model_b}"}, joint)
+            names += [f"{name}_a", f"{name}_b"]
+            joint += [cols_a[name], cols_b[name]]
+        write_csv(out, {"model": f"{model_a}-vs-{model_b}"}, names, [joint])
         print(f"wrote {out}")
     if all(metrics[name].max_abs <= tol for name in columns):  # a NaN is never within tol
         print("PASS: all columns within tolerance")
@@ -358,13 +346,9 @@ def cmd_check(args) -> int:
             pass
         raise
     params, grid = _params_and_grid(config)
-    frame = MODELS[model].frame
-    if frame is None:  # x and p are the closed form the echo describes
-        recomputed = _Recomputed(["x", "p"])
-    else:
-        recomputed = _Recomputed(name for name in table.header
-                                 if name not in MODELS[model].stored)
-        joined = AuditJoin(grid.n_samples, params)
+    schema = MODELS[model]
+    recomputed = _Recomputed(name for name in table.header if name not in schema.stored)
+    joined = AuditJoin(grid.n_samples, params) if schema.moments else None
     # The file is read to its end whatever it holds, so that a row it
     # cannot parse is the error reported; then the row count, then the
     # first row off the grid, then the first error of the analysis.
@@ -375,25 +359,22 @@ def cmd_check(args) -> int:
         if off_grid is not None or failure is not None or rows > grid.n_samples:
             continue
         try:
-            if frame is None:
-                x, p = _classical_means(params, columns["t"])
-                recomputed.add(start, columns, {"x": x, "p": p})
-            else:
-                block = Run(trajectory_from_columns(config, columns, validate=False))
+            block = Run(trajectory_from_columns(config, columns, validate=False))
+            if joined is not None:
                 part = audit(block, tol)
                 joined.add(part)
                 # while every audit is clean, each block's derived columns are
                 # held to their recomputation: a state that fails the audit
                 # may have no energies to recompute
                 clean = clean and part.ok
-                if clean:
-                    recomputed.add(start, columns, trajectory_columns(block, recomputed.names))
+            if clean:
+                recomputed.add(start, columns, trajectory_columns(block, recomputed.names))
         except Exception as exc:  # raised below, once the file is read
             failure = exc
     fault = row_count_fault(rows, grid) or off_grid
     if fault is not None:
         raise CsvFormatError(fault)
-    if frame is None:
+    if joined is None:
         if failure is not None:
             raise failure
         print(f"{args.csv}: classical run, no quantum moments to audit")

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .diagnostics import G1_COLUMNS, PAIR_COLUMNS
+from .diagnostics import G1_COLUMNS, PAIR_COLUMNS, classical_trajectory
 from .integrator import IntegratorConfig
 from .model import BT1, L1, CanonicalFrame, ModelParams, Trajectory
 
@@ -85,8 +85,11 @@ class ModelColumns(NamedTuple):
 
     @property
     def stored(self) -> tuple[str, ...]:
-        """The columns a quantum model's file is rebuilt from: the time, the
-        means and the moments. Every other column derives from them."""
+        """The columns a model's file is rebuilt from: the time, and for a
+        quantum model the means and the moments. Every other column derives
+        from them; a classical file's are the closed form at its times."""
+        if self.frame is None:
+            return ("t",)
         return ("t", *self.frame.labels, *self.moments)
 
 
@@ -190,13 +193,12 @@ def parse_config_text(lines) -> dict:
     return out
 
 
-def write_csv(path, config: dict, columns, blocks=None) -> None:
+def write_csv(path, config: dict, names, blocks) -> None:
     """Write a simulation CSV: config comments, header row, data rows.
 
-    ``columns`` lists the table's (name, array) pairs. A table made as it
-    is written comes as the list of its column names instead, with
-    ``blocks`` yielding its consecutive blocks of rows, each a list of one
-    array per column; only one block is held at a time.
+    ``names`` are the table's columns, and ``blocks`` yields its
+    consecutive blocks of rows, each a list of one array per column; only
+    one block is held at a time, and a table held whole is one block.
 
     Each value is written byte for byte as ``"%.16e" % value`` would write
     it. Rows are stacked and rendered ``WRITE_BLOCK`` at a time by
@@ -206,10 +208,7 @@ def write_csv(path, config: dict, columns, blocks=None) -> None:
     :func:`_replacing`), so a write that fails, ``blocks`` raising
     included, leaves ``path`` as it was.
     """
-    if blocks is None:
-        names, blocks = [name for name, _ in columns], [[arr for _, arr in columns]]
-    else:
-        names = list(columns)
+    names = list(names)
     head = [f"# {line}" for line in config_lines(config)] + [",".join(names)]
     with _replacing(path) as fh:
         fh.write("".join(f"{line}\n" for line in head).encode())
@@ -796,21 +795,23 @@ def grid_fault(read: np.ndarray, grid: IntegratorConfig, start: int = 0) -> str 
 
 
 def trajectory_from_columns(config: dict, columns: dict[str, np.ndarray],
-                            validate: bool = True) -> Trajectory | None:
-    """Reconstruct the run a file's echo describes from its columns.
+                            validate: bool = True) -> Trajectory:
+    """Reconstruct the run a file's echo describes from its stored columns:
+    the closed form at the file's times for a classical file.
 
     The file is first held to its echo (:func:`validate_columns`), unless
     ``validate`` is False: then the columns are a block of data rows of a
     file whose header and rows are held to the echo as they are read, so a
     long file can be analysed block by block from the :class:`CsvBlocks`
     :func:`read_csv` returns. The trajectory owns fresh arrays; none of
-    them views the columns. Classical files return None.
+    them views the columns.
     """
     if validate:
         validate_columns(config, columns)
     frame, moment_columns, _, _ = MODELS[config["model"]]
+    params = from_config(ModelParams, config)
     if frame is None:
-        return None
+        return classical_trajectory(params, columns["t"])
     ts = np.array(columns["t"])
     means = np.column_stack([columns[c] for c in frame.labels])
     # both triangles straight from the moment columns, in moment_order
@@ -819,4 +820,4 @@ def trajectory_from_columns(config: dict, columns: dict[str, np.ndarray],
         covs[:, i, j] = covs[:, j, i] = columns[name]
     for arr in (ts, means, covs):  # fresh arrays: the trajectory adopts them
         arr.setflags(write=False)
-    return Trajectory(frame, ts, means, covs, from_config(ModelParams, config))
+    return Trajectory(frame, ts, means, covs, params)

@@ -30,11 +30,12 @@ from .model import (
     moment_order,
     transform_state,
 )
-from .systems import lindblad_margin, moment_margin, xy_view
+from .systems import classical_analytic, lindblad_margin, moment_margin, xy_view
 
 __all__ = [
     "Run",
     "coherent_initial_state",
+    "classical_trajectory",
     "lindblad_mean_energy",
     "EnergyReport",
     "energy_report",
@@ -92,6 +93,19 @@ def coherent_initial_state(
     means = MeanVector(BT1, [x0, 0.0, 0.0, 0.0])
     cov = CovarianceMatrix(BT1, np.diag([gq, gp, gp, gq]))
     return transform_state(means, cov, frame)
+
+
+def classical_trajectory(params: ModelParams, ts: np.ndarray) -> Trajectory:
+    """The classical closed form at the times ``ts``: an L1 trajectory of
+    :func:`classical_analytic` from the coherent initial state's means, with
+    zero covariances. Each sample depends only on its time. Raises
+    ``OverflowError`` when the initial state or a sample overflows."""
+    means0, _ = coherent_initial_state(params, L1)
+    means = np.column_stack(classical_analytic(params, *means0.values, ts))
+    covs = np.zeros((len(ts), L1.dim, L1.dim))
+    for arr in (means, covs):  # fresh arrays: the trajectory adopts them
+        arr.setflags(write=False)
+    return Trajectory(L1, ts, means, covs, params)
 
 
 def lindblad_mean_energy(params: ModelParams, t) -> np.ndarray:
@@ -334,8 +348,8 @@ def _summarized(params, tol, ts, u_pair1, u_xy, flags, final_energy, corrupted,
     for a BT1 run)."""
     min_uncertainty = u_pair1.min()
     margin_moment_min = None
-    if u_xy is not None:
-        min_uncertainty = min(min_uncertainty, u_xy.min())
+    if u_xy is not None:  # np.minimum keeps a NaN of either; min() drops its second
+        min_uncertainty = np.minimum(min_uncertainty, u_xy.min())
         margin_moment_min = float(moment_margin(params, u_pair1).min())
     return InvariantAudit(
         tol=tol,

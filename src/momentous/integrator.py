@@ -64,11 +64,11 @@ __all__ = [
 # samples) however long it is.
 MAX_STEPS = 10**7
 
-# Samples the step loop stores before it scans them for finiteness (the
-# block of a run integrated whole), so a run that blows up stops within
-# one block of its failing step; a dense run scans each table product, so
-# it stops within 256 samples.
-_CHECK_ROWS = 4096
+# Samples in each block a run integrated whole is assembled from. A run
+# that blows up stops sooner: a stored non-finite state makes the next
+# step, not stored in a sparse run, fail the per-step test at once, and a
+# dense run scans each table product of 256 samples.
+_ASSEMBLY_BLOCK = 4096
 
 # Powers of the step matrix in the table a run that stores every step is
 # filled from: 0.46 MB for the 15-wide state of two oscillators.
@@ -336,7 +336,8 @@ def integrate(
     trajectories on one platform (fixed evaluation order, no adaptivity).
     Raises :class:`IntegrationError` naming the first step whose state is
     not finite, as soon as it is seen: at once for a step that is not
-    stored, within ``_CHECK_ROWS`` samples for a stored one.
+    stored, at the next step for a stored one of a sparse run, and within
+    its table product of 256 samples for one of a dense run.
 
     With ``block``, no step is taken yet: the run comes back as
     :class:`TrajectoryBlocks` of ``block`` samples each, and a stored step
@@ -351,7 +352,7 @@ def integrate(
         raise ValueError(f"block must be at least 1 sample, got {block!r}")
     d = system.frame.dim
     y = np.concatenate([means0.values, cov0.entries[np.triu_indices(d)], [1.0]])
-    blocks = _sample_blocks(system, y, cfg, block or _CHECK_ROWS)
+    blocks = _sample_blocks(system, y, cfg, block or _ASSEMBLY_BLOCK)
     if block is not None:
         return TrajectoryBlocks(system.frame, cfg, system.params, blocks)
     means, covs = np.empty((cfg.n_samples, d)), np.empty((cfg.n_samples, d, d))
@@ -384,7 +385,7 @@ def convergence_order(
     finals = []
     for divisor in (1, 2, 4):
         run = integrate(system, means0, cov0, IntegratorConfig(cfg.dt / divisor, cfg.t_end, 1),
-                        _CHECK_ROWS)
+                        _ASSEMBLY_BLOCK)
         for last in run.blocks:
             pass
         finals.append(np.concatenate([last.means[-1], last.covs[-1].ravel()]))

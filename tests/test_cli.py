@@ -13,7 +13,7 @@ import pytest
 
 import momentous as mm
 from momentous import cli, diagnostics
-from momentous.csvio import MODELS, PARAMS, read_csv
+from momentous.csvio import MODELS, PARAMS, read_csv, trajectory_from_columns
 
 
 def run(*argv):
@@ -690,35 +690,13 @@ def test_traced_call_sites_are_reached(tmp_path, monkeypatch):
                      "energy_report": 2}
 
 
-def test_dense_simulate_stores_each_sample_once(tmp_path, traced_peak):
-    """A dense two-oscillator simulate holds each sample's arrays once: the
-    trajectory adopts the integrator's and the XY view's arrays, and the
-    writer stacks one block of rows at a time. It peaked at 675 bytes a
-    sample, copying each layer's arrays again."""
-    argv = ("simulate", "--model", "sbth", "--t-end", "20", "--sample-every", "1",
-            "--emit-xy", "--out", str(tmp_path / "dense.csv"))
-    assert run(*argv) == 0  # lazily built tables and caches
-    assert traced_peak(lambda: run(*argv)) <= 550 * 20_001
-
-
-def test_dense_check_stores_each_sample_once(tmp_path, traced_peak):
-    """A dense check frees the table read_csv parsed once the run is rebuilt
-    from it, keeping only the derived columns it compares, and the XY view
-    transports the run in bounded chunks. It peaked at 638 bytes a sample,
-    holding the table and the whole-stack transport's temporaries."""
-    out = tmp_path / "dense.csv"
-    assert run("simulate", "--model", "sbth", "--t-end", "20", "--sample-every", "1",
-               "--emit-xy", "--out", str(out)) == 0
-    assert run("check", str(out)) == 0  # lazily built tables and caches
-    assert traced_peak(lambda: run("check", str(out))) <= 540 * 20_001
-
-
 def test_dense_simulate_analyses_block_by_block(tmp_path, traced_peak):
     """A dense simulate audits and derives the XY columns one block of
     samples at a time: no XY view or energy report of the whole run is
     held. It peaked near 360 bytes a sample (run, kept derived columns,
     audit arrays and the writer's block); the bound leaves about 10 %. It
-    peaked at 489, holding the whole run's XY view and energies."""
+    peaked at 489, holding the whole run's XY view and energies, and at 675
+    before the trajectory adopted each layer's arrays without a copy."""
     argv = ("simulate", "--model", "sbth", "--t-end", "20", "--sample-every", "1",
             "--emit-xy", "--out", str(tmp_path / "dense.csv"))
     assert run(*argv) == 0  # lazily built tables and caches
@@ -730,7 +708,8 @@ def test_dense_check_analyses_block_by_block(tmp_path, traced_peak):
     the parsed table at a time, keeping only the rows whose derived values
     differ. It peaked near 335 bytes a sample (the table and the audit
     arrays); the bound leaves about 10 %. It peaked at 491, rebuilding the
-    whole run and its XY view."""
+    whole run and its XY view, and at 638 with the whole-stack transport's
+    temporaries as well."""
     out = tmp_path / "dense.csv"
     assert run("simulate", "--model", "sbth", "--t-end", "20", "--sample-every", "1",
                "--emit-xy", "--out", str(out)) == 0
@@ -859,6 +838,37 @@ def test_check_reports_file_faults_in_their_order(tmp_path, capsys, monkeypatch)
         assert message in printed.err and len(printed.err.splitlines()) == 1, printed.err
 
 
+def test_check_reports_an_analysis_failure_once_the_file_is_read(tmp_path, capsys):
+    """An error of the analysis is raised once the whole file is read, so a
+    row that cannot be read, or a row count off the grid, is reported
+    instead. Else a lindblad file's error follows the line naming the file,
+    and a classical file's, from its closed-form rebuild, comes alone."""
+    grid = ["--dt", "0.1", "--t-end", "2", "--sample-every", "1"]
+    lindblad, classical = tmp_path / "lindblad.csv", tmp_path / "classical.csv"
+    assert run("simulate", "--model", "lindblad", *grid, "--out", str(lindblad)) == 0
+    assert run("simulate", "--model", "classical", *grid, "--out", str(classical)) == 0
+    margin, unread = tmp_path / "margin.csv", tmp_path / "unread.csv"
+    margin.write_text(re.sub(r"# nbar = .*", "# nbar = 1e300", lindblad.read_text()))
+    unread.write_text("".join(margin.read_text().splitlines(keepends=True)[:-1]) + "1.0,oops\n")
+    state, short = tmp_path / "state.csv", tmp_path / "short.csv"
+    text = re.sub(r"# m = .*", "# m = 1e-300", classical.read_text())
+    state.write_text(re.sub(r"# hbar = .*", "# hbar = 10000000000.0", text))
+    short.write_text("".join(state.read_text().splitlines(keepends=True)[:-1]))
+    cases = [
+        (margin, 3, f"audit of {margin}\n",
+         "numerical failure: the thermal diffusion margin overflows\n"),
+        (unread, 2, "", f"error: {unread}: data does not match header width at line 36 "
+                        "(2 fields, header has 9)\n"),
+        (state, 3, "", "numerical failure: the coherent initial state overflows\n"),
+        (short, 2, "", "error: 20 data rows, the echoed grid (dt, t-end, sample-every) "
+                       "has 21 samples\n"),
+    ]
+    for path, code, out, err in cases:
+        capsys.readouterr()
+        assert run("check", str(path)) == code, path
+        assert capsys.readouterr() == (out, err), path
+
+
 _FAILING_RUNS = {
     "blow-up": ["--dt", "30", "--t-end", "3e8", "--sample-every", "1"],
     "negative variance": ["--dt", "1", "--t-end", "200", "--sample-every", "1", "--emit-xy"],
@@ -895,18 +905,25 @@ def test_out_in_a_missing_directory(tmp_path, capsys, argv, code, err):
     assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
 
-@pytest.mark.parametrize("command", ["simulate", "check"])
-def test_dense_memory_is_bounded_by_a_block(tmp_path, traced_peak, command):
+@pytest.mark.parametrize("command,model", [
+    pytest.param("simulate", "sbth", id="simulate"),
+    pytest.param("check", "sbth", id="check"),
+    pytest.param("simulate", "classical", id="simulate-classical"),
+    pytest.param("check", "classical", id="check-classical"),
+])
+def test_dense_memory_is_bounded_by_a_block(tmp_path, traced_peak, command, model):
     """Beyond one block of samples, simulate and check keep only the run's
     audit arrays: its times, determinants and flags, about 25 bytes a
-    sample. Doubling the run adds at most 40 bytes a sample to their traced
-    peak. Holding the whole run or the parsed table, they grew by about
-    360 and 330 bytes a sample."""
+    sample, and none for a classical run. Doubling the run adds at most 40
+    bytes a sample to their traced peak. Holding the whole run or the
+    parsed table, they grew by about 360 and 330 bytes a sample; a
+    classical simulate, evaluated whole, by 112."""
+    xy = ["--emit-xy"] if MODELS[model].xy_columns else []
     peaks = []
     for t_end in ("20", "40"):
         out = tmp_path / f"{t_end}.csv"
-        argv = ("simulate", "--model", "sbth", "--t-end", t_end, "--sample-every", "1",
-                "--emit-xy", "--out", str(out))
+        argv = ("simulate", "--model", model, "--t-end", t_end, "--sample-every", "1",
+                *xy, "--out", str(out))
         assert run(*argv) == 0  # the file, lazily built tables and caches
         if command == "check":
             argv = ("check", str(out))
@@ -1037,6 +1054,26 @@ def test_nan_determinant_file_fails_check(tmp_path, capsys):
     assert "uncertainty violations: 1 " in captured.out
     assert "min determinant nan" in captured.out
     assert "\nfirst violation: t = 1, data row 2\n" in captured.out
+
+
+def test_nan_xy_determinant_shows_in_the_summary(tmp_path, capsys):
+    """Moments of 1e300 in the mirror pair of an sbth file's data row 3
+    leave the first pair's determinant finite and make the XY view's NaN:
+    the summary's minimum determinant is NaN. It read 0.25, Python's min()
+    dropping a NaN in its second argument."""
+    out = tmp_path / "run.csv"
+    assert run("simulate", "--model", "sbth", "--dt", "0.1", "--t-end", "2",
+               "--sample-every", "1", "--out", str(out)) == 0
+    for name in ("G1_0002", "G1_0020", "G1_0011"):
+        _corrupt(out, name, 3, "1.0000000000000000e+300")
+    capsys.readouterr()
+    assert run("check", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert ("uncertainty violations: 1 (bound 0.25, tol 1e-09, min determinant nan)"
+            in captured.out.splitlines())
+    result = mm.audit(trajectory_from_columns(*read_csv(out)))
+    assert math.isnan(result.min_uncertainty) and np.isfinite(result.u_pair1).all()
 
 
 def test_thermal_margin_of_a_tiny_hbar_is_zero(tmp_path, capsys):

@@ -51,7 +51,7 @@ def test_contract_values_read_back_bit_exact(tmp_path, request, finite):
     data = values.reshape(-1, n_cols)
     names = [f"c{k}" for k in range(n_cols)]
     path = tmp_path / "contract.csv"
-    write_csv(path, {"model": "test"}, [(name, data[:, k]) for k, name in enumerate(names)])
+    write_csv(path, {"model": "test"}, names, [list(data.T)])
     _, columns = read_csv(path)
     back = np.column_stack([columns[name] for name in names])
     nan = np.isnan(data)
@@ -178,7 +178,7 @@ def test_rows_around_a_block_read_back_bit_exact(tmp_path, writer_shaped_only, n
     else:
         data = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(-120, 120, (n_rows, 3))
     path = tmp_path / "block.csv"
-    write_csv(path, {"model": "test"}, [(name, data[:, k]) for k, name in enumerate("tab")])
+    write_csv(path, {"model": "test"}, "tab", [list(data.T)])
     _, columns = read_csv(path)
     back = np.column_stack(list(columns.values()))
     assert np.array_equal(_bits(back), _bits(data))
@@ -278,7 +278,7 @@ def test_reader_never_holds_the_file(tmp_path, writer_shaped_only):
     rng = np.random.default_rng(5)
     data = _longest_fields(rng, 200 * READ_BLOCK)
     path = tmp_path / "big.csv"
-    write_csv(path, {"model": "test"}, [(name, data[:, k]) for k, name in enumerate("tab")])
+    write_csv(path, {"model": "test"}, "tab", [list(data.T)])
     tracemalloc.start()
     try:
         read_csv(path)
@@ -324,7 +324,7 @@ def test_a_line_of_another_shape_keeps_the_read_in_its_buffer(tmp_path, monkeypa
     rng = np.random.default_rng(5)
     data = _longest_fields(rng, 200 * READ_BLOCK)
     path = tmp_path / "big.csv"
-    write_csv(path, {"model": "test"}, [(name, data[:, k]) for k, name in enumerate("tab")])
+    write_csv(path, {"model": "test"}, "tab", [list(data.T)])
     text = path.read_bytes()
     if edit != "comment":
         text = text.replace(b"\n", b"\r\n" if edit == "crlf" else b"\r")
@@ -353,6 +353,47 @@ def test_a_line_of_another_shape_keeps_the_read_in_its_buffer(tmp_path, monkeypa
     assert peak < 0.1 * path.stat().st_size
     if edit == "comment":
         assert len(parsed) == 1 and note in parsed[0] and len(parsed[0]) <= READ_BLOCK + 1
+
+
+@pytest.mark.parametrize("edit", ["comment", "spaces"])
+def test_a_line_longer_than_the_buffer(tmp_path, monkeypatch, edit):
+    """A line of twice the data buffer, a ``#`` comment after data row
+    ``READ_BLOCK + 3`` or spaces leading row ``READ_BLOCK + 4``, leaves a
+    buffer with no line end; the line is completed by ``readline`` and
+    parsed by the line parser. The values are the unedited file's, read
+    whole or by blocks, and a bad field after the spaces names its line."""
+    rng = np.random.default_rng(13)
+    rows = [["%.16e" % v for v in values] for values in _longest_fields(rng, 3 * READ_BLOCK)]
+    cap = READ_BLOCK * csvio._FIELD * 3  # the data buffer of a three-column file
+    plain, long = tmp_path / "plain.csv", tmp_path / "long.csv"
+    _write_fields(plain, rows)
+    if edit == "comment":
+        rows.insert(READ_BLOCK + 3, ["#" * 2 * cap])
+    else:
+        rows[READ_BLOCK + 3][0] = " " * 2 * cap + rows[READ_BLOCK + 3][0]
+    _write_fields(long, rows)
+    lengths = []  # the bytes each call of the line parser read
+
+    def spy(text, *args):
+        lengths.append(len(text))
+        return parse_lines(text, *args)
+
+    parse_lines = csvio._parse_lines
+    monkeypatch.setattr(csvio, "_parse_lines", spy)
+    _, expected = read_csv(plain)
+    _, whole = read_csv(long)
+    assert max(lengths) > 2 * cap
+    _, table = read_csv(long, 100)
+    parts = [{name: column.copy() for name, column in part.items()} for part in table.blocks]
+    for name, column in expected.items():
+        assert np.array_equal(_bits(whole[name]), _bits(column)), name
+        joined = np.concatenate([part[name] for part in parts])
+        assert np.array_equal(_bits(joined), _bits(column)), name
+    if edit == "spaces":
+        rows[READ_BLOCK + 3] = [" " * 2 * cap + "1.0", "abc", "2.0"]
+        _write_fields(long, rows)
+        with pytest.raises(CsvFormatError, match="non-numeric data row at line 518 "):
+            read_csv(long)
 
 
 @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "bare cr"])

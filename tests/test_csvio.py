@@ -1,5 +1,6 @@
 """The CSV reader's contract and the writer's number format."""
 
+import re
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from momentous import IntegratorConfig, ModelParams, cli
 from momentous.csvio import (
     MODELS,
     WRITE_BLOCK,
+    CsvFormatError,
     read_csv,
     run_config,
     trajectory_from_columns,
@@ -105,7 +107,24 @@ def test_rounded_sample_grids_are_uniform():
         grid = IntegratorConfig(dt=dt, t_end=ts[-1], sample_every=every)
         config = {"model": "classical", **run_config(ModelParams(), grid)}
         columns = {"t": ts, "x": np.zeros(n), "p": np.zeros(n)}
-        assert trajectory_from_columns(config, columns) is None
+        assert validate_columns(config, columns) == "classical"
+
+
+def test_a_table_off_its_echoed_grid_is_refused():
+    """A table one row short, or with one time 1e-9 off its sample, is
+    refused naming the row count or that row."""
+    grid = IntegratorConfig(dt=0.1, t_end=2.0, sample_every=1)
+    config = {"model": "classical", **run_config(ModelParams(), grid)}
+    ts = grid.sample_times
+    off = ts.copy()
+    off[5] = 0.500000001
+    for t, message in (
+        (ts[:-1], "20 data rows, the echoed grid (dt, t-end, sample-every) has 21 samples"),
+        (off, "t = 0.500000001 at data row 6, the echoed grid has 0.5"),
+    ):
+        columns = {"t": t, "x": np.zeros(len(t)), "p": np.zeros(len(t))}
+        with pytest.raises(CsvFormatError, match=re.escape(message)):
+            validate_columns(config, columns)
 
 
 def _set(key, value):
@@ -210,7 +229,7 @@ def test_round_trip_bit_and_byte_exact(tmp_path, n_rows):
     names = ["t", "a", "b"]
 
     path = tmp_path / "rt.csv"
-    write_csv(path, {"model": "test"}, [(name, data[:, k]) for k, name in enumerate(names)])
+    write_csv(path, {"model": "test"}, names, [list(data.T)])
 
     config, columns = read_csv(path)
     assert config == {"model": "test"}
@@ -255,7 +274,7 @@ def test_renderer_writes_every_value_as_percent_format(tmp_path):
     data = values.reshape(-1, n_cols)
     names = [f"c{k}" for k in range(n_cols)]
     path = tmp_path / "contract.csv"
-    write_csv(path, {"model": "test"}, [(name, data[:, k]) for k, name in enumerate(names)])
+    write_csv(path, {"model": "test"}, names, [list(data.T)])
 
     head = f"# model = test\n{','.join(names)}\n"
     row = ",".join(["%.16e"] * n_cols) + "\n"
@@ -282,8 +301,10 @@ def test_model_table_is_the_file_schema(tmp_path, model):
         assert list(columns) == expected
         assert ("emit-xy" in config) == bool(xy_names)
     traj = trajectory_from_columns(config, columns)
-    if frame is None:
-        assert traj is None and moments == ()
+    if frame is None:  # rebuilt as the closed form at the file's times
+        assert moments == () and MODELS[model].stored == ("t",)
+        for k, name in enumerate(("x", "p")):
+            assert traj.means[:, k].tobytes() == columns[name].tobytes(), name
     else:
         assert traj.frame == frame
         assert set(frame.labels) | set(moments) <= set(names)
@@ -314,8 +335,16 @@ def test_write_csv_replaces_the_file_only_once_every_block_is_in(tmp_path):
     write_csv(link, {"model": "test"}, ["t", "a"], blocks(False))
     assert link.is_symlink() and path.stat().st_mode & 0o777 == 0o640
     whole = tmp_path / "whole.csv"
-    write_csv(whole, {"model": "test"}, [("t", np.arange(5.0)), ("a", np.ones(5))])
+    write_csv(whole, {"model": "test"}, ["t", "a"], [[np.arange(5.0), np.ones(5)]])
     assert path.read_bytes() == whole.read_bytes()
+
+
+@pytest.mark.parametrize("block", [[np.arange(3.0), np.ones(2)], [np.arange(3.0)]],
+                         ids=["unequal lengths", "a column short"])
+def test_write_csv_refuses_a_block_that_is_not_one_array_per_column(tmp_path, block):
+    with pytest.raises(ValueError, match="all columns must share one length"):
+        write_csv(tmp_path / "run.csv", {"model": "test"}, ["t", "a"], [block])
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +357,8 @@ def test_writer_memory_does_not_grow_with_the_row_count(tmp_path, traced_peak):
     columns = [(f"c{k}", rng.standard_normal(40_000)) for k in range(25)]
 
     def write(rows):
-        return lambda: write_csv(tmp_path / "w.csv", {}, [(n, v[:rows]) for n, v in columns])
+        return lambda: write_csv(tmp_path / "w.csv", {}, [n for n, _ in columns],
+                                 [[v[:rows] for _, v in columns]])
 
     write(10_000)()  # the renderer's tables are built on first use
     small, large = traced_peak(write(10_000)), traced_peak(write(40_000))

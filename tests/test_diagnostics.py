@@ -182,6 +182,16 @@ def test_joined_block_audits_are_the_whole_run_audit(params, sbth_run, lindblad_
     assert not parts[-1].corrupted and math.isfinite(parts[-1].final_mean_energy)
 
 
+def test_joined_audit_of_a_partial_run_is_refused(params):
+    grid = mm.IntegratorConfig(dt=0.1, t_end=2.0, sample_every=1)
+    means0, cov0 = mm.coherent_initial_state(params, mm.L1)
+    run = mm.integrate(mm.build_lindblad(params), means0, cov0, grid, 7)
+    join = mm.AuditJoin(grid.n_samples, params)
+    join.add(mm.audit(next(run.blocks)))
+    with pytest.raises(ValueError, match="the blocks' audits cover 7 of the run's 21 samples"):
+        join.audit()
+
+
 def test_lindblad_steady_uncertainty(params, lindblad_runs_long):
     run = lindblad_runs_long[2.0]
     result = mm.audit(run)

@@ -179,11 +179,13 @@ def test_a_step_of_opposite_infinities_is_not_finite():
 
 
 def test_dense_blow_up_stops_within_one_block():
-    """At sample_every = 1 every step is stored, so the run is checked one
-    block of rows at a time. A run that went on to t_end would write the
-    whole 480 MB table: at least 229 page faults even in 2 MiB huge pages
-    (about 1 700 measured). Stopping after the first block of 4096 rows
-    touches 196 KB, 48 pages of 4 KiB."""
+    """At sample_every = 1 every step is stored, and the samples are filled
+    256 at a time by one product of a power table, scanned before any of its
+    rows is handed on. A run that went on to t_end would write the whole
+    480 MB table: at least 229 page faults even in 2 MiB huge pages (about
+    1 700 measured). Stopping at the first product, which holds step 47,
+    touches the 74 KB table and the product's 12 KB (about 25 faults
+    measured)."""
     cfg = mm.IntegratorConfig(1.0, 1e7, 1)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     with pytest.raises(IntegrationError, match="step 47 "):
