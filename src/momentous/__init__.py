@@ -34,12 +34,12 @@ from .systems import (
     ModelSystem,
     build_classical,
     build_lindblad,
-    build_qdho_xy,
     build_sbth,
     classical_analytic,
     diffusion_report,
     generate_dynamics,
     sbth_moment_rows,
+    transform_system,
     xy_view,
 )
 from .integrator import (

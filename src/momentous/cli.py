@@ -76,12 +76,12 @@ _RECOMPUTE_RTOL = 1e-12
 # integrates, audits, derives and writes a block before it steps the next;
 # check parses, rebuilds, audits and recomputes one. A block's states or
 # parsed rows, run, XY view, energies and columns, with the writer's or the
-# parser's buffers, make a traced peak of about 6.5 MB on a dense
-# paper-fig1 run (tracemalloc: 6.5 MB for simulate, the integrator's
-# 0.46 MB power table included, 6.7 MB for check). Beyond a block, each
-# command keeps only the run's audit arrays (times, determinants and
-# flags), about 25 bytes a sample: 2 MB for a dense paper-fig1 run, none
-# for a classical run, which has no moments to audit.
+# parser's buffers, make a traced peak of about 4.6 MB (tracemalloc: 4.56
+# MB for simulate, the integrator's 0.46 MB power table included, 4.78 MB
+# for check), the same at 20 001 and at 80 001 samples. Beyond a block,
+# each command keeps only the audit's running summary and, in check, the
+# derived rows still in doubt against their recomputation, none on a file
+# of one platform or one ulp off.
 ANALYSIS_BLOCK = 4096
 
 
@@ -205,16 +205,16 @@ def _analysed(run: TrajectoryBlocks, tol: float, names: list[str],
 class _Recomputed:
     """A file's columns held to their recomputation, block by block.
 
-    Only the rows where a column differs from its recomputation at all are
-    kept, with each column's largest finite recomputed magnitude. A kept row
-    is a mismatch unless it is within ``_RECOMPUTE_RTOL`` of that whole
-    column's scale, which is known only once every block is in.
+    A row that differs is a mismatch unless it is within ``_RECOMPUTE_RTOL``
+    of its column's scale, the largest finite recomputed magnitude in the
+    file. The scale only grows as blocks come in, so a row within it is
+    dropped once read; only rows still in doubt are kept, and tested again.
     """
 
     def __init__(self, names):
         self.names = list(names)
         self.scale = dict.fromkeys(self.names, 0.0)
-        self.differ = {name: [] for name in self.names}
+        self.doubt = dict.fromkeys(self.names, (np.empty(0, int), np.empty(0), np.empty(0)))
 
     def add(self, start: int, read: dict, recomputed: dict) -> None:
         """Hold ``read``, the columns of data rows ``start``, ``start + 1``,
@@ -224,22 +224,21 @@ class _Recomputed:
             scale = np.abs(value[np.isfinite(value)]).max(initial=0.0)
             self.scale[name] = max(self.scale[name], float(scale))
             differ = np.flatnonzero(~(file == value))
-            if differ.size:
-                self.differ[name].append((differ + start, file[differ], value[differ]))
+            if differ.size or self.doubt[name][0].size:
+                at, file, value = (np.concatenate(pair) for pair in zip(
+                    self.doubt[name], (differ + start, file[differ], value[differ])))
+                with np.errstate(invalid="ignore", over="ignore"):
+                    off = ~(np.abs(file - value) <= _RECOMPUTE_RTOL * self.scale[name])
+                self.doubt[name] = (at[off], file[off], value[off])
 
     def first_mismatch(self) -> str | None:
         """The first column, in file order, with a mismatch, and its first
         bad data row; None if every column matches."""
         for name in self.names:
-            if not self.differ[name]:
-                continue
-            at, file, value = (np.concatenate(part) for part in zip(*self.differ[name]))
-            with np.errstate(invalid="ignore", over="ignore"):
-                off = ~(np.abs(file - value) <= _RECOMPUTE_RTOL * self.scale[name])
-            if off.any():
-                k = int(np.argmax(off))
-                return (f"derived column {name} differs at data row {at[k] + 1}: "
-                        f"file {float(file[k])!r}, recomputed {float(value[k])!r}")
+            at, file, value = self.doubt[name]
+            if at.size:
+                return (f"derived column {name} differs at data row {at[0] + 1}: "
+                        f"file {float(file[0])!r}, recomputed {float(value[0])!r}")
         return None
 
 
@@ -264,7 +263,7 @@ def cmd_simulate(args) -> int:
     names = schema.layout(with_xy)
     # integrated, audited, derived and written block by block; the file
     # replaces out only once the whole run is in
-    joined = AuditJoin(grid.n_samples, params) if schema.moments else None
+    joined = AuditJoin(grid.n_samples) if schema.moments else None
     blocks = _analysed(run, tol, names, joined)
     try:
         write_csv(out, echo, names, blocks)
@@ -348,7 +347,7 @@ def cmd_check(args) -> int:
     params, grid = _params_and_grid(config)
     schema = MODELS[model]
     recomputed = _Recomputed(name for name in table.header if name not in schema.stored)
-    joined = AuditJoin(grid.n_samples, params) if schema.moments else None
+    joined = AuditJoin(grid.n_samples) if schema.moments else None
     # The file is read to its end whatever it holds, so that a row it
     # cannot parse is the error reported; then the row count, then the
     # first row off the grid, then the first error of the analysis.

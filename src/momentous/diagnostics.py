@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -231,23 +231,21 @@ def energy_report(traj: Run | Trajectory) -> EnergyReport:
 
 @dataclass(frozen=True, eq=False)
 class InvariantAudit:
-    """Uncertainty and diffusion audit of one run.
+    """Uncertainty and diffusion audit of one run: the summary it prints.
 
-    ``u_pair1`` is the uncertainty determinant of the physical pair per
-    sample (for BT1 runs, the first pair; the XY-view determinant is
-    reported separately as ``u_xy``). A sample is flagged when any reported
-    determinant is not finite or drops below ``hbar**2/4 - tol``, or a
-    variance of its pair is negative. Diffusion margins and the
-    late-time energy are reported, never enforced.
+    A sample is flagged when an uncertainty determinant (of the physical
+    pair; for BT1 runs, of the first pair and of the XY view's) is not
+    finite or drops below ``hbar**2/4 - tol``, or a variance of its pair is
+    negative. ``first_violation`` is the first flagged sample's ``(data
+    row, time)``, rows counted from 1; a minimum is NaN when a sample's is.
+    Diffusion margins and the late-time energy are reported, never enforced.
     """
 
     tol: float
     hbar: float
-    ts: np.ndarray = field(repr=False)
-    u_pair1: np.ndarray = field(repr=False)
-    u_xy: np.ndarray | None = field(repr=False)
-    violation_flags: np.ndarray = field(repr=False)
+    n_samples: int
     n_violations: int = 0
+    first_violation: tuple[int, float] | None = None
     min_uncertainty: float = math.nan
     margin_lindblad: float = math.nan
     margin_moment_min: float | None = None
@@ -261,14 +259,14 @@ class InvariantAudit:
 
     def summary(self) -> str:
         lines = [
-            f"samples audited: {len(self.ts)}",
+            f"samples audited: {self.n_samples}",
             f"uncertainty violations: {self.n_violations} "
             f"(bound {_uncertainty_bound(self.hbar):g}, tol {self.tol:g}, "
             f"min determinant {self.min_uncertainty:.6g})",
         ]
-        if self.n_violations:
-            first = int(np.argmax(self.violation_flags))
-            lines.append(f"first violation: t = {self.ts[first]:g}, data row {first + 1}")
+        if self.first_violation is not None:
+            row, t = self.first_violation
+            lines.append(f"first violation: t = {t:g}, data row {row}")
         lines.append(f"diffusion margin (thermal model): {self.margin_lindblad:.6g}")
         if self.margin_moment_min is not None:
             lines.append(f"diffusion margin (moment model, min): {self.margin_moment_min:.6g}")
@@ -285,87 +283,84 @@ def audit(traj: Run | Trajectory, tol: float = 1e-9) -> InvariantAudit:
     Never raises on violations; inspect ``ok``/``n_violations``. Expects a
     run with quantum moments (BT1, XY, or the single-pair frame). A run with
     a negative physical variance has no energies: it is ``corrupted`` and
-    its final mean energy is NaN.
+    its final mean energy is NaN. The per-sample determinants and flags are
+    reduced to the summary fields and not kept.
 
-    A long run may be audited block by block: an :class:`AuditJoin` makes
+    A long run may be audited block by block: an :class:`AuditJoin` folds
     the audits of its consecutive blocks into the audit of the whole run.
     """
     run = _as_run(traj)
     traj = run.traj
     params = _run_params(traj)
     u_pair1, flags = _uncertainty_test(traj.covs, params.hbar, tol)
-    u_xy = None
+    min_uncertainty = u_pair1.min()
+    margin_moment_min = None
     if traj.frame == BT1:
         u_xy, xy_flags = _uncertainty_test(run.physical.covs, params.hbar, tol)
         flags = flags | xy_flags
+        # np.minimum keeps a NaN of either; min() drops its second
+        min_uncertainty = np.minimum(min_uncertainty, u_xy.min())
+        margin_moment_min = float(moment_margin(params, u_pair1).min())
+    first = int(np.argmax(flags))  # 0 when no sample is flagged
+    first_violation = (first + 1, float(traj.ts[first])) if flags[first] else None
     try:
         final_energy, corrupted = float(run.energies.e_mean[-1]), False
     except CorruptedStateError:
         final_energy, corrupted = math.nan, True  # corrupted moments; already flagged above
-    omega_e = _default_energy_omega(traj.frame, params)
-    return _summarized(params, tol, traj.ts, u_pair1, u_xy, flags, final_energy, corrupted,
-                       ground_state_bound=0.5 * params.hbar * omega_e)
-
-
-class AuditJoin:
-    """The audit of a run assembled from the audits of its consecutive
-    blocks, added in order with :meth:`add`. Each block's per-sample arrays
-    (its times included) are copied into arrays of the whole run of ``n``
-    samples, so a block's audit need not outlive its block. :meth:`audit`
-    computes the summary from those arrays as :func:`audit` computes it:
-    the whole run's audit, NaN minima included. The final energy is the
-    last block's, NaN when any block is ``corrupted``."""
-
-    def __init__(self, n: int, params: ModelParams):
-        self.params = params
-        self.ts, self.u_pair1, self.flags = np.empty(n), np.empty(n), np.empty(n, bool)
-        self.u_xy = None
-        self.stop, self.corrupted, self.last = 0, False, None
-
-    def add(self, part: InvariantAudit) -> None:
-        rows = slice(self.stop, self.stop + len(part.ts))
-        self.ts[rows], self.u_pair1[rows] = part.ts, part.u_pair1
-        self.flags[rows] = part.violation_flags
-        if part.u_xy is not None:
-            if self.u_xy is None:
-                self.u_xy = np.empty(len(self.ts))
-            self.u_xy[rows] = part.u_xy
-        self.corrupted |= part.corrupted
-        self.stop, self.last = rows.stop, part
-
-    def audit(self) -> InvariantAudit:
-        n, part = len(self.ts), self.last
-        if self.stop != n:
-            raise ValueError(f"the blocks' audits cover {self.stop} of the run's {n} samples")
-        return _summarized(self.params, part.tol, self.ts, self.u_pair1, self.u_xy, self.flags,
-                           math.nan if self.corrupted else part.final_mean_energy,
-                           self.corrupted, ground_state_bound=part.ground_state_bound)
-
-
-def _summarized(params, tol, ts, u_pair1, u_xy, flags, final_energy, corrupted,
-                ground_state_bound) -> InvariantAudit:
-    """An audit's summary from its per-sample arrays (``u_xy`` is None but
-    for a BT1 run)."""
-    min_uncertainty = u_pair1.min()
-    margin_moment_min = None
-    if u_xy is not None:  # np.minimum keeps a NaN of either; min() drops its second
-        min_uncertainty = np.minimum(min_uncertainty, u_xy.min())
-        margin_moment_min = float(moment_margin(params, u_pair1).min())
     return InvariantAudit(
         tol=tol,
         hbar=params.hbar,
-        ts=ts,
-        u_pair1=u_pair1,
-        u_xy=u_xy,
-        violation_flags=flags,
+        n_samples=traj.n_samples,
         n_violations=int(flags.sum()),
+        first_violation=first_violation,
         min_uncertainty=float(min_uncertainty),
         margin_lindblad=lindblad_margin(params),
         margin_moment_min=margin_moment_min,
         final_mean_energy=final_energy,
-        ground_state_bound=ground_state_bound,
+        ground_state_bound=0.5 * params.hbar * _default_energy_omega(traj.frame, params),
         corrupted=corrupted,
     )
+
+
+class AuditJoin:
+    """The audit of a run of ``n`` samples folded from the audits of its
+    consecutive blocks, added in order with :meth:`add`; no block's
+    samples outlive its audit. Counts add; the minimum determinant and the
+    minimum moment margin fold by ``np.minimum``, so a NaN is kept; the
+    first violation is the first block's that has one, its data row offset
+    by the rows before that block. The final energy is the last block's,
+    NaN once any block is ``corrupted``. :meth:`audit` is then the audit of
+    the whole run, as :func:`audit` of it would print it."""
+
+    def __init__(self, n: int):
+        self.n, self.joined = n, None
+
+    def add(self, part: InvariantAudit) -> None:
+        done = self.joined
+        if done is not None:
+            first, margin = done.first_violation, part.margin_moment_min
+            if first is None and part.first_violation is not None:
+                row, t = part.first_violation
+                first = (row + done.n_samples, t)
+            if margin is not None:
+                margin = float(np.minimum(done.margin_moment_min, margin))
+            part = replace(
+                part,
+                n_samples=done.n_samples + part.n_samples,
+                n_violations=done.n_violations + part.n_violations,
+                first_violation=first,
+                min_uncertainty=float(np.minimum(done.min_uncertainty, part.min_uncertainty)),
+                margin_moment_min=margin,
+                final_mean_energy=math.nan if done.corrupted else part.final_mean_energy,
+                corrupted=done.corrupted or part.corrupted,
+            )
+        self.joined = part
+
+    def audit(self) -> InvariantAudit:
+        covered = 0 if self.joined is None else self.joined.n_samples
+        if covered != self.n:
+            raise ValueError(f"the blocks' audits cover {covered} of the run's {self.n} samples")
+        return self.joined
 
 
 # ---------------------------------------------------------------------------

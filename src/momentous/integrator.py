@@ -59,8 +59,9 @@ __all__ = [
 # integrate() of the whole run peaks near 180 bytes a sample (traced by
 # tracemalloc at 80 000 and 160 000 samples: the run plus one block): this
 # grid would hold 1.7 GB of samples and need 1.8 GB while it is integrated,
-# so larger grids are refused before anything is allocated. Read block by
-# block, as simulate reads it, a run holds one block (1.9 MB at 4096
+# so larger grids are refused before anything is allocated. Only
+# integrate(..., block=None), and so compare, holds a whole run; read block
+# by block, as simulate reads it, a run holds one block (1.9 MB at 4096
 # samples) however long it is.
 MAX_STEPS = 10**7
 

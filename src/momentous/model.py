@@ -455,6 +455,15 @@ _BT1_XY_SIGNS = np.array(
 )
 
 
+def _frame_signs(source: CanonicalFrame, target: CanonicalFrame) -> np.ndarray | None:
+    """The sign pattern of the frame map of states and systems: None for the
+    identity, ``P`` for BT1 -> XY, ``P^T`` back, else ``FrameError``."""
+    maps = {(BT1, XY): _BT1_XY_SIGNS, (XY, BT1): _BT1_XY_SIGNS.T}
+    if source != target and (source, target) not in maps:
+        raise FrameError(f"no transformation registered for {source.name} -> {target.name}")
+    return maps.get((source, target))
+
+
 def transform_state(
     means: MeanVector, cov: CovarianceMatrix, target: CanonicalFrame
 ) -> tuple[MeanVector, CovarianceMatrix]:
@@ -462,8 +471,8 @@ def transform_state(
 
     Supports BT1 <-> XY (both directions) and the identity on any frame,
     which returns the state as given. BT1 -> XY applies the exact sign
-    pattern ``P`` that ``build_qdho_xy`` applies to the generators, XY -> BT1
-    its transpose (see :func:`_transport`). The map is canonical, so the
+    pattern ``P`` that ``transform_system`` applies to the generators, XY ->
+    BT1 its transpose (see :func:`_transport`). The map is canonical, so the
     covariance keeps its commutator structure. Raises ``FrameError`` for any
     other frame pair and when ``means`` and ``cov`` disagree on their frame.
     """
@@ -472,14 +481,9 @@ def transform_state(
         raise FrameError(
             f"state frames disagree: means {source.name}, covariance {cov.frame.name}"
         )
-    if source == target:
+    signs = _frame_signs(source, target)
+    if signs is None:
         return means, cov
-    if (source, target) == (BT1, XY):
-        signs = _BT1_XY_SIGNS
-    elif (source, target) == (XY, BT1):
-        signs = _BT1_XY_SIGNS.T
-    else:
-        raise FrameError(f"no transformation registered for {source.name} -> {target.name}")
     new_means, new_cov = _transport(signs, means.values, cov.entries)
     return MeanVector(target, new_means), CovarianceMatrix(target, new_cov)
 

@@ -9,14 +9,14 @@ a quadratic Hamiltonian and two symplectic forms. Available builders:
     the conservative two-oscillator model (system + time-reversed mirror)
     in the BT1 frame; damping appears as a bilinear coupling, D = 0.
     Generated from its Hamiltonian, the one source of the oscillator dynamics.
-``build_qdho_xy``
-    the same dynamics mapped exactly to the XY frame, where the (x, p_x)
-    block is the familiar damped oscillator.
 ``build_lindblad``
     single-oscillator damped dynamics with thermal diffusion, frame L1.
 ``build_classical``
     the bare classical damped oscillator (no moments), frame L1: the
     (x, p_x) block of the XY system.
+``transform_system``
+    a system in another frame: the sbth model in the XY frame, where the
+    (x, p_x) block is the familiar damped oscillator.
 
 The closed-form solution of the damped oscillator is provided as
 :func:`classical_analytic` and serves as an independent oracle for the
@@ -41,6 +41,7 @@ from .model import (
     ModelParams,
     Trajectory,
     _BT1_XY_SIGNS,
+    _frame_signs,
     _frozen_array,
     _transport,
     covariances_from_moments,
@@ -52,9 +53,9 @@ __all__ = [
     "DiffusionReport",
     "generate_dynamics",
     "build_sbth",
-    "build_qdho_xy",
     "build_lindblad",
     "build_classical",
+    "transform_system",
     "sbth_moment_rows",
     "moment_rows",
     "classical_analytic",
@@ -179,33 +180,31 @@ def sbth_moment_rows(params: ModelParams) -> np.ndarray:
     return mat
 
 
-def build_qdho_xy(params: ModelParams) -> ModelSystem:
-    """Two-oscillator dynamics transported to the XY frame.
-
-    Both generators are the BT1 ones of :func:`build_sbth` under the frame
-    map ``T = P/sqrt(2)``, written as ``T A T^T = (P A P^T)/2`` with the
-    exact sign pattern ``P``: every entry is a sum of two equal or opposite
-    BT1 coefficients, so the result is exactly 0 or one coefficient unless
-    twice that coefficient overflows. The classical block decouples into
-    the damped oscillator (x, p_x) and its growing mirror (y, p_y):
+def transform_system(system: ModelSystem, target: CanonicalFrame) -> ModelSystem:
+    """The same dynamics in the frame ``target``, by the frame rule of
+    :func:`~momentous.model.transform_state`, ``FrameError`` included. Each
+    matrix maps as ``(P A P^T)/2`` with the exact sign pattern ``P``, the
+    diffusion re-symmetrized exactly as a covariance is, so each entry of
+    the XY image of :func:`build_sbth` is exactly 0 or one BT1 coefficient.
+    Its classical block decouples into the damped oscillator and its
+    growing mirror (the moment generator couples the two pairs):
 
         xdot  = p_x/m - lam*x        ydot  = p_y/m + lam*y
         pxdot = -m*Om^2*x - lam*p_x  pydot = -m*Om^2*y + lam*p_y
 
-    The moment generator couples the two pairs. Integrated from
-    ``coherent_initial_state(params, XY)``, this system keeps the physical
-    pair accurate over long runs, where an integrated BT1 run loses it to
-    cancellation in :func:`xy_view` (the mirror mode grows like
-    ``e^{lam*t}``): at ``lambda_damp = 1``, ``gamma = 2``, all frequencies
-    1.5, ``dt = 1e-3`` and ``t = 40``, the final ``E_mean`` is 0.75 here,
-    the exact value, while the BT1 run's physical pair carries round-off of
-    size ``eps*e^{lam*t}`` times the starting amplitude.
+    Integrated from ``coherent_initial_state(params, XY)``, the XY system
+    keeps the physical pair accurate where a BT1 run loses it to
+    cancellation in :func:`xy_view`, its mirror mode grown by ``e^{lam*t}``:
+    at ``lambda_damp = 1``, ``gamma = 2``, all frequencies 1.5, ``dt = 1e-3``
+    and ``t = 40``, its final ``E_mean`` is 0.75, the exact value.
     """
-    sbth = build_sbth(params)
-    a_classical, a_moment = (
-        0.5 * (_BT1_XY_SIGNS @ a @ _BT1_XY_SIGNS.T) for a in (sbth.a_classical, sbth.a_moment)
-    )
-    return ModelSystem("QDHO-XY", XY, a_classical, a_moment, np.zeros((4, 4)), params)
+    signs = _frame_signs(system.frame, target)
+    if signs is None:
+        return system
+    a_classical, a_moment = (0.5 * (signs @ a @ signs.T) for a in (system.a_classical,
+                                                                   system.a_moment))
+    _, diffusion = _transport(signs, np.zeros(target.dim), system.diffusion)
+    return ModelSystem(system.label, target, a_classical, a_moment, diffusion, system.params)
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +236,10 @@ def build_lindblad(params: ModelParams) -> ModelSystem:
 
 def build_classical(params: ModelParams) -> ModelSystem:
     """Bare classical damped oscillator (moments identically zero): the
-    (x, p_x) block of :func:`build_qdho_xy`'s classical generator."""
+    (x, p_x) block of the XY classical generator, ``transform_system`` of
+    :func:`build_sbth`."""
     zero = np.zeros((2, 2))
-    a = build_qdho_xy(params).a_classical[:2, :2]
+    a = transform_system(build_sbth(params), XY).a_classical[:2, :2]
     return ModelSystem("CLASSICAL", L1, a, zero, zero, params)
 
 

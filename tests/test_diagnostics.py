@@ -9,6 +9,7 @@ import momentous as mm
 from momentous import cli, diagnostics
 from momentous.csvio import read_csv
 from momentous.diagnostics import G1_COLUMNS, PAIR_COLUMNS, CorruptedStateError, GridMismatchError
+from momentous.model import _uncertainty_test
 from momentous.systems import moment_margin
 
 # ---------------------------------------------------------------------------
@@ -122,10 +123,13 @@ def test_sbth_energy_matches_analytic_decay(params, sbth_run):
 
 def test_audit_standard_run(params, sbth_run):
     result = mm.audit(sbth_run, tol=1e-9)
-    assert result.ok and result.n_violations == 0
-    assert np.all(result.u_pair1 == 0.25)
-    assert result.u_xy is not None
-    assert np.abs(result.u_xy - 0.25).max() <= 1e-14
+    assert result.ok and result.n_violations == 0 and result.first_violation is None
+    assert result.n_samples == sbth_run.n_samples
+    u_pair1, _ = _uncertainty_test(sbth_run.covs, params.hbar, 0.0)
+    u_xy, _ = _uncertainty_test(mm.xy_view(sbth_run).covs, params.hbar, 0.0)
+    assert np.all(u_pair1 == 0.25)
+    assert np.abs(u_xy - 0.25).max() <= 1e-14
+    assert result.min_uncertainty == min(u_pair1.min(), u_xy.min())
     assert result.margin_moment_min >= -1e-9
     assert result.ground_state_bound == 0.75
 
@@ -142,7 +146,7 @@ def test_audit_flags_corrupted_moments(params, sbth_run):
     result = mm.audit(broken)
     assert not result.ok
     assert result.n_violations >= 1
-    assert bool(result.violation_flags[5])
+    assert result.first_violation == (6, float(sbth_run.ts[5]))
 
 
 def test_audit_flags_negative_variance_without_raising(params, lindblad_run):
@@ -157,36 +161,46 @@ def test_audit_flags_negative_variance_without_raising(params, lindblad_run):
 
 def test_joined_block_audits_are_the_whole_run_audit(params, sbth_run, lindblad_run):
     """The audits of consecutive blocks of a run, joined, are the audit of
-    the whole run: the same arrays and the same summary. A negative
-    variance in an early block leaves the joined final energy NaN, though
-    the last block has energies."""
+    the whole run: the same fields and the same summary, for blocks of one
+    sample, of seven, and one block larger than the run. A violation in a
+    later block is named by its data row in the run, a NaN determinant
+    leaves the joined minimum NaN, and a negative variance in an early
+    block leaves the joined final energy NaN, though the last block has
+    energies."""
+    covs = np.array(sbth_run.covs)
+    covs[9, 2:, 2:] = 1e300  # the XY view's determinant is NaN (inf - inf)
+    nan_xy = mm.Trajectory(mm.BT1, sbth_run.ts, sbth_run.means, covs, params)
     covs = np.array(lindblad_run.covs)
     covs[3, 0, 0] = covs[3, 1, 1] = -0.5
     broken = mm.Trajectory(mm.L1, lindblad_run.ts, lindblad_run.means, covs, params)
-    for traj in (sbth_run, lindblad_run, broken):
-        whole = mm.audit(traj)
-        parts = [mm.audit(mm.Trajectory(traj.frame, traj.ts[k:k + 7], traj.means[k:k + 7],
-                                        traj.covs[k:k + 7], params))
-                 for k in range(0, traj.n_samples, 7)]
-        join = mm.AuditJoin(traj.n_samples, params)
-        for part in parts:
-            join.add(part)
-        joined = join.audit()
-        assert repr(joined) == repr(whole) and joined.summary() == whole.summary()
-        for name in ("ts", "u_pair1", "u_xy", "violation_flags"):
-            if getattr(whole, name) is None:
-                assert getattr(joined, name) is None
-            else:
-                assert np.array_equal(getattr(joined, name), getattr(whole, name)), name
-    assert joined.corrupted and math.isnan(joined.final_mean_energy)
-    assert not parts[-1].corrupted and math.isfinite(parts[-1].final_mean_energy)
+    for size in (1, 7, broken.n_samples + 1):
+        joined = {}
+        for name, traj in (("sbth", sbth_run), ("nan_xy", nan_xy), ("lindblad", lindblad_run),
+                           ("broken", broken)):
+            whole = mm.audit(traj)
+            parts = [mm.audit(mm.Trajectory(traj.frame, traj.ts[k:k + size],
+                                            traj.means[k:k + size], traj.covs[k:k + size],
+                                            params))
+                     for k in range(0, traj.n_samples, size)]
+            join = mm.AuditJoin(traj.n_samples)
+            for part in parts:
+                join.add(part)
+            joined[name] = join.audit()
+            assert repr(joined[name]) == repr(whole), (name, size)
+            assert joined[name].summary() == whole.summary(), (name, size)
+        assert math.isnan(joined["nan_xy"].min_uncertainty)
+        assert joined["nan_xy"].first_violation == (10, float(sbth_run.ts[9]))
+        assert joined["broken"].first_violation == (4, float(broken.ts[3]))
+        assert joined["broken"].corrupted and math.isnan(joined["broken"].final_mean_energy)
+        if size < broken.n_samples:
+            assert not parts[-1].corrupted and math.isfinite(parts[-1].final_mean_energy)
 
 
 def test_joined_audit_of_a_partial_run_is_refused(params):
     grid = mm.IntegratorConfig(dt=0.1, t_end=2.0, sample_every=1)
     means0, cov0 = mm.coherent_initial_state(params, mm.L1)
     run = mm.integrate(mm.build_lindblad(params), means0, cov0, grid, 7)
-    join = mm.AuditJoin(grid.n_samples, params)
+    join = mm.AuditJoin(grid.n_samples)
     join.add(mm.audit(next(run.blocks)))
     with pytest.raises(ValueError, match="the blocks' audits cover 7 of the run's 21 samples"):
         join.audit()
@@ -196,8 +210,8 @@ def test_lindblad_steady_uncertainty(params, lindblad_runs_long):
     run = lindblad_runs_long[2.0]
     result = mm.audit(run)
     assert result.ok
-    u_final = float(result.u_pair1[-1])
-    assert u_final == pytest.approx(6.25, abs=1e-5)
+    u_pair1, _ = _uncertainty_test(run.covs, params.hbar, 0.0)
+    assert float(u_pair1[-1]) == pytest.approx(6.25, abs=1e-5)
 
 
 def test_lindblad_energy_matches_closed_form(lindblad_runs_long):
@@ -328,7 +342,8 @@ def test_negative_variance_names_its_first_sample(params):
     traj = mm.Trajectory(mm.L1, [0.0, 0.5, 1.0, 1.5], np.zeros((4, 2)), covs, params)
     with pytest.raises(CorruptedStateError, match=r"negative diagonal moment at t = 1;"):
         mm.energy_report(traj)
-    assert list(mm.audit(traj).violation_flags) == [False, False, True, True]
+    result = mm.audit(traj)
+    assert result.n_violations == 2 and result.first_violation == (3, 1.0)
 
 
 def test_pair_moment_columns_follow_moment_order():
@@ -348,7 +363,8 @@ def test_nan_determinant_fails_the_container_and_the_audit(params):
     traj = mm.Trajectory(mm.L1, [0.0], np.zeros((1, 2)), covs, params)
     result = mm.audit(traj)
     assert not result.ok
-    assert list(result.violation_flags) == [True]
+    assert result.n_violations == 1 and result.first_violation == (1, 0.0)
+    assert math.isnan(result.min_uncertainty)
 
 
 def test_infinite_determinant_is_a_violation(params):

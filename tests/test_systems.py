@@ -66,7 +66,7 @@ def test_overflowing_hamiltonian_is_an_overflow_error():
     """m*Omega**2 = inf: the Hamiltonian refuses it before its symmetry
     test subtracts inf from inf (a warning, then a ValueError). The CLI's
     classical model is the closed form, so build_classical, built through
-    build_qdho_xy and build_sbth, is reached from the library only."""
+    transform_system and build_sbth, is reached from the library only."""
     with pytest.raises(OverflowError, match="coefficients overflow"):
         mm.build_classical(mm.ModelParams(m=1e200, big_omega=1e100))
 
@@ -283,13 +283,13 @@ def test_diffusion_report_requires_bt1(params):
 def test_equivalence_mode_blocks_agree(params):
     """(x, p_x) classical block equals the thermal model matrix exactly."""
     assert params.equivalence_mode
-    xy_sys = mm.build_qdho_xy(params)
+    xy_sys = mm.transform_system(mm.build_sbth(params), mm.XY)
     lind = mm.build_lindblad(params)
     assert np.array_equal(xy_sys.a_classical[:2, :2], lind.a_classical)
 
 
 def test_qdho_xy_classical_block(params):
-    sys = mm.build_qdho_xy(params)
+    sys = mm.transform_system(mm.build_sbth(params), mm.XY)
     lam, im = params.lambda_damp, 1.0 / params.m
     k = params.m * params.big_omega**2
     assert np.array_equal(sys.a_classical[0], [-lam, im, 0.0, 0.0])
@@ -298,7 +298,7 @@ def test_qdho_xy_classical_block(params):
 
 def test_qdho_xy_zero_damping():
     p = mm.ModelParams(lambda_damp=0.0, gamma=0.0)
-    sys = mm.build_qdho_xy(p)
+    sys = mm.transform_system(mm.build_sbth(p), mm.XY)
     assert np.array_equal(
         sys.a_classical[:2, :2], [[0.0, 1.0], [-p.m * p.big_omega**2, 0.0]]
     )
@@ -315,7 +315,7 @@ def test_qdho_xy_generators_are_exact():
     no round-off from the 1/sqrt(2) of the frame map."""
     for p in _underdamped_points(200, seed=9):
         lam, im, k = p.lambda_damp, 1.0 / p.m, p.m * p.big_omega**2
-        sys = mm.build_qdho_xy(p)
+        sys = mm.transform_system(mm.build_sbth(p), mm.XY)
         assert np.array_equal(sys.a_classical, [
             [-lam, im, 0.0, 0.0], [-k, -lam, 0.0, 0.0], [0.0, 0.0, lam, im], [0.0, 0.0, -k, lam],
         ])
@@ -325,14 +325,33 @@ def test_qdho_xy_generators_are_exact():
         assert np.array_equal(mm.build_classical(p).a_classical, sys.a_classical[:2, :2])
 
 
+def test_transform_system_follows_the_state_frame_rule(params):
+    """Systems change frame by transform_state's rule: the identity in
+    their own frame, P to XY and back exactly, a FrameError otherwise. The
+    diffusion maps as a covariance does."""
+    sbth = mm.build_sbth(params)
+    assert mm.transform_system(sbth, mm.BT1) is sbth
+    back = mm.transform_system(mm.transform_system(sbth, mm.XY), mm.BT1)
+    for name in ("a_classical", "a_moment", "diffusion"):
+        assert np.array_equal(getattr(back, name), getattr(sbth, name)), name
+    diffusion = np.array([[2.0, 0.3, 0.1, 0.0], [0.3, 1.0, 0.2, 0.4],
+                          [0.1, 0.2, 3.0, 0.5], [0.0, 0.4, 0.5, 1.5]])
+    thermal = mm.ModelSystem("D", mm.BT1, sbth.a_classical, sbth.a_moment, diffusion, params)
+    means0 = mm.MeanVector(mm.BT1, np.zeros(4))
+    _, cov = mm.transform_state(means0, mm.CovarianceMatrix(mm.BT1, diffusion), mm.XY)
+    assert np.array_equal(mm.transform_system(thermal, mm.XY).diffusion, cov.entries)
+    with pytest.raises(mm.FrameError, match="no transformation registered for L1 -> XY"):
+        mm.transform_system(mm.build_lindblad(params), mm.XY)
+
+
 def test_qdho_xy_long_run_keeps_the_energy():
     """Integrated in its own frame, the XY system holds the physical energy
     where the mirror mode has grown by e^40: the BT1 run's xy_view carries
     round-off of size eps*e^40 times the starting amplitude at this point,
     against an exact 0.75."""
     p = mm.ModelParams(lambda_damp=1.0, gamma=2.0, big_omega=1.5, omega=1.5, omega_prime=1.5)
-    run = mm.integrate(mm.build_qdho_xy(p), *mm.coherent_initial_state(p, mm.XY),
-                       mm.IntegratorConfig(1e-3, 40.0, 1000))
+    run = mm.integrate(mm.transform_system(mm.build_sbth(p), mm.XY),
+                       *mm.coherent_initial_state(p, mm.XY), mm.IntegratorConfig(1e-3, 40.0, 1000))
     exact = float(mm.lindblad_mean_energy(p, 40.0))
     assert mm.energy_report(run).e_mean[-1] == pytest.approx(exact, rel=1e-9)
 
@@ -407,7 +426,7 @@ def test_integrated_xy_system_matches_view(params):
     means0, cov0 = mm.coherent_initial_state(params)
     bt1_run = mm.integrate(mm.build_sbth(params), means0, cov0, grid)
     m_xy, c_xy = mm.transform_state(means0, cov0, mm.XY)
-    xy_run = mm.integrate(mm.build_qdho_xy(params), m_xy, c_xy, grid)
+    xy_run = mm.integrate(mm.transform_system(mm.build_sbth(params), mm.XY), m_xy, c_xy, grid)
     view = mm.xy_view(bt1_run)
     assert np.abs(view.means - xy_run.means).max() <= 1e-9
     assert np.abs(view.covs - xy_run.covs).max() <= 1e-9
