@@ -51,6 +51,7 @@ from .integrator import (
 )
 from .diagnostics import (
     AuditJoin,
+    CompareJoin,
     EnergyReport,
     InvariantAudit,
     Run,

@@ -39,7 +39,9 @@ from .csvio import (
 )
 from .diagnostics import (
     AuditJoin,
+    CompareJoin,
     CorruptedStateError,
+    GridMismatchError,
     Run,
     _column,
     audit,
@@ -72,16 +74,18 @@ _CONFIG_KEYS = {"model", *(p.key for p in PARAMS), "emit-xy", "preset", "out", "
 # round differently; a file rebuilt on one platform differs by 0)
 _RECOMPUTE_RTOL = 1e-12
 
-# Samples simulate and check hold at a time, whatever the model: simulate
-# integrates, audits, derives and writes a block before it steps the next;
-# check parses, rebuilds, audits and recomputes one. A block's states or
-# parsed rows, run, XY view, energies and columns, with the writer's or the
+# Samples each command holds of a run at a time, whatever the model:
+# simulate integrates, audits, derives and writes a block before it steps
+# the next; check parses, rebuilds, audits and recomputes one; compare steps
+# a block of each run and compares the pair. A block's states or parsed
+# rows, run, XY view, energies and columns, with the writer's or the
 # parser's buffers, make a traced peak of about 4.6 MB (tracemalloc: 4.56
 # MB for simulate, the integrator's 0.46 MB power table included, 4.78 MB
-# for check), the same at 20 001 and at 80 001 samples. Beyond a block,
-# each command keeps only the audit's running summary and, in check, the
-# derived rows still in doubt against their recomputation, none on a file
-# of one platform or one ulp off.
+# for check, 4.28 MB for a compare of sbth and lindblad with --out), the
+# same at 20 001 and at 80 001 samples. Beyond a block, each command keeps
+# only the audit's running summary or compare's running metrics and, in
+# check, the derived rows still in doubt against their recomputation, none
+# on a file of one platform or one ulp off.
 ANALYSIS_BLOCK = 4096
 
 
@@ -155,21 +159,22 @@ def _tolerance(flag, configs, default: float) -> float:
 
 
 def _run_model(model: str, params: ModelParams, grid: IntegratorConfig,
-               judge_margins: bool = False, block: int | None = None):
-    """Integrate one model (or evaluate the classical closed form).
+               judge_margins: bool = False) -> TrajectoryBlocks:
+    """One model's run as ``TrajectoryBlocks`` of ``ANALYSIS_BLOCK``
+    samples, stepped (a classical run evaluated in closed form) as the
+    blocks are read; the system is built, and the initial state taken, at
+    once.
 
     With ``judge_margins``, the diffusion margins that ``audit`` reports are
     evaluated at the initial state between the build and the first step:
     their overflow depends only on ``params``, so such a run fails
-    (``OverflowError``) before it costs any step. With ``block``, the run
-    comes back unevaluated, as ``integrate``'s blocks of that size.
+    (``OverflowError``) before it costs any step.
     """
+    size = ANALYSIS_BLOCK
     if model == "classical":
-        if block is None:
-            return classical_trajectory(params, grid.sample_times)
         return TrajectoryBlocks(L1, grid, params, (
-            classical_trajectory(params, grid.block_times(first, first + block))
-            for first in range(0, grid.n_samples, block)))
+            classical_trajectory(params, grid.block_times(first, first + size))
+            for first in range(0, grid.n_samples, size)))
     if model == "sbth":
         system, (means0, cov0) = build_sbth(params), coherent_initial_state(params, BT1)
     else:
@@ -178,7 +183,7 @@ def _run_model(model: str, params: ModelParams, grid: IntegratorConfig,
         lindblad_margin(params)
         if model == "sbth":
             moment_margin(params, cov0.pair_determinant(0))
-    return integrate(system, means0, cov0, grid, block)
+    return integrate(system, means0, cov0, grid, size)
 
 
 def _analysed(run: TrajectoryBlocks, tol: float, names: list[str],
@@ -200,6 +205,63 @@ def _analysed(run: TrajectoryBlocks, tol: float, names: list[str],
         for _ in run.blocks:
             pass
         raise
+
+
+def _compared(run_a: TrajectoryBlocks, run_b: TrajectoryBlocks, columns: list[str],
+              joined: CompareJoin):
+    """The joint table of two runs (``t``, then each column of run a and of
+    run b) a block pair at a time, each pair's metrics folded into
+    ``joined``. Sample counts that differ are refused before any step. Else
+    the first error ends the table, but both runs are stepped to their end
+    and each later pair is held to the errors that outrank it, so the error
+    is that of the runs compared whole: run a's integration error, then run
+    b's, then the grid, then the analysis of run a, then of run b."""
+    if run_a.n_samples != run_b.n_samples:
+        raise GridMismatchError("trajectories do not share one sampling grid")
+    blocks_b, fault = run_b.blocks, (3, None)  # (rank, error)
+    for traj_a in run_a.blocks:
+        try:
+            traj_b = next(blocks_b)
+        except Exception:
+            for _ in run_a.blocks:  # run a's own error is reported first
+                pass
+            raise
+        a, b = Run(traj_a), Run(traj_b)
+        if fault[1] is None:
+            try:
+                joined.add(compare(a, b, columns))
+            except Exception as exc:
+                fault = (3, exc)
+            else:
+                cols = [trajectory_columns(run, columns) for run in (a, b)]
+                yield [traj_a.ts, *(side[name] for name in columns for side in cols)]
+                continue
+        # the ranks: 0 the grid, 1 the analysis of run a, 2 of run b, 3 any other error
+        checks = (lambda: compare(a, b, []), lambda: trajectory_columns(a, columns),
+                  lambda: trajectory_columns(b, columns))
+        for rank, check in enumerate(checks[:fault[0]]):
+            try:
+                check()
+            except Exception as exc:
+                fault = (rank, exc)
+                break
+    if fault[1] is not None:
+        raise fault[1]
+
+
+def _write(out: str | None, config: dict, names: list[str], blocks) -> None:
+    """``write_csv`` of ``blocks`` to ``out`` (None: none). Either way the
+    blocks are read to their end, so a numerical failure of theirs is
+    reported before an ``out`` that cannot be written."""
+    try:
+        if out is not None:
+            write_csv(out, config, names, blocks)
+    except OSError:
+        for _ in blocks:
+            pass
+        raise
+    for _ in blocks:
+        pass
 
 
 class _Recomputed:
@@ -256,7 +318,7 @@ def cmd_simulate(args) -> int:
     xy_names = schema.xy_columns
     with_xy = emit_xy(cfg) and bool(xy_names)
     out = _file_name(args.out) if args.out is not None else cfg.get("out", f"{model}.csv")
-    run = _run_model(model, params, grid, judge_margins=True, block=ANALYSIS_BLOCK)
+    run = _run_model(model, params, grid, judge_margins=True)
     echo = {"model": model, **run_config(params, grid)}
     if xy_names:  # echoed only by a model that has XY columns
         echo["emit-xy"] = with_xy
@@ -264,13 +326,7 @@ def cmd_simulate(args) -> int:
     # integrated, audited, derived and written block by block; the file
     # replaces out only once the whole run is in
     joined = AuditJoin(grid.n_samples) if schema.moments else None
-    blocks = _analysed(run, tol, names, joined)
-    try:
-        write_csv(out, echo, names, blocks)
-    except OSError:
-        for _ in blocks:  # a numerical failure of the run is reported first
-            pass
-        raise
+    _write(out, echo, names, _analysed(run, tol, names, joined))
     t_last = grid.block_times(grid.n_samples - 1, grid.n_samples)[0]
     print(f"wrote {out} ({grid.n_samples} samples, t in [0, {t_last:g}])")
     if joined is not None:
@@ -312,21 +368,19 @@ def cmd_compare(args) -> int:
         columns = ["x", "p"]
     else:
         columns = ["x", "p", "G20", "G02", "G11", "E_mean"]
-    run_a, run_b = (Run(_run_model(cfg["model"], *_params_and_grid(cfg))) for cfg in configs)
-    metrics = compare(run_a, run_b, columns)
-    print(f"comparing {model_a} vs {model_b} on {run_a.traj.n_samples} samples (tol {tol:g})")
+    run_a, run_b = (_run_model(cfg["model"], *_params_and_grid(cfg)) for cfg in configs)
+    joined = CompareJoin(run_a.n_samples)
+    # compared, and the joint table written, block pair by block pair
+    names = ["t", *(f"{name}_{side}" for name in columns for side in "ab")]
+    _write(out, {"model": f"{model_a}-vs-{model_b}"}, names,
+           _compared(run_a, run_b, columns, joined))
+    metrics = joined.metrics()
+    print(f"comparing {model_a} vs {model_b} on {run_a.n_samples} samples (tol {tol:g})")
     print(f"{'column':>10}  {'max_abs':>12}  {'rms':>12}  {'at_time':>9}")
     for name in columns:
         m = metrics[name]
         print(f"{name:>10}  {m.max_abs:12.5e}  {m.rms:12.5e}  {m.at_time:9.3f}")
     if out is not None:
-        cols_a = trajectory_columns(run_a, columns)
-        cols_b = trajectory_columns(run_b, columns)
-        names, joint = ["t"], [run_a.traj.ts]
-        for name in columns:
-            names += [f"{name}_a", f"{name}_b"]
-            joint += [cols_a[name], cols_b[name]]
-        write_csv(out, {"model": f"{model_a}-vs-{model_b}"}, names, [joint])
         print(f"wrote {out}")
     if all(metrics[name].max_abs <= tol for name in columns):  # a NaN is never within tol
         print("PASS: all columns within tolerance")

@@ -44,6 +44,7 @@ __all__ = [
     "AuditJoin",
     "ColumnMetrics",
     "compare",
+    "CompareJoin",
     "trajectory_columns",
     "G1_COLUMNS",
     "PAIR_COLUMNS",
@@ -436,11 +437,22 @@ def trajectory_columns(traj: Run | Trajectory, names) -> dict[str, np.ndarray]:
 
 @dataclass(frozen=True)
 class ColumnMetrics:
-    """Difference metrics of one compared column."""
+    """Difference metrics of one compared column over ``n_samples``
+    samples: ``max_abs``, the first largest difference (the first NaN, if
+    any), its time ``at_time``, and the rms, kept as ``squares``, the sum
+    of the squared differences over ``max_abs``**2, so that none overflows
+    (Blue, ACM TOMS 4(1), 1978)."""
 
     max_abs: float
-    rms: float
     at_time: float
+    n_samples: int
+    squares: float
+
+    @property
+    def rms(self) -> float:
+        if not (math.isfinite(self.max_abs) and self.max_abs > 0.0):
+            return self.max_abs  # 0, inf or NaN
+        return self.max_abs * math.sqrt(self.squares / self.n_samples)
 
 
 def compare(
@@ -452,7 +464,8 @@ def compare(
     identical. The comparison is symmetric and exactly zero on identical
     inputs: entries equal on both sides, equal infinities included, differ
     by 0, while a NaN on either side makes the difference, and so
-    ``max_abs``, NaN.
+    ``max_abs``, NaN. :class:`CompareJoin` folds the metrics of
+    consecutive block pairs into those of the whole runs.
     """
     run_a, run_b = _as_run(traj_a), _as_run(traj_b)
     ts, ts_b = run_a.traj.ts, run_b.traj.ts
@@ -466,9 +479,42 @@ def compare(
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf; beyond the float range
             diff = np.where(a == b, 0.0, np.abs(a - b))
         worst = int(np.argmax(diff))  # the first NaN, if any
-        max_abs = float(diff[worst])
-        rms = max_abs  # 0, inf or NaN
-        if math.isfinite(max_abs) and max_abs > 0.0:  # scaled, so no square overflows
-            rms = max_abs * math.sqrt(np.mean((diff / max_abs) ** 2))
-        out[name] = ColumnMetrics(max_abs=max_abs, rms=rms, at_time=float(ts[worst]))
+        max_abs, squares = float(diff[worst]), 0.0
+        if math.isfinite(max_abs) and max_abs > 0.0:
+            squares = float(np.sum((diff / max_abs) ** 2))
+        out[name] = ColumnMetrics(max_abs, float(ts[worst]), len(ts), squares)
     return out
+
+
+def _fold_metrics(done: ColumnMetrics, part: ColumnMetrics) -> ColumnMetrics:
+    """A column's metrics over ``done``'s samples then ``part``'s: the first
+    maximum, a NaN before any number, and the lesser side's scaled squares
+    rescaled to the greater maximum (as LAPACK's ``dnrm2`` does)."""
+    later = not math.isnan(done.max_abs) and (
+        math.isnan(part.max_abs) or part.max_abs > done.max_abs)
+    top, other = (part, done) if later else (done, part)
+    squares = top.squares
+    if other.max_abs > 0.0 and math.isfinite(top.max_abs):
+        squares += other.squares * (other.max_abs / top.max_abs) ** 2
+    return ColumnMetrics(top.max_abs, top.at_time, done.n_samples + part.n_samples, squares)
+
+
+class CompareJoin:
+    """The metrics of two runs of ``n`` samples compared, folded from those
+    of their consecutive block pairs, added in order with :meth:`add`, so
+    no block outlives its comparison. :meth:`metrics` is then
+    :func:`compare` of the whole runs: ``max_abs`` and ``at_time``
+    exactly, the rms up to the rounding of its sum, taken block by block."""
+
+    def __init__(self, n: int):
+        self.n, self.joined = n, None
+
+    def add(self, part: dict[str, ColumnMetrics]) -> None:
+        if self.joined is not None:
+            part = {name: _fold_metrics(self.joined[name], m) for name, m in part.items()}
+        self.joined = part
+
+    def metrics(self) -> dict[str, ColumnMetrics]:
+        if self.joined is None or any(m.n_samples != self.n for m in self.joined.values()):
+            raise ValueError(f"the block pairs' metrics do not cover the runs' {self.n} samples")
+        return self.joined

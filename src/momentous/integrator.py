@@ -54,15 +54,14 @@ __all__ = [
 
 
 # Largest accepted step count t_end/dt: 50 times the largest grid the tests
-# and the benchmark run (200 000 steps). At sample_every = 1 a two-oscillator
-# trajectory stores 168 bytes a sample (t, 4 means, the 4x4 covariance), and
-# integrate() of the whole run peaks near 180 bytes a sample (traced by
-# tracemalloc at 80 000 and 160 000 samples: the run plus one block): this
-# grid would hold 1.7 GB of samples and need 1.8 GB while it is integrated,
-# so larger grids are refused before anything is allocated. Only
-# integrate(..., block=None), and so compare, holds a whole run; read block
-# by block, as simulate reads it, a run holds one block (1.9 MB at 4096
-# samples) however long it is.
+# and the benchmark run (200 000 steps), which bounds a command's time. No
+# command holds a whole run: each reads its runs block by block, one block
+# (1.9 MB at 4096 samples) however long the run. Only a library call of
+# integrate(..., block=None) holds one. At sample_every = 1 it stores 168
+# bytes a sample of a two-oscillator run (t, 4 means, the 4x4 covariance)
+# and peaks near 180 (traced by tracemalloc at 80 000 and 160 000 samples:
+# the run plus one block), so this grid would need 1.8 GB there; larger
+# grids are refused before anything is allocated.
 MAX_STEPS = 10**7
 
 # Samples in each block a run integrated whole is assembled from. A run

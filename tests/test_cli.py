@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 import math
@@ -413,6 +414,33 @@ def test_compare_grid_mismatch(tmp_path):
     assert run("compare", str(a), str(b)) == 2
 
 
+def test_compare_refuses_sample_counts_that_differ_before_any_step(tmp_path, capsys,
+                                                                    monkeypatch):
+    """Runs of different sample counts share no grid: compare refuses them
+    once both are built, and reads no block of either. It integrated both
+    whole first (0.9 s and 214 MB max RSS for these 800 001 and 790 001
+    samples), so a run that diverges was exit 3, not 2."""
+    read = []
+    integrate = cli.integrate
+
+    def spied(*args):
+        run = integrate(*args)
+        return dataclasses.replace(run, blocks=(read.append(b) or b for b in run.blocks))
+
+    monkeypatch.setattr(cli, "integrate", spied)
+    specs = [("model = sbth\nt-end = 80\n", "model = lindblad\nt-end = 79\n",
+              ["--dt", "1e-4"]),
+             ("model = sbth\nt-end = 5000\n", "model = lindblad\nt-end = 4999\n",
+              ["--dt", "1"])]
+    for text_a, text_b, dt in specs:
+        a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        a.write_text(text_a)
+        b.write_text(text_b)
+        assert run("compare", str(a), str(b), *dt, "--sample-every", "1") == 2
+        assert capsys.readouterr() == ("", "error: trajectories do not share one sampling grid\n")
+    assert read == []
+
+
 def test_compare_joint_csv_and_columns(tmp_path):
     out = tmp_path / "joint.csv"
     assert run("compare", "sbth", "classical", "--t-end", "2",
@@ -653,10 +681,11 @@ def test_models_share_one_sample_grid(params):
     grid = mm.IntegratorConfig(dt=0.3, t_end=7.0, sample_every=4)
     assert len(grid.sample_times) == 6
     for model in MODELS:
-        traj = cli._run_model(model, params, grid)
-        assert np.array_equal(traj.ts, grid.sample_times), model
-        assert traj.ts[1] - traj.ts[0] == 4 * 0.3
-    classical = cli._run_model("classical", params, grid)
+        blocks = list(cli._run_model(model, params, grid).blocks)
+        ts = np.concatenate([block.ts for block in blocks])
+        assert np.array_equal(ts, grid.sample_times), model
+        assert ts[1] - ts[0] == 4 * 0.3
+    classical = next(cli._run_model("classical", params, grid).blocks)
     means0, _ = mm.coherent_initial_state(params, mm.L1)
     assert np.array_equal(classical.means[0], means0.values)
 
@@ -804,6 +833,73 @@ def test_a_later_nonfinite_step_beats_an_earlier_negative_variance(tmp_path, cap
     assert list(tmp_path.iterdir()) == []
 
 
+_COMPARE_FAILURES = {
+    "sbth-lindblad-blow-up": (["sbth", "lindblad", "--t-end", "5000"], 3,
+                              "numerical failure: non-finite state at step 1813 (t = 1813)\n"),
+    # run b fails earlier, at step 1813: run a's error is still the one reported
+    "lindblad-sbth-blow-up": (["lindblad", "sbth", "--t-end", "5000"], 3,
+                              "numerical failure: non-finite state at step 2329 (t = 2329)\n"),
+    "sbth-lindblad-negative": (["sbth", "lindblad", "--t-end", "100"], 3,
+                               "numerical failure: negative diagonal moment at t = 89; "
+                               "upstream state is corrupted\n"),
+    "lindblad-sbth-negative": (["lindblad", "sbth", "--t-end", "100"], 3,
+                               "numerical failure: negative diagonal moment at t = 89; "
+                               "upstream state is corrupted\n"),
+}
+
+
+@pytest.mark.parametrize("size", _BLOCK_SIZES)
+@pytest.mark.parametrize("argv,code,err", _COMPARE_FAILURES.values(), ids=_COMPARE_FAILURES)
+def test_compare_reports_its_errors_in_one_order(tmp_path, capsys, monkeypatch, size, argv,
+                                                 code, err):
+    """compare steps its two runs in lockstep, a block pair at a time, yet
+    reports the error the runs compared whole report: run a's integration
+    error, then run b's, then the grid, then the analysis. An --out that
+    cannot be written comes after all of them; nothing is printed."""
+    monkeypatch.setattr(cli, "ANALYSIS_BLOCK", size)
+    for out in ([], ["--out", str(tmp_path / "missing" / "joint.csv")]):
+        capsys.readouterr()
+        assert run("compare", *argv, "--dt", "1", "--sample-every", "1", *out) == code
+        assert capsys.readouterr() == ("", err), out
+
+
+@pytest.mark.parametrize("size", _BLOCK_SIZES)
+def test_compare_keeps_the_error_order_across_block_pairs(tmp_path, capsys, monkeypatch, size):
+    """Errors found in different block pairs: run a's negative variance at
+    t = 92 beats run b's at t = 20, and a grid that parts at t = 62 beats
+    the negative variance at t = 20 (both grids have 101 samples; the second
+    is (637 k)*dt with dt = 2/637, which is not 2 k from k = 31)."""
+    monkeypatch.setattr(cli, "ANALYSIS_BLOCK", size)
+    specs = {
+        "lindblad": "model = lindblad\ndt = 2\nsample-every = 1\nt-end = 200\n",
+        "sbth": "model = sbth\ndt = 1\nsample-every = 2\nt-end = 200\n",
+        "parted": f"model = sbth\ndt = {2 / 637!r}\nsample-every = 637\nt-end = 200\n",
+    }
+    for name, text in specs.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
+    cases = [
+        ("sbth", "lindblad", 3, "numerical failure: negative diagonal moment at t = 92; "
+                                "upstream state is corrupted\n"),
+        ("lindblad", "parted", 2, "error: trajectories do not share one sampling grid\n"),
+    ]
+    for spec_a, spec_b, code, err in cases:
+        capsys.readouterr()
+        assert run("compare", str(tmp_path / f"{spec_a}.cfg"),
+                   str(tmp_path / f"{spec_b}.cfg")) == code
+        assert capsys.readouterr() == ("", err), (spec_a, spec_b)
+
+
+@pytest.mark.parametrize("size", _BLOCK_SIZES)
+def test_compare_to_an_unwritable_out_prints_nothing(tmp_path, capsys, monkeypatch, size):
+    """A clean compare whose --out cannot be written is exit 2 in the words
+    writing it gives; the table, printed once the joint file is in, is not
+    printed."""
+    monkeypatch.setattr(cli, "ANALYSIS_BLOCK", size)
+    out = tmp_path / "missing" / "joint.csv"
+    assert run("compare", "sbth", "lindblad", "--t-end", "2", "--out", str(out)) == 2
+    assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{out}'\n")
+
+
 def test_check_reports_file_faults_in_their_order(tmp_path, capsys, monkeypatch):
     """check reads the whole file before it reports, so a fault is reported
     whatever block holds it: a row that does not parse before a wrong
@@ -906,30 +1002,37 @@ def test_out_in_a_missing_directory(tmp_path, capsys, argv, code, err):
     assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
 
-@pytest.mark.parametrize("command,model,ulp_off", [
-    pytest.param("simulate", "sbth", False, id="simulate"),
-    pytest.param("check", "sbth", False, id="check"),
-    pytest.param("check", "sbth", True, id="check-ulp-off"),
-    pytest.param("simulate", "classical", False, id="simulate-classical"),
-    pytest.param("check", "classical", False, id="check-classical"),
+@pytest.mark.parametrize("command,model,variant", [
+    pytest.param("simulate", "sbth", None, id="simulate"),
+    pytest.param("check", "sbth", None, id="check"),
+    pytest.param("check", "sbth", "ulp-off", id="check-ulp-off"),
+    pytest.param("simulate", "classical", None, id="simulate-classical"),
+    pytest.param("check", "classical", None, id="check-classical"),
+    pytest.param("compare", "sbth", None, id="compare"),
+    pytest.param("compare", "sbth", "out", id="compare-out"),
 ])
-def test_dense_memory_is_bounded_by_a_block(tmp_path, traced_peak, command, model, ulp_off):
+def test_dense_memory_is_bounded_by_a_block(tmp_path, traced_peak, command, model, variant):
     """Beyond one block of samples, simulate and check keep only the run's
-    audit summary, so doubling the run adds at most 4 bytes a sample to
-    their traced peak. So does a file whose derived columns are each one
-    ulp off, as another BLAS build may round them: every such row is within
+    audit summary, and compare (against a lindblad run) only the running
+    metrics, so doubling the run adds at most 4 bytes a sample to their
+    traced peak. So does a file whose derived columns are each one ulp
+    off, as another BLAS build may round them: every such row is within
     the recomputation tolerance as soon as it is read. The audit's
     per-sample arrays grew them by about 25 bytes a sample, and the rows
     one ulp off by about 250; holding the whole run or the parsed table,
-    by about 360 and 330."""
+    by about 360 and 330, and compare holding both runs, by about 480."""
     xy = ["--emit-xy"] if MODELS[model].xy_columns else []
     peaks = []
     for t_end in ("20", "40"):
         out = tmp_path / f"{t_end}.csv"
-        argv = ("simulate", "--model", model, "--t-end", t_end, "--sample-every", "1",
-                *xy, "--out", str(out))
+        dense = ("--t-end", t_end, "--sample-every", "1")
+        if command == "compare":
+            argv = ("compare", model, "lindblad", *dense,
+                    *(["--out", str(out)] if variant == "out" else []))
+        else:
+            argv = ("simulate", "--model", model, *dense, *xy, "--out", str(out))
         assert run(*argv) == 0  # the file, lazily built tables and caches
-        if ulp_off:
+        if variant == "ulp-off":
             config, columns = read_csv(out)
             for name in columns:
                 if name not in MODELS[model].stored:
@@ -1123,6 +1226,32 @@ def test_compare_rms_of_huge_differences_is_finite(capsys):
     table = _compare_table(printed.out)
     assert table["G02"][0] > 1e299 and printed.err == ""
     assert all(math.isfinite(rms) and rms <= max_abs for max_abs, rms in table.values())
+
+
+_COMPARE_CASES = {
+    "dense-out": ["sbth", "lindblad", "--sample-every", "1", "--t-end", "2", "--out"],
+    "fig3-nbar": ["sbth", "lindblad", "--preset", "paper-fig3", "--nbar", "2"],
+    "huge-nbar": list(_HUGE_NBAR[1:]),
+    "huge-nbar-U1": [*_HUGE_NBAR[1:], "--columns", "U1"],
+    "classical": ["classical", "sbth", "--sample-every", "1", "--t-end", "3"],
+}
+
+
+@pytest.mark.parametrize("argv", _COMPARE_CASES.values(), ids=_COMPARE_CASES)
+def test_block_size_changes_no_compare_output(tmp_path, capsys, monkeypatch, argv):
+    """The printed table, the exit code and the joint file do not depend on
+    the size of the block pairs compare folds."""
+    def outputs(name):
+        out = [str(tmp_path / name)] if argv[-1] == "--out" else []
+        code, printed, err = _outputs(capsys, "compare", *argv, *out)
+        written = (tmp_path / name).read_bytes() if out else None
+        return code, printed.replace(str(tmp_path / name), "joint.csv"), err, written
+
+    expected = outputs("reference.csv")
+    assert expected[0] in (0, 1) and expected[2] == ""
+    for size in _BLOCK_SIZES:
+        monkeypatch.setattr(cli, "ANALYSIS_BLOCK", size)
+        assert outputs(f"{size}.csv") == expected, size
 
 
 _EXTREMES = (0, -1, 1e-300, 1e-150, 1e-8, 1e8, 1e150, 1e300)
