@@ -12,7 +12,7 @@ in float64/int64 arithmetic; the few values it cannot settle exactly
 are formatted one by one with ``"%.16e"`` itself.
 
 The reader mirrors the writer. It reads a file once, through one buffer
-of ``READ_BLOCK`` rows reused from block to block, so a file is never held
+of ``READ_BLOCK`` rows reused from read to read, so a file is never held
 whole. A buffer of rows of the writer's shape is parsed and converted to
 the correctly rounded double in float64/uint64 arithmetic; the few values
 it cannot settle exactly (near a rounding midpoint, with a zero lead
@@ -20,7 +20,8 @@ digit, or beyond 1e-270..1e270 in magnitude) are converted one by one
 with ``float``. A buffer with a line of any other shape (blank lines,
 ``#`` comments, CRLF, other number syntax, ``nan``, a wrong field count)
 is parsed line by line, each field by ``float``. Either way each value
-is the double ``float`` makes of its field.
+is the double ``float`` makes of its field. The rows are regrouped into
+blocks by the integrator's rule for its samples, in one reused table.
 
 Each model's column schema is its row of :data:`MODELS`; column order is
 part of the contract.
@@ -40,8 +41,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .diagnostics import G1_COLUMNS, PAIR_COLUMNS, classical_trajectory
-from .integrator import IntegratorConfig
-from .model import BT1, L1, CanonicalFrame, ModelParams, Trajectory
+from .integrator import IntegratorConfig, _reblocked
+from .model import BT1, L1, CanonicalFrame, ModelParams, Trajectory, finite_real
 
 __all__ = [
     "CsvFormatError",
@@ -408,10 +409,13 @@ def read_csv(path, block: int | None = None):
 
     With ``block``, only the configuration and the header are read yet:
     the second item is a :class:`CsvBlocks` whose ``blocks`` parses the
-    data rows as they are read, ``block`` rows at a time.
+    data rows as they are read, ``block`` rows at a time; ``block`` must
+    be an integer >= 1, else ``ValueError`` names it.
     """
-    if block is not None and block < 1:
-        raise ValueError(f"block must be at least 1 row, got {block!r}")
+    if block is not None:
+        block = finite_real("block", block, integral=True)
+        if block < 1:
+            raise ValueError(f"block must be at least 1 row, got {block!r}")
     fh = open(path, "rb")
     try:
         config_text, header, rest, number = _head(fh, path)
@@ -515,25 +519,12 @@ def _read_rows(fh, rest: bytes, number: int, header, path, rows: int | None):
         status = os.fstat(fh.fileno())
         if stat.S_ISREG(status.st_mode):  # the bytes after those _head consumed
             most = (len(rest) + status.st_size - fh.tell()) // (23 * width) + 1
-        data = np.empty((most if rows is None else min(rows, most), width))
-        filled = total = 0  # rows of data holding this block's rows, rows read
-        for values in _buffers(fh, rest, number, width, path):
-            total += len(values)
-            while len(values):
-                if filled == len(data):  # shorter fields than the writer's: grow
-                    grow = len(data) if rows is None else min(len(data), rows - len(data))
-                    data = np.resize(data, (len(data) + grow, width))
-                taken = values[:len(data) - filled]
-                data[filled:filled + len(taken)] = taken
-                filled += len(taken)
-                values = values[len(taken):]
-                if filled == rows:
-                    yield dict(zip(header, data.T))
-                    filled = 0
-    if not total:
+        empty = True
+        for block in _reblocked(_buffers(fh, rest, number, width, path), rows, width, most):
+            empty = False
+            yield dict(zip(header, block.T))
+    if empty:
         raise CsvFormatError(f"{path}: no data rows after the header")
-    if filled:
-        yield dict(zip(header, data[:filled].T))
 
 
 def _buffers(fh, rest: bytes, number: int, width: int, path):

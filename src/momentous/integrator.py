@@ -27,10 +27,11 @@ its 256 samples back through the step loop from their anchor, so a
 failure still names its exact step: the earliest non-finite one of either
 kind.
 
-One loop hands out every run, a block of samples at a time. ``integrate``
-copies the blocks into arrays of the whole run; asked for blocks, it
-hands them out as they are filled, so a caller holds one block at a time.
-The anchors do not depend on the block size, so neither does any sample.
+One loop steps every run, in chunks of up to 256 samples after an anchor,
+each handed on once its steps are found finite. One rule, shared with the
+CSV reader, regroups the chunks into blocks of any size in one reused
+buffer; ``integrate`` copies the blocks into arrays of the whole run or
+hands them out as they are filled. No sample depends on the block size.
 """
 
 from __future__ import annotations
@@ -64,10 +65,10 @@ __all__ = [
 # grids are refused before anything is allocated.
 MAX_STEPS = 10**7
 
-# Samples in each block a run integrated whole is assembled from. A run
-# that blows up stops sooner: a stored non-finite state makes the next
-# step, not stored in a sparse run, fail the per-step test at once, and a
-# dense run scans each table product of 256 samples.
+# Rows of the buffer a run integrated whole is regrouped into. A run that
+# blows up stops within the chunk that holds the step: a stored non-finite
+# state makes the next step, not stored in a sparse run, fail the per-step
+# test at once, and a dense run scans each table product.
 _ASSEMBLY_BLOCK = 4096
 
 # Powers of the step matrix in the table a run that stores every step is
@@ -220,89 +221,87 @@ def _steps(step_matrix: np.ndarray, y: np.ndarray, start: int, stop: int, every:
     return y, failed
 
 
-def _tabulator(increment: np.ndarray, step_matrix: np.ndarray, y: np.ndarray, n: int):
-    """Filler of a run of ``n`` samples that stores every step:
-    ``fill(start, stop, rows)`` writes the samples ``start .. stop - 1``
-    into ``rows``, going on from the sample before ``start`` (``y`` is
-    sample 0), and returns the first of them that is not finite, or None.
-    The samples ``a + 1 .. a + _TABLE_ROWS``, ``a`` a multiple of
-    ``_TABLE_ROWS``, are one product of the whole power table of
-    ``increment`` with the anchor ``y_a``, into a buffer reused for the
-    run, so no sample depends on how the run is split. Each product is
-    scanned once; if one of its samples that lies in the run is not
-    finite, they are stepped again from ``y_a`` by ``step_matrix``, and the
-    fill stops at the first that still is."""
-    flat = _power_table(increment).reshape(-1, y.size)
-    held = np.empty((_TABLE_ROWS, y.size))  # the samples held_at + 1 ..
-    anchor, held_at, failed = y.copy(), None, None  # failed: the first bad one held
-
-    def fill(start, stop, rows):
-        nonlocal anchor, held_at, failed
-        row = start
-        while row < stop:
-            a = (row - 1) // _TABLE_ROWS * _TABLE_ROWS
-            if a != held_at:
-                if held_at is not None:
-                    anchor = held[-1].copy()
-                count = min(_TABLE_ROWS, n - 1 - a)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    np.dot(flat, anchor, out=held.reshape(-1))
-                    np.add(held, anchor, out=held)
-                failed = None
-                if _first_nonfinite(held[:count]) is not None:
-                    failed = _steps(step_matrix, anchor.copy(), a, a + count, 1, held)[1]
-                held_at = a
-            end = min(stop, a + _TABLE_ROWS + 1)
-            rows[row - start:end - start] = held[row - 1 - a:end - 1 - a]
-            if failed is not None and failed < end:
-                return failed
-            row = end
-        return None
-
-    return fill
-
-
-def _sample_blocks(system: ModelSystem, y: np.ndarray, cfg: IntegratorConfig, size: int):
-    """The run from the packed state ``y`` as consecutive trajectories of
-    up to ``size`` samples. Each block is filled into one buffer, reused
-    for every block, and yielded once the pass that filled it has found its
-    rows finite. Raises :class:`IntegrationError` naming the earliest
-    non-finite step of the block that holds it."""
-    d = system.frame.dim
+def _samples(system: ModelSystem, y: np.ndarray, cfg: IntegratorConfig):
+    """The run from ``y`` (sample 0, yielded with the first chunk) as chunks
+    of the samples ``a + 1 .. a + _TABLE_ROWS`` after each anchor ``a``, a
+    multiple of ``_TABLE_ROWS``: views of one buffer, each yielded once its
+    steps are found finite. At ``sample_every = 1`` a chunk is one product
+    of the power table with the anchor, sent back through :func:`_steps` if
+    a row is not finite; otherwise it is :func:`_steps`, the last chunk
+    taking the steps after the last sample too. At a failing step the chunk
+    yields the samples before it (not the last sample, if after it) and
+    raises :class:`IntegrationError`."""
     every, n = cfg.sample_every, cfg.n_samples
     with np.errstate(over="ignore", invalid="ignore"):
         increment = _rk4_increment(cfg.dt * _rate_matrix(system))
         step_matrix = np.eye(y.size) + increment
-    tabulate = _tabulator(increment, step_matrix, y, n) if every == 1 else None
-    states = np.empty((min(size, n), y.size))
-    states[0] = y
-    for first in range(0, n, size):
-        stop = min(first + size, n)
-        lead = 1 if first == 0 else 0  # row 0 of the first block is the initial state
-        rows = states[lead:stop - first]
-        if tabulate:
-            failed = tabulate(first + lead, stop, rows)
-        else:  # the last block also takes the steps after the last sample
-            last_step = (stop - 1) * every if stop < n else cfg.n_steps
-            # a copy: y may view the buffer row this block writes first
-            y, failed = _steps(step_matrix, y.copy(), (first + lead - 1) * every, last_step,
-                               every, rows)
-        if failed is not None:
+    flat = _power_table(increment).reshape(-1, y.size) if every == 1 else None
+    buf = np.empty((_TABLE_ROWS + 1, y.size))  # the anchor, then its chunk
+    buf[0] = y
+    for a in range(0, max(n - 1, 1), _TABLE_ROWS):
+        count = min(_TABLE_ROWS, n - 1 - a)
+        rows, failed = buf[1:], None
+        if flat is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.dot(flat, buf[0], out=rows.reshape(-1))
+                np.add(rows, buf[0], out=rows)
+        if flat is None or _first_nonfinite(rows[:count]) is not None:
+            last = (a + count) * every if a + count < n - 1 else cfg.n_steps
+            failed = _steps(step_matrix, buf[0], a * every, last, every, rows)[1]
+        lead = 0 if a == 0 else 1  # sample 0 comes with the first chunk
+        if failed is not None:  # the samples before it; after the last, not that one
+            yield buf[lead:min(-(-failed // every), n - 1) - a]
             raise IntegrationError(failed, failed * cfg.dt)
-        block = states[:stop - first]
+        yield buf[lead:count + 1]
+        buf[0] = buf[count]
+
+
+def _reblocked(parts, size: int | None, width: int, rows: int):
+    """The rows of ``parts``, a stream of (k, width) arrays, regrouped in
+    order into blocks of ``size`` rows (the last may be shorter; one block
+    when None). Each block is a view of one buffer that the next block
+    overwrites. The buffer starts at ``rows`` rows (at least 1) and doubles,
+    up to ``size``, when a block needs more; a full block is yielded at
+    once, the last when ``parts`` ends."""
+    data = np.empty((rows if size is None else min(size, rows), width))
+    filled = 0
+    for part in parts:
+        while len(part):
+            if filled == len(data):
+                grow = len(data) if size is None else min(len(data), size - len(data))
+                data = np.resize(data, (len(data) + grow, width))
+            taken = part[:len(data) - filled]
+            data[filled:filled + len(taken)] = taken
+            filled += len(taken)
+            part = part[len(taken):]
+            if filled == size:
+                yield data
+                filled = 0
+    if filled:
+        yield data[:filled]
+
+
+def _sample_blocks(system: ModelSystem, y: np.ndarray, cfg: IntegratorConfig, size: int):
+    """The run from the packed state ``y`` as consecutive trajectories of
+    up to ``size`` samples: :func:`_samples` regrouped by :func:`_reblocked`."""
+    d = system.frame.dim
+    first = 0
+    for block in _reblocked(_samples(system, y, cfg), size, y.size, cfg.n_samples):
+        stop = first + len(block)
         ts = cfg.block_times(first, stop)
         means = block[:, :d].copy()
         covs = covariances_from_moments(block[:, d:-1], d)
         for arr in (ts, means, covs):  # fresh arrays: the trajectory adopts them
             arr.setflags(write=False)
         yield Trajectory(system.frame, ts, means, covs, system.params)
+        first = stop
 
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryBlocks:
     """A run integrated as it is read. Iterating ``blocks`` takes the steps
-    and yields the run's samples as consecutive trajectories, each once the
-    pass that filled it has found them finite; a non-finite state raises
+    and yields the run's samples as consecutive trajectories, each once
+    its steps are found finite; a non-finite state raises
     :class:`IntegrationError` from the block that holds it. ``blocks`` can
     be read once. ``ts``, the whole run's sample times, is computed when
     first read."""
@@ -323,6 +322,14 @@ class TrajectoryBlocks:
         return ts
 
 
+def _packed(system: ModelSystem, means0: MeanVector, cov0: CovarianceMatrix) -> np.ndarray:
+    """The state ``[means, moments, 1]`` of (``means0``, ``cov0``)."""
+    if means0.frame != system.frame or cov0.frame != system.frame:
+        raise FrameError(f"initial state frame does not match system frame {system.frame.name}")
+    d = system.frame.dim
+    return np.concatenate([means0.values, cov0.entries[np.triu_indices(d)], [1.0]])
+
+
 def integrate(
     system: ModelSystem,
     means0: MeanVector,
@@ -337,21 +344,19 @@ def integrate(
     Raises :class:`IntegrationError` naming the first step whose state is
     not finite, as soon as it is seen: at once for a step that is not
     stored, at the next step for a stored one of a sparse run, and within
-    its table product of 256 samples for one of a dense run.
+    its chunk of 256 samples for one of a dense run.
 
-    With ``block``, no step is taken yet: the run comes back as
-    :class:`TrajectoryBlocks` of ``block`` samples each, and a stored step
-    is checked within its block. The steps are the same either way, so a
-    block's samples are those rows of the whole run, bit for bit.
+    With ``block``, an integer >= 1 (else ``ValueError`` naming it), no
+    step is taken yet: the run comes back as :class:`TrajectoryBlocks` of
+    ``block`` samples each, regrouped from the same chunks, so a block's
+    samples are those rows of the whole run, bit for bit.
     """
-    if means0.frame != system.frame or cov0.frame != system.frame:
-        raise FrameError(
-            f"initial state frame does not match system frame {system.frame.name}"
-        )
-    if block is not None and block < 1:
-        raise ValueError(f"block must be at least 1 sample, got {block!r}")
+    y = _packed(system, means0, cov0)
+    if block is not None:
+        block = finite_real("block", block, integral=True)
+        if block < 1:
+            raise ValueError(f"block must be at least 1 sample, got {block!r}")
     d = system.frame.dim
-    y = np.concatenate([means0.values, cov0.entries[np.triu_indices(d)], [1.0]])
     blocks = _sample_blocks(system, y, cfg, block or _ASSEMBLY_BLOCK)
     if block is not None:
         return TrajectoryBlocks(system.frame, cfg, system.params, blocks)
@@ -376,19 +381,19 @@ def convergence_order(
 ) -> float:
     """Observed order from a Richardson triple at dt, dt/2, dt/4.
 
-    Integrates to ``cfg.t_end`` three times, every step stored and read a
-    block at a time, keeping only the final state, and returns
-    ``log2(|y_dt - y_dt/2| / |y_dt/2 - y_dt/4|)`` over it (packed, max
-    norm): the estimate of three dense runs. Choose dt large enough that
-    truncation error stays clear of round-off, else the estimate degrades.
+    Integrates to ``cfg.t_end`` three times, every step stored, keeping
+    only the final packed state, and returns ``log2(|y_dt - y_dt/2| /
+    |y_dt/2 - y_dt/4|)`` over it (max norm; the packed moments are the
+    covariance's entries, so it is the estimate of three dense runs).
+    Choose dt large enough that truncation error stays clear of round-off,
+    else the estimate degrades.
     """
+    y = _packed(system, means0, cov0)
     finals = []
     for divisor in (1, 2, 4):
-        run = integrate(system, means0, cov0, IntegratorConfig(cfg.dt / divisor, cfg.t_end, 1),
-                        _ASSEMBLY_BLOCK)
-        for last in run.blocks:
+        for chunk in _samples(system, y, IntegratorConfig(cfg.dt / divisor, cfg.t_end, 1)):
             pass
-        finals.append(np.concatenate([last.means[-1], last.covs[-1].ravel()]))
+        finals.append(chunk[-1].copy())
     err_coarse = float(np.abs(finals[0] - finals[1]).max())
     err_fine = float(np.abs(finals[1] - finals[2]).max())
     if err_fine == 0.0:

@@ -6,7 +6,8 @@ import pytest
 
 import momentous as mm
 from momentous import model
-from momentous.integrator import MAX_STEPS, IntegrationError, _steps
+from momentous.csvio import read_csv, write_csv
+from momentous.integrator import MAX_STEPS, IntegrationError, _reblocked, _steps
 
 RNG = np.random.default_rng(7)
 
@@ -235,6 +236,64 @@ def test_blocks_name_the_exact_failing_step(block, every):
             read += part.n_samples
     stepping = -(-47 // every)  # the sample whose steps reach step 47
     assert read == stepping // block * block
+
+
+@pytest.mark.parametrize("grid, reads", [((1.0, 50.0, 40), {1: 1, 2: 0}),
+                                         ((1.0, 50.0, 60), {1: 0, 2: 0})],
+                         ids=["two samples", "one sample"])
+def test_a_failure_after_the_last_sample_holds_back_the_last_block(grid, reads):
+    """Step 47 of the exploding system lies after the last sample (t = 40
+    on the first grid, t = 0 on the second), among the steps the last
+    block takes too: the whole run raises there, and read block by block
+    the last block is never handed on."""
+    a = np.diag([100.0, 100.0])
+    zero = np.zeros((2, 2))
+    sys = mm.ModelSystem("explode", mm.L1, a, zero, zero)
+    state = mm.MeanVector(mm.L1, [1.0, 1.0]), mm.CovarianceMatrix(mm.L1, zero)
+    cfg = mm.IntegratorConfig(*grid)
+    with pytest.raises(IntegrationError, match="step 47 "):
+        mm.integrate(sys, *state, cfg)
+    for block, want in reads.items():
+        read = 0
+        with pytest.raises(IntegrationError, match="step 47 "):
+            for part in mm.integrate(sys, *state, cfg, block).blocks:
+                read += part.n_samples
+        assert read == want, block
+
+
+@pytest.mark.parametrize("bad", [2.5, "3", True, math.nan, 0, -1])
+def test_a_block_that_is_not_an_integer_of_at_least_1_is_refused(tmp_path, bad):
+    """``integrate`` and ``read_csv`` take a block size by one rule: a
+    ValueError naming ``block``, before any step or any read."""
+    path = tmp_path / "run.csv"
+    write_csv(path, {"model": "test"}, ["t"], [[np.arange(3.0)]])
+    system = scalar_decay_system()
+    state = mm.MeanVector(mm.L1, [1.0, 1.0]), mm.CovarianceMatrix(mm.L1, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="^block must be "):
+        mm.integrate(system, *state, mm.IntegratorConfig(0.1, 1.0, 1), bad)
+    with pytest.raises(ValueError, match="^block must be "):
+        read_csv(path, bad)
+
+
+@pytest.mark.parametrize("size", [1, 7, None])
+def test_reblocked_regroups_rows_in_one_buffer(size):
+    """Parts of 0, 1, 700 and 5 000 rows, from a buffer started at 3 rows:
+    the rows come back in order, every block but the last holds ``size``
+    rows (one block when None), and the full blocks are one buffer."""
+    rows = np.arange(5701.0 * 2).reshape(-1, 2)
+    parts = np.split(rows, [0, 1, 701])
+    assert [len(part) for part in parts] == [0, 1, 700, 5000]
+    blocks, buffers = [], set()
+    for block in _reblocked(iter(parts), size, 2, 3):
+        blocks.append(block.copy())
+        if len(block) == size:
+            buffers.add(block.__array_interface__["data"][0])
+    assert np.array_equal(np.concatenate(blocks), rows)
+    assert [len(block) for block in blocks[:-1]] == [size] * (len(blocks) - 1)
+    if size is None:
+        assert len(blocks) == 1
+    else:
+        assert len(buffers) == 1
 
 
 def _means_error(params, run):
