@@ -416,24 +416,19 @@ def read_csv(path, block: int | None = None):
         block = finite_real("block", block, integral=True)
         if block < 1:
             raise ValueError(f"block must be at least 1 row, got {block!r}")
-    fh = open(path, "rb")
-    try:
-        config_text, header, rest, number = _head(fh, path)
-        config = parse_config_text(config_text)
-    except BaseException:
-        fh.close()
-        raise
-    blocks = _read_rows(fh, rest, number, header, path, block)
+    rows = _read_rows(path, block)
+    config, header = next(rows)
     if block is not None:
-        return config, CsvBlocks(header, blocks)
-    return config, next(blocks)  # without a block size, the whole table is one block
+        return config, CsvBlocks(header, rows)
+    return config, next(rows)  # without a block size, the whole table is one block
 
 
 class CsvBlocks(NamedTuple):
     """A CSV file's header and its data rows, parsed as they are read:
     ``blocks`` yields consecutive blocks of rows as dicts of column arrays,
     can be read once and raises :class:`CsvFormatError` at a row it cannot
-    read. A block's arrays are overwritten by the next block."""
+    read. A block's arrays are overwritten by the next block. The file is
+    closed when ``blocks`` is read to its end or dropped, read or not."""
 
     header: list[str]
     blocks: Iterator[dict[str, np.ndarray]]
@@ -505,13 +500,15 @@ _U = np.uint64
 _ZEROS = _U(0x3030303030303030)  # "00000000"
 
 
-def _read_rows(fh, rest: bytes, number: int, header, path, rows: int | None):
-    """The data rows after the header, file line ``number``: those of
-    ``rest``, then those of ``fh``. They come in blocks of ``rows`` rows
-    (the last may be shorter; one block when None), each a dict of column
-    arrays that the next block overwrites."""
-    width = len(header)
-    with fh:
+def _read_rows(path, rows: int | None):
+    """The file at ``path``, opened here and closed when its last block is
+    read or the generator is dropped: first (config, header), then its data
+    rows in blocks of ``rows`` rows (the last may be shorter; one block when
+    None), each a dict of column arrays that the next block overwrites."""
+    with open(path, "rb") as fh:
+        config_text, header, rest, number = _head(fh, path)
+        yield parse_config_text(config_text), header
+        width = len(header)
         # rows of the writer's shape are no shorter than 23 bytes a field;
         # pages never written stay unmapped. A pipe has no size to read:
         # its table starts at READ_BLOCK rows and grows as rows come.

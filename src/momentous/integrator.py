@@ -17,15 +17,16 @@ from ``H``, and fills the samples 256 at a time as ``y_a + D_j y_a``: one
 product of the whole table with an anchor ``y_a``, a sample whose index is
 a multiple of 256. Keeping the identity out of the table keeps its rounding
 relative to the change of the state, not to the state. Otherwise each step
-is one matrix-vector product. A step that is not stored is checked for
-finiteness at once, since its value is lost: its sum, one dot of the state
-with a vector of ones, must be finite. A stored sample is checked
-once, by the pass that fills it: the step loop scans the rows it wrote in
-one vectorised pass, and a dense run scans each product of the table
-before any of its rows is handed on. A table row that is not finite sends
-its 256 samples back through the step loop from their anchor, so a
-failure still names its exact step: the earliest non-finite one of either
-kind.
+is one matrix-vector product, written into the next row of a buffer that
+holds one span of steps: a sample interval, or the fewest whole intervals
+of at least 8 steps, and never more than 256 steps. Every state must have
+a finite sum, and one rule tests it: the step loop scans each span in one
+vectorised pass before copying its samples out, so a step that is not
+stored is tested within its span, as a stored one is, and a dense run
+scans each product of the table before any of its rows is handed on. A
+table row that is not finite sends its 256 samples back through the step
+loop from their anchor, so a failure still names its exact step: the
+earliest non-finite one.
 
 One loop steps every run, in chunks of up to 256 samples after an anchor,
 each handed on once its steps are found finite. One rule, shared with the
@@ -66,14 +67,19 @@ __all__ = [
 MAX_STEPS = 10**7
 
 # Rows of the buffer a run integrated whole is regrouped into. A run that
-# blows up stops within the chunk that holds the step: a stored non-finite
-# state makes the next step, not stored in a sparse run, fail the per-step
-# test at once, and a dense run scans each table product.
+# blows up stops within the chunk that holds the step: a sparse run scans
+# each span of at most 256 steps, and a dense run each table product.
 _ASSEMBLY_BLOCK = 4096
 
 # Powers of the step matrix in the table a run that stores every step is
 # filled from: 0.46 MB for the 15-wide state of two oscillators.
 _TABLE_ROWS = 256
+
+# Fewest steps in a span of the step loop. A span's scan and sample copy
+# cost about 2.7 us, as much as seven tests of one state each (0.4 us: a dot
+# with a vector of ones), so from 8 steps a span costs less a step than such
+# tests (0.77 against 0.84 us a step, in-process on a 2-core x86-64 VM).
+_SCAN_MIN = 8
 
 
 @dataclass(frozen=True)
@@ -186,39 +192,53 @@ def _power_table(increment: np.ndarray) -> np.ndarray:
 
 
 def _first_nonfinite(states: np.ndarray) -> int | None:
-    """Index of the first row of ``states`` whose sum is not finite (the
-    per-step test, vectorised), or None."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        bad = ~np.isfinite(states.sum(axis=1))
+    """Index of the first row of ``states`` whose sum is not finite, or
+    None: the one finiteness test of every step. The row sums are totalled
+    first, and looked up only when the total is not finite (a non-finite
+    sum, or finite sums whose total overflows). Sums that overflow or meet
+    +inf and -inf warn, so the caller ignores those (``np.errstate``), as
+    it does while stepping."""
+    sums = states.sum(axis=1)
+    if math.isfinite(sums.sum()):
+        return None
+    bad = ~np.isfinite(sums)
     return int(np.argmax(bad)) if bad.any() else None
 
 
 def _steps(step_matrix: np.ndarray, y: np.ndarray, start: int, stop: int, every: int,
            rows: np.ndarray):
     """Take the steps ``start + 1 .. stop`` from ``y``, the state at step
-    ``start``, a multiple of ``every``. Each ``every``-th state is written
-    into the next row of ``rows``; any other is checked for finiteness at
-    once (its sum, one dot with a vector of ones, must be finite), and the
-    first that is not finite ends the steps. The rows written are then
-    checked in one scan. Returns the last state and the first step whose
-    state is not finite, stored or not (None if there is none)."""
-    advance, total = step_matrix.dot, np.ones(y.size).dot
-    out, failed = 0, None
+    ``start``, a multiple of ``every``, writing each ``every``-th state into
+    the next row of ``rows``. The steps go a span at a time into the rows of
+    one buffer, and each span is scanned once by :func:`_first_nonfinite`
+    before its samples are copied out; the first step whose state is not
+    finite, stored or not, ends the steps. A span is one sample interval,
+    or the fewest whole intervals of at least ``_SCAN_MIN`` steps, and
+    never more than ``_TABLE_ROWS`` steps. Returns the last state taken
+    (the failed one, if any) and the first step whose state is not finite
+    (None if there is none)."""
+    span = min(-(-_SCAN_MIN // every) * every, _TABLE_ROWS)
+    states = np.empty((span + 1, y.size))
+    views = list(states)
+    pairs = list(zip(views, views[1:]))
+    advance = step_matrix.dot
+    states[0] = y
+    out = 0
     # overflow is expected on divergent systems and reported as an error
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(start + 1, stop + 1):
-            if step % every:
-                y = advance(y)
-                if not math.isfinite(total(y)):
-                    failed = step
-                    break
-            else:  # a sample: the product is written into its row
-                y = np.dot(step_matrix, y, out=rows[out])
-                out += 1
-    row = _first_nonfinite(rows[:out])
-    if row is not None:  # a stored step comes before a failed one not stored
-        failed = (start // every + 1 + row) * every
-    return y, failed
+        for step in range(start, stop, span):  # the state at step is states[0]
+            length = min(span, stop - step)
+            for state, following in pairs[:length]:
+                advance(state, following)
+            bad = _first_nonfinite(states[1:length + 1])
+            end = length + 1 if bad is None else bad + 1  # the rows before a failure
+            samples = states[every - step % every:end:every]
+            rows[out:out + len(samples)] = samples
+            out += len(samples)
+            if bad is not None:
+                return states[end], step + end
+            states[0] = states[length]
+    return states[0], None
 
 
 def _samples(system: ModelSystem, y: np.ndarray, cfg: IntegratorConfig):
@@ -241,13 +261,13 @@ def _samples(system: ModelSystem, y: np.ndarray, cfg: IntegratorConfig):
     for a in range(0, max(n - 1, 1), _TABLE_ROWS):
         count = min(_TABLE_ROWS, n - 1 - a)
         rows, failed = buf[1:], None
-        if flat is not None:
-            with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if flat is not None:
                 np.dot(flat, buf[0], out=rows.reshape(-1))
                 np.add(rows, buf[0], out=rows)
-        if flat is None or _first_nonfinite(rows[:count]) is not None:
-            last = (a + count) * every if a + count < n - 1 else cfg.n_steps
-            failed = _steps(step_matrix, buf[0], a * every, last, every, rows)[1]
+            if flat is None or _first_nonfinite(rows[:count]) is not None:
+                last = (a + count) * every if a + count < n - 1 else cfg.n_steps
+                failed = _steps(step_matrix, buf[0], a * every, last, every, rows)[1]
         lead = 0 if a == 0 else 1  # sample 0 comes with the first chunk
         if failed is not None:  # the samples before it; after the last, not that one
             yield buf[lead:min(-(-failed // every), n - 1) - a]
@@ -342,9 +362,9 @@ def integrate(
     Classical fourth-order accuracy; identical inputs produce bit-identical
     trajectories on one platform (fixed evaluation order, no adaptivity).
     Raises :class:`IntegrationError` naming the first step whose state is
-    not finite, as soon as it is seen: at once for a step that is not
-    stored, at the next step for a stored one of a sparse run, and within
-    its chunk of 256 samples for one of a dense run.
+    not finite, as soon as it is seen: within its span of at most 256
+    steps, stored or not, in a sparse run, and within its chunk of 256
+    samples in a dense run.
 
     With ``block``, an integer >= 1 (else ``ValueError`` naming it), no
     step is taken yet: the run comes back as :class:`TrajectoryBlocks` of

@@ -88,13 +88,15 @@ def test_overflowing_step_is_exit_3_at_step_1(tmp_path, capsys):
     assert "non-finite state at step 1 " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("every", [2, 7, 10, 100])
+@pytest.mark.parametrize("every", [2, 3, 7, 10, 100, 1000])
 @pytest.mark.parametrize(("dt", "failing"), [("1", "step 1816 (t = 1816)"),
                                              ("2", "step 194 (t = 388)")])
 def test_a_step_between_samples_fails_at_its_own_step(tmp_path, capsys, dt, failing, every):
-    """A step that is not stored is tested for finiteness as it is taken,
-    so the step named is the same whichever steps are stored, and no file
-    is written."""
+    """A step that is not stored is tested for finiteness within its span,
+    by the rule of a stored one, so the step named is the same whichever
+    steps are stored, and no file is written. Spans of 3 and 7 steps are
+    joined up to at least 8, and an interval of 1 000 steps is cut into
+    spans of 256."""
     out = tmp_path / "run.csv"
     assert run("simulate", "--model", "sbth", "--dt", dt, "--t-end", "5000",
                "--sample-every", str(every), "--out", str(out)) == 3

@@ -8,9 +8,11 @@ reader always gave, so each test here compares with ``float`` or with
 """
 
 import decimal
+import gc
 import math
 import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -313,6 +315,23 @@ def test_blocks_are_the_whole_table(tmp_path, other_row, block):
     for name, column in whole.items():
         joined = np.concatenate([part[name] for part in parts])
         assert np.array_equal(_bits(joined), _bits(column)), name
+
+
+@pytest.mark.parametrize("read", [0, 1, 2], ids=["unread", "one block", "every block"])
+def test_blocks_dropped_at_any_point_close_the_file(tmp_path, read):
+    """The file ``read_csv(path, block)`` opens is closed when its blocks
+    are read to the end or dropped, read or not: the garbage collector
+    never finds it open."""
+    path = tmp_path / "three.csv"
+    _write_fields(path, [["0", "1", "2"], ["1", "2", "3"], ["2", "3", "4"]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        table = read_csv(path, 2)[1]
+        for _ in zip(range(read), table.blocks):
+            pass
+        del table
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 @pytest.mark.parametrize("edit", ["comment", "crlf", "bare cr"])

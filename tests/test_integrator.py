@@ -7,7 +7,8 @@ import pytest
 import momentous as mm
 from momentous import model
 from momentous.csvio import read_csv, write_csv
-from momentous.integrator import MAX_STEPS, IntegrationError, _reblocked, _steps
+from momentous.integrator import (MAX_STEPS, IntegrationError, _first_nonfinite, _reblocked,
+                                  _steps)
 
 RNG = np.random.default_rng(7)
 
@@ -177,6 +178,30 @@ def test_a_step_of_opposite_infinities_is_not_finite():
     assert failed == 4
     assert y.tolist() == [math.inf, -math.inf, 1.0]
     assert rows[0].tolist() == [1e300, -1e300, 1.0]
+
+
+@pytest.mark.parametrize(("rows", "want"), [
+    ([[1e308, 0.0, 0.0], [0.0, 1e308, 0.0]], None),
+    ([[1.0, 2.0, 3.0], [1.0, math.nan, 3.0], [math.inf, 0.0, 0.0]], 1),
+    ([[1.0, 2.0, 3.0], [math.inf, -math.inf, 1.0], [1.0, 2.0, 3.0]], 1),
+], ids=["finite rows whose total overflows", "a NaN row", "opposite infinities"])
+def test_first_nonfinite_names_the_first_row_whose_sum_is_not_finite(rows, want):
+    """The test of every step is its row sum: finite rows whose sums total
+    an overflow are all finite, and the first row holding a NaN, or +inf
+    and -inf together, is named by its index. Its callers ignore overflow
+    and invalid results, as here."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _first_nonfinite(np.array(rows)) == want
+
+
+def test_a_sparse_run_holds_no_more_than_a_span(params, traced_peak):
+    """The steps between two samples go through a buffer of at most 256
+    steps, however far apart the samples are: 200 000 steps storing every
+    100 000th peak near 0.1 MB, where a buffer of one sample interval
+    would take 12 MB."""
+    means0, cov0 = mm.coherent_initial_state(params)
+    cfg = mm.IntegratorConfig(1e-3, 200.0, 100_000)
+    assert traced_peak(lambda: mm.integrate(mm.build_sbth(params), means0, cov0, cfg)) < 256 * 1024
 
 
 def test_dense_blow_up_stops_within_one_block():
