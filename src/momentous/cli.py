@@ -10,11 +10,24 @@ byte.
 Exit codes: 0 ok, 1 tolerance or invariant violation, 2 usage/config
 error, 3 numerical failure (a non-finite state, a negative variance, or an
 arithmetic overflow).
+
+Every command reads a stream a block at a time (the steps of a run, the
+rows of a file), and reports the error it would report had it read each
+stream whole first. Three rules fix that order:
+
+- a stream before its reader: an error of the stream itself (a non-finite
+  step, a row that does not parse) is reported before any error raised
+  while its blocks are used (:func:`_outranked_by`);
+- compare's ranks: run a's stream, then run b's, then among the errors of
+  their use the grid, then the analysis of run a, then that of run b;
+- check's file faults before its analysis: the row count, then the first
+  row off the grid, then the first error of the analysis.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -45,13 +58,14 @@ from .diagnostics import (
     Run,
     _column,
     audit,
+    audit_tolerance,
     classical_trajectory,
     compare,
     coherent_initial_state,
     trajectory_columns,
 )
 from .integrator import IntegrationError, IntegratorConfig, TrajectoryBlocks, integrate
-from .model import BT1, L1, ModelParams, finite_real
+from .model import BT1, L1, ModelParams
 from .systems import build_lindblad, build_sbth, lindblad_margin, moment_margin
 
 __all__ = ["main", "ConfigError", "PRESETS"]
@@ -150,12 +164,10 @@ def _params_and_grid(cfg: dict) -> tuple[ModelParams, IntegratorConfig]:
 
 
 def _tolerance(flag, configs, default: float) -> float:
-    """The flag, else the first config's ``tol``, else ``default``; finite, >= 0."""
+    """The flag, else the first config's ``tol``, else ``default``, held to
+    :func:`audit_tolerance`."""
     values = [flag, *(cfg.get("tol") for cfg in configs)]
-    tol = finite_real("tol", next((v for v in values if v is not None), default))
-    if tol < 0.0:
-        raise ConfigError(f"tol must be >= 0, got {tol!r}")
-    return tol
+    return audit_tolerance(next((v for v in values if v is not None), default))
 
 
 def _run_model(model: str, params: ModelParams, grid: IntegratorConfig,
@@ -186,25 +198,34 @@ def _run_model(model: str, params: ModelParams, grid: IntegratorConfig,
     return integrate(system, means0, cov0, grid, size)
 
 
+@contextlib.contextmanager
+def _outranked_by(blocks):
+    """A ``with`` body whose error yields to that of the stream ``blocks``:
+    when the body raises, ``blocks`` are read to their end before the error
+    is raised again, so an error of the stream itself (a non-finite step, a
+    row that does not parse) is the one reported, as when the stream was
+    read whole before it was used."""
+    try:
+        yield
+    except Exception:
+        for _ in blocks:
+            pass
+        raise
+
+
 def _analysed(run: TrajectoryBlocks, tol: float, names: list[str],
               joined: AuditJoin | None):
     """The file columns ``names`` of a run, one block at a time: each
     block's columns are derived from it, once it is audited into
-    ``joined`` (None for a model without moments). A block whose analysis
-    raises ends the analysis, but the run is integrated to its end first:
-    a non-finite state anywhere in it is the error reported, as when the
-    whole run was integrated before any analysis."""
-    try:
+    ``joined`` (None for a model without moments). The run outranks its
+    analysis (:func:`_outranked_by`)."""
+    with _outranked_by(run.blocks):
         for traj in run.blocks:
             block = Run(traj)
             if joined is not None:
                 joined.add(audit(block, tol))
             columns = trajectory_columns(block, names)
             yield [columns[name] for name in names]
-    except Exception:
-        for _ in run.blocks:
-            pass
-        raise
 
 
 def _compared(run_a: TrajectoryBlocks, run_b: TrajectoryBlocks, columns: list[str],
@@ -212,20 +233,16 @@ def _compared(run_a: TrajectoryBlocks, run_b: TrajectoryBlocks, columns: list[st
     """The joint table of two runs (``t``, then each column of run a and of
     run b) a block pair at a time, each pair's metrics folded into
     ``joined``. Sample counts that differ are refused before any step. Else
-    the first error ends the table, but both runs are stepped to their end
-    and each later pair is held to the errors that outrank it, so the error
-    is that of the runs compared whole: run a's integration error, then run
-    b's, then the grid, then the analysis of run a, then of run b."""
+    the first error ends the table, but run a outranks run b
+    (:func:`_outranked_by`) and each later pair is held to the errors that
+    outrank it, so the error is that of the runs compared whole, in the
+    ranks the module names."""
     if run_a.n_samples != run_b.n_samples:
         raise GridMismatchError("trajectories do not share one sampling grid")
     blocks_b, fault = run_b.blocks, (3, None)  # (rank, error)
     for traj_a in run_a.blocks:
-        try:
+        with _outranked_by(run_a.blocks):
             traj_b = next(blocks_b)
-        except Exception:
-            for _ in run_a.blocks:  # run a's own error is reported first
-                pass
-            raise
         a, b = Run(traj_a), Run(traj_b)
         if fault[1] is None:
             try:
@@ -250,16 +267,12 @@ def _compared(run_a: TrajectoryBlocks, run_b: TrajectoryBlocks, columns: list[st
 
 
 def _write(out: str | None, config: dict, names: list[str], blocks) -> None:
-    """``write_csv`` of ``blocks`` to ``out`` (None: none). Either way the
-    blocks are read to their end, so a numerical failure of theirs is
-    reported before an ``out`` that cannot be written."""
-    try:
-        if out is not None:
+    """``write_csv`` of ``blocks`` to ``out`` (None: none); the blocks
+    outrank the writing (:func:`_outranked_by`). Either way the blocks are
+    read to their end."""
+    if out is not None:
+        with _outranked_by(blocks):
             write_csv(out, config, names, blocks)
-    except OSError:
-        for _ in blocks:
-            pass
-        raise
     for _ in blocks:
         pass
 
@@ -391,14 +404,9 @@ def cmd_compare(args) -> int:
 
 def cmd_check(args) -> int:
     config, table = read_csv(args.csv, ANALYSIS_BLOCK)
-    try:
+    with _outranked_by(table.blocks):
         tol = _tolerance(args.tol, [config], 1e-9)
-        model = validate_header(config, table.header)
-    except ValueError:
-        for _ in table.blocks:  # a data row that cannot be read is reported first
-            pass
-        raise
-    params, grid = _params_and_grid(config)
+        model, params, grid = validate_header(config, table.header)
     schema = MODELS[model]
     recomputed = _Recomputed(name for name in table.header if name not in schema.stored)
     joined = AuditJoin(grid.n_samples) if schema.moments else None

@@ -29,6 +29,7 @@ part of the contract.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import functools
 import itertools
@@ -446,7 +447,10 @@ def _text(raw: bytes, path, number: int) -> str:
 def _head(fh, path):
     """The configuration lines and the header of a binary file, the bytes
     read past the header's line (at most one read of ``READ_BLOCK · _FIELD``
-    bytes, so they fit the data buffer), and the header's line number."""
+    bytes, so they fit the data buffer), and the header's line number. A
+    file whose first line starts with a UTF-8 byte-order mark is refused:
+    the mark hides the ``#`` of that line, which would be read as the
+    header."""
     config_text = []
     number = 0
     text = b""  # read, not yet split into lines
@@ -457,6 +461,8 @@ def _head(fh, path):
         parts = text[:stop].splitlines(keepends=True)  # as text mode splits them
         for k, part in enumerate(parts):
             number += 1
+            if number == 1 and part.startswith(codecs.BOM_UTF8):
+                raise CsvFormatError(f"{path}: line 1 starts with a UTF-8 byte-order mark")
             line = _text(part, path, number).strip()
             if not line:
                 continue
@@ -737,28 +743,27 @@ def validate_columns(config: dict, columns: dict[str, np.ndarray]) -> str:
     first column or data row that differs; an unusable echoed parameter is
     a ``ValueError`` naming its key.
     """
-    model = validate_header(config, list(columns))
-    grid = from_config(IntegratorConfig, config)
+    model, _, grid = validate_header(config, list(columns))
     fault = row_count_fault(len(columns["t"]), grid) or grid_fault(columns["t"], grid)
     if fault is not None:
         raise CsvFormatError(fault)
     return model
 
 
-def validate_header(config: dict, header: list[str]) -> str:
+def validate_header(config: dict, header: list[str]) -> tuple[str, ModelParams, IntegratorConfig]:
     """The first half of :func:`validate_columns`, which needs no data row:
-    the echo's model and parameters, and the header."""
+    the echo's model and parameters, and the header. Returns the model,
+    the parameters and the grid."""
     model = config.get("model")
     if model not in MODELS:
         raise CsvFormatError(f"unknown or missing model in config: {model!r}")
-    from_config(ModelParams, config)
-    from_config(IntegratorConfig, config)
+    params, grid = from_config(ModelParams, config), from_config(IntegratorConfig, config)
     layout = MODELS[model].layout(emit_xy(config))
     for k, (found, expected) in enumerate(itertools.zip_longest(header, layout), 1):
         if found != expected:
             raise CsvFormatError(f"header column {k} is {found or '(none)'}, the echoed "
                                  f"{model} layout has {expected or '(none)'}")
-    return model
+    return model, params, grid
 
 
 def row_count_fault(n_rows: int, grid: IntegratorConfig) -> str | None:

@@ -27,6 +27,7 @@ from .model import (
     _uncertainty_bound,
     _uncertainty_test,
     exponents_to_indices,
+    finite_real,
     moment_order,
     transform_state,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "energy_report",
     "InvariantAudit",
     "audit",
+    "audit_tolerance",
     "AuditJoin",
     "ColumnMetrics",
     "compare",
@@ -278,10 +280,22 @@ class InvariantAudit:
         return "\n".join(lines)
 
 
+def audit_tolerance(tol) -> float:
+    """``tol`` as a tolerance :func:`audit` can judge by, a finite float
+    >= 0, else ``ValueError`` naming it: a NaN tolerance flags every
+    sample, a negative one every sample at the bound, and an infinite one
+    none, whatever the moments hold."""
+    tol = finite_real("tol", tol)
+    if tol < 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
+    return tol
+
+
 def audit(traj: Run | Trajectory, tol: float = 1e-9) -> InvariantAudit:
     """Audit a run against the uncertainty bound and diffusion margins.
 
-    Never raises on violations; inspect ``ok``/``n_violations``. Expects a
+    Never raises on violations; inspect ``ok``/``n_violations``. A ``tol``
+    that :func:`audit_tolerance` refuses raises ``ValueError``. Expects a
     run with quantum moments (BT1, XY, or the single-pair frame). A run with
     a negative physical variance has no energies: it is ``corrupted`` and
     its final mean energy is NaN. The per-sample determinants and flags are
@@ -290,6 +304,7 @@ def audit(traj: Run | Trajectory, tol: float = 1e-9) -> InvariantAudit:
     A long run may be audited block by block: an :class:`AuditJoin` folds
     the audits of its consecutive blocks into the audit of the whole run.
     """
+    tol = audit_tolerance(tol)
     run = _as_run(traj)
     traj = run.traj
     params = _run_params(traj)

@@ -214,9 +214,8 @@ def _steps(step_matrix: np.ndarray, y: np.ndarray, start: int, stop: int, every:
     before its samples are copied out; the first step whose state is not
     finite, stored or not, ends the steps. A span is one sample interval,
     or the fewest whole intervals of at least ``_SCAN_MIN`` steps, and
-    never more than ``_TABLE_ROWS`` steps. Returns the last state taken
-    (the failed one, if any) and the first step whose state is not finite
-    (None if there is none)."""
+    never more than ``_TABLE_ROWS`` steps. Returns the first step whose
+    state is not finite, or None if there is none."""
     span = min(-(-_SCAN_MIN // every) * every, _TABLE_ROWS)
     states = np.empty((span + 1, y.size))
     views = list(states)
@@ -236,9 +235,9 @@ def _steps(step_matrix: np.ndarray, y: np.ndarray, start: int, stop: int, every:
             rows[out:out + len(samples)] = samples
             out += len(samples)
             if bad is not None:
-                return states[end], step + end
+                return step + end
             states[0] = states[length]
-    return states[0], None
+    return None
 
 
 def _samples(system: ModelSystem, y: np.ndarray, cfg: IntegratorConfig):
@@ -267,7 +266,7 @@ def _samples(system: ModelSystem, y: np.ndarray, cfg: IntegratorConfig):
                 np.add(rows, buf[0], out=rows)
             if flat is None or _first_nonfinite(rows[:count]) is not None:
                 last = (a + count) * every if a + count < n - 1 else cfg.n_steps
-                failed = _steps(step_matrix, buf[0], a * every, last, every, rows)[1]
+                failed = _steps(step_matrix, buf[0], a * every, last, every, rows)
         lead = 0 if a == 0 else 1  # sample 0 comes with the first chunk
         if failed is not None:  # the samples before it; after the last, not that one
             yield buf[lead:min(-(-failed // every), n - 1) - a]

@@ -7,6 +7,7 @@ reader always gave, so each test here compares with ``float`` or with
 ``np.loadtxt``, which read the files of other shapes before.
 """
 
+import codecs
 import decimal
 import gc
 import math
@@ -459,6 +460,21 @@ def test_a_byte_that_is_not_utf8_names_its_file_line(tmp_path, capsys, line):
     lines[line - 1] += b" # caf\xe9"
     path.write_bytes(b"\n".join(lines))
     message = f"{path}: line {line} is not UTF-8 text (byte 0xe9)"
+    with pytest.raises(CsvFormatError, match=re.escape(message)):
+        read_csv(path)
+    assert cli.main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_byte_order_mark_is_named_at_line_1(tmp_path, capsys):
+    """A UTF-8 byte-order mark hides the ``#`` of the echo's first line,
+    which would be read as a one-column header; the file is refused there,
+    with exit 2, before any data row is read."""
+    path = tmp_path / "bom.csv"
+    assert cli.main(["simulate", "--model", "sbth", "--t-end", "2", "--out", str(path)]) == 0
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    capsys.readouterr()
+    message = f"{path}: line 1 starts with a UTF-8 byte-order mark"
     with pytest.raises(CsvFormatError, match=re.escape(message)):
         read_csv(path)
     assert cli.main(["check", str(path)]) == 2

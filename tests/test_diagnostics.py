@@ -134,6 +134,23 @@ def test_audit_standard_run(params, sbth_run):
     assert result.ground_state_bound == 0.75
 
 
+@pytest.mark.parametrize(("tol", "message"), [
+    (math.nan, "tol must be finite, got nan"),
+    (-1.0, "tol must be >= 0, got -1.0"),
+    (math.inf, "tol must be finite, got inf"),
+])
+def test_audit_refuses_a_tolerance_it_cannot_judge_by(params, tol, message):
+    """On this 21-sample run a NaN tolerance would flag every sample, -1
+    every sample too (each is at the bound), and an infinite one none, so
+    that the audit would be ok whatever the moments held: each is refused
+    with the message the CLI prints."""
+    means0, cov0 = mm.coherent_initial_state(params, mm.L1)
+    run = mm.integrate(mm.build_lindblad(params), means0, cov0, mm.IntegratorConfig(0.1, 2.0, 1))
+    assert run.n_samples == 21
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        mm.audit(run, tol)
+
+
 def test_audit_late_time_energy(params, sbth_run_long):
     result = mm.audit(sbth_run_long)
     assert 0.75 <= result.final_mean_energy <= 0.7501

@@ -174,9 +174,8 @@ def test_a_step_of_opposite_infinities_is_not_finite():
     stored."""
     step_matrix = np.diag([1e100, 1e100, 1.0])
     rows = np.empty((2, 3))
-    y, failed = _steps(step_matrix, np.array([1.0, -1.0, 1.0]), 0, 8, 3, rows)
+    failed = _steps(step_matrix, np.array([1.0, -1.0, 1.0]), 0, 8, 3, rows)
     assert failed == 4
-    assert y.tolist() == [math.inf, -math.inf, 1.0]
     assert rows[0].tolist() == [1e300, -1e300, 1.0]
 
 
