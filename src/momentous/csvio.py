@@ -43,7 +43,7 @@ import numpy as np
 
 from .diagnostics import G1_COLUMNS, PAIR_COLUMNS, classical_trajectory
 from .integrator import IntegratorConfig, _reblocked
-from .model import BT1, L1, CanonicalFrame, ModelParams, Trajectory, finite_real
+from .model import BT1, L1, CanonicalFrame, ModelParams, Trajectory, finite_real, moment_layout
 
 __all__ = [
     "CsvFormatError",
@@ -77,7 +77,7 @@ class ModelColumns(NamedTuple):
     """One model's file schema, and what reading the file back rebuilds."""
 
     frame: CanonicalFrame | None  # its labels name the mean columns; None: no moments
-    moments: tuple[str, ...]  # the moment columns, in moment_order
+    moments: tuple[str, ...]  # the moment columns, in moment_layout's order
     columns: list[str]  # the file columns
     xy_columns: list[str]  # the columns --emit-xy appends
 
@@ -807,10 +807,7 @@ def trajectory_from_columns(config: dict, columns: dict[str, np.ndarray],
         return classical_trajectory(params, columns["t"])
     ts = np.array(columns["t"])
     means = np.column_stack([columns[c] for c in frame.labels])
-    # both triangles straight from the moment columns, in moment_order
-    covs = np.empty((len(ts), frame.dim, frame.dim))
-    for name, i, j in zip(moment_columns, *np.triu_indices(frame.dim)):
-        covs[:, i, j] = covs[:, j, i] = columns[name]
+    covs = moment_layout(frame.dim).covariances([columns[c] for c in moment_columns])
     for arr in (ts, means, covs):  # fresh arrays: the trajectory adopts them
         arr.setflags(write=False)
     return Trajectory(frame, ts, means, covs, params)

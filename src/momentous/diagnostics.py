@@ -26,9 +26,8 @@ from .model import (
     _pair_determinant,
     _uncertainty_bound,
     _uncertainty_test,
-    exponents_to_indices,
     finite_real,
-    moment_order,
+    moment_layout,
     transform_state,
 )
 from .systems import classical_analytic, lindblad_margin, moment_margin, xy_view
@@ -387,10 +386,12 @@ class GridMismatchError(ValueError):
 
 
 def _moment_columns(prefix: str, dim: int) -> dict[str, tuple[int, int]]:
-    return {prefix + "".join(map(str, e)): exponents_to_indices(e) for e in moment_order(dim)}
+    layout = moment_layout(dim)
+    return {prefix + label: (i, j)
+            for label, i, j in zip(layout.labels, layout.rows.tolist(), layout.cols.tolist())}
 
 
-# moment columns in moment_order, each with the covariance entry it holds:
+# moment columns in moment_layout's order, each with the covariance entry it holds:
 # the BT1 moments, and those of the physical pair (G20, G11, G02)
 G1_COLUMNS = _moment_columns("G1_", 4)
 PAIR_COLUMNS = _moment_columns("G", 2)

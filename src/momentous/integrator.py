@@ -4,9 +4,10 @@ The models here are linear and non-stiff at the parameters of interest, so
 a fixed-step classical RK4 is used: it is fourth-order accurate, has no
 adaptivity state, and therefore reproduces results bit-for-bit on one
 platform. The state is ``[means, moments, 1]``: the independent second
-moments in ``moment_order``, and a coordinate fixed at 1 that carries the
-diffusion source (Van Loan, IEEE TAC 23(3), 1978). The covariance is
-unpacked from the moments, so it is symmetric by construction.
+moments in the order of ``moment_layout``, and a coordinate fixed at 1 that
+carries the diffusion source (Van Loan, IEEE TAC 23(3), 1978). The
+covariance is unpacked from the moments, so it is symmetric by
+construction.
 
 The system is linear and time-invariant, so one RK4 step is one fixed
 matrix ``P = I + H``, whose increment ``H`` is the degree-4 Taylor
@@ -46,7 +47,7 @@ import numpy as np
 
 from .model import CanonicalFrame, CovarianceMatrix, FrameError, MeanVector, ModelParams
 from .model import Trajectory
-from .model import covariances_from_moments, finite_real
+from .model import covariances_from_moments, finite_real, moment_layout
 from .systems import ModelSystem, moment_rows
 
 __all__ = [
@@ -153,11 +154,11 @@ class IntegrationError(RuntimeError):
 def _rate_matrix(system: ModelSystem) -> np.ndarray:
     """Rate matrix of the state [means, moments, 1]."""
     d = system.frame.dim
-    rows, cols = np.triu_indices(d)  # moment_order
-    mat = np.zeros((d + len(rows) + 1,) * 2)
+    layout = moment_layout(d)
+    mat = np.zeros((d + len(layout.rows) + 1,) * 2)
     mat[:d, :d] = system.a_classical
     mat[d:-1, d:-1] = moment_rows(system.a_moment)
-    mat[d:-1, -1] = system.diffusion[rows, cols]
+    mat[d:-1, -1] = system.diffusion[layout.rows, layout.cols]
     return mat
 
 
@@ -345,8 +346,8 @@ def _packed(system: ModelSystem, means0: MeanVector, cov0: CovarianceMatrix) -> 
     """The state ``[means, moments, 1]`` of (``means0``, ``cov0``)."""
     if means0.frame != system.frame or cov0.frame != system.frame:
         raise FrameError(f"initial state frame does not match system frame {system.frame.name}")
-    d = system.frame.dim
-    return np.concatenate([means0.values, cov0.entries[np.triu_indices(d)], [1.0]])
+    layout = moment_layout(system.frame.dim)
+    return np.concatenate([means0.values, cov0.entries[layout.rows, layout.cols], [1.0]])
 
 
 def integrate(

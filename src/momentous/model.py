@@ -19,6 +19,7 @@ Frames provided here:
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -37,6 +38,8 @@ __all__ = [
     "CovarianceMatrix",
     "Trajectory",
     "transform_state",
+    "MomentLayout",
+    "moment_layout",
     "moment_order",
     "covariances_from_moments",
     "exponents_to_indices",
@@ -265,24 +268,63 @@ def exponents_to_indices(exponents) -> tuple[int, int]:
     return idx[0], idx[1]
 
 
-def moment_order(dim: int) -> list[tuple[int, ...]]:
-    """Canonical ordering of the dim*(dim+1)/2 independent second moments.
+@dataclass(frozen=True, eq=False)
+class MomentLayout:
+    """The dim*(dim+1)/2 independent second moments of ``dim`` coordinates,
+    in their one order: the row-major upper triangle of the covariance,
+    which for four coordinates reads 2000, 1100, 1010, 1001, 0200, 0110,
+    0101, 0020, 0011, 0002. Moment ``k`` is the entry ``(rows[k],
+    cols[k])``, with exponent tuple ``exponents[k]`` and column label
+    ``labels[k]`` (``"1100"``). The arrays are read-only: one layout serves
+    every caller, see :func:`moment_layout`."""
 
-    Follows row-major upper-triangle order of the covariance matrix,
-    ``np.triu_indices(dim)``, which for four coordinates reads 2000, 1100,
-    1010, 1001, 0200, 0110, 0101, 0020, 0011, 0002.
-    """
-    return [indices_to_exponents(i, j, dim) for i, j in zip(*np.triu_indices(dim))]
+    dim: int
+    rows: np.ndarray = field(repr=False)
+    cols: np.ndarray = field(repr=False)
+    exponents: tuple[tuple[int, ...], ...] = field(repr=False)
+    labels: tuple[str, ...] = field(repr=False)
+
+    def covariances(self, columns) -> np.ndarray:
+        """Symmetric (n, dim, dim) covariances from the layout's moment
+        columns of n values each, in its order: the one scatter of moments
+        into both triangles. A column may view a wider table; nothing is
+        stacked."""
+        covs = np.empty((len(columns[0]), self.dim, self.dim))
+        for column, i, j in zip(columns, self.rows.tolist(), self.cols.tolist(), strict=True):
+            covs[:, i, j] = covs[:, j, i] = column
+        return covs
+
+    @functools.cached_property
+    def units(self) -> np.ndarray:
+        """The unit moments as covariances, read-only: moment ``k`` of
+        ``units[k]`` is 1 and every other moment 0."""
+        units = self.covariances(np.eye(len(self.rows)))
+        units.setflags(write=False)
+        return units
+
+
+@functools.cache
+def moment_layout(dim: int) -> MomentLayout:
+    """The :class:`MomentLayout` of ``dim`` coordinates, built on its first
+    use and shared from then on."""
+    rows, cols = np.triu_indices(dim)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    exponents = tuple(indices_to_exponents(i, j, dim) for i, j in zip(rows.tolist(), cols.tolist()))
+    return MomentLayout(dim, rows, cols, exponents, tuple("".join(map(str, e)) for e in exponents))
+
+
+def moment_order(dim: int) -> list[tuple[int, ...]]:
+    """Exponent tuples of the independent second moments, in the order of
+    :func:`moment_layout`."""
+    return list(moment_layout(dim).exponents)
 
 
 def covariances_from_moments(moments, dim: int) -> np.ndarray:
     """Symmetric (n, dim, dim) covariances from (n, dim*(dim+1)/2) moment
-    rows stacked in :func:`moment_order`."""
-    rows, cols = np.triu_indices(dim)
-    covs = np.empty((len(moments), dim, dim))
-    covs[:, rows, cols] = moments
-    covs[:, cols, rows] = moments
-    return covs
+    rows in the order of :func:`moment_layout`, by its one scatter
+    (:meth:`MomentLayout.covariances`)."""
+    return moment_layout(dim).covariances(np.asarray(moments).T)
 
 
 def moment_label(exponents) -> str:

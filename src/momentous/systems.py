@@ -44,7 +44,7 @@ from .model import (
     _frame_signs,
     _frozen_array,
     _transport,
-    covariances_from_moments,
+    moment_layout,
     moment_order,
 )
 
@@ -103,14 +103,15 @@ def moment_rows(a_moment: np.ndarray) -> np.ndarray:
     """Reduce a Lyapunov generator to rates of the independent moments.
 
     Returns the matrix R with ``mdot = R m`` where ``m`` stacks the
-    d*(d+1)/2 upper-triangle moments in canonical order: column c is the
-    flow ``A S + S A^T`` of the c-th unit moment. The integrator steps the
+    independent moments in the order of
+    :func:`~momentous.model.moment_layout`: column c is the flow ``A S + S
+    A^T`` of the layout's c-th unit moment. The integrator steps the
     moments with it.
     """
     a = np.asarray(a_moment, dtype=float)
-    rows, cols = np.triu_indices(a.shape[0])
-    units = covariances_from_moments(np.eye(len(rows)), a.shape[0])
-    return (a @ units + units @ a.T)[:, rows, cols].T
+    layout = moment_layout(a.shape[0])
+    units = layout.units
+    return (a @ units + units @ a.T)[:, layout.rows, layout.cols].T
 
 
 def generate_dynamics(

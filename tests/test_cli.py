@@ -648,6 +648,34 @@ def test_energy_report_once_per_simulate(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+def test_a_warm_command_builds_no_moment_layout(tmp_path, capsys, monkeypatch):
+    """Each dimension's moment layout is built once per process: after a
+    warm-up run of the same command, compare, simulate and check each call
+    ``np.triu_indices`` 0 times (10, 5 and 1 times when every caller built
+    its own)."""
+    out = tmp_path / "run.csv"
+    grid = ["--dt", "1e-2", "--t-end", "10", "--sample-every", "10"]
+    commands = [
+        ["compare", "sbth", "lindblad", *grid],
+        ["simulate", "--model", "sbth", *grid, "--out", str(out)],
+        ["check", str(out)],
+    ]
+    calls = []
+    triu_indices = np.triu_indices
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return triu_indices(*args, **kwargs)
+
+    for argv in commands:
+        assert run(*argv) == 0  # the warm-up
+        monkeypatch.setattr(np, "triu_indices", counted)
+        assert run(*argv) == 0
+        monkeypatch.setattr(np, "triu_indices", triu_indices)
+        assert calls == [], argv
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # a corrupted moment state, one audit path, one sample grid
 

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 import momentous as mm
+from momentous import cli
+from momentous.csvio import MODELS, read_csv, trajectory_from_columns
+from momentous.integrator import _packed
 from momentous.model import (
     covariances_from_moments,
     exponents_to_indices,
     indices_to_exponents,
+    moment_layout,
     moment_order,
 )
 
@@ -100,6 +104,52 @@ def test_covariances_from_moments_follow_moment_order():
             i, j = exponents_to_indices(exps)
             assert np.array_equal(covs[:, i, j], moments[:, r])
             assert np.array_equal(covs[:, j, i], moments[:, r])
+
+
+@pytest.mark.parametrize("dim,model,names", [
+    (4, "sbth", ("G1_2000", "G1_1100", "G1_1010", "G1_1001", "G1_0200",
+                 "G1_0110", "G1_0101", "G1_0020", "G1_0011", "G1_0002")),
+    (2, "lindblad", ("G20", "G11", "G02")),
+])
+def test_the_moment_layout_is_one_fact(tmp_path, dim, model, names):
+    """Every reader of the moment order reads it from ``moment_layout``:
+    the exponents, the file's moment columns, the packed integrator state
+    and the covariances rebuilt from a file. The layout is built once and
+    cannot be written, so no caller can change a later run's order."""
+    layout = moment_layout(dim)
+    assert moment_layout(dim) is layout
+    pairs = list(zip(layout.rows.tolist(), layout.cols.tolist()))
+    assert pairs == [(i, j) for i in range(dim) for j in range(i, dim)]  # row-major, upper
+    assert moment_order(dim) == list(layout.exponents)
+    assert [exponents_to_indices(e) for e in layout.exponents] == pairs
+    assert layout.labels == tuple("".join(map(str, e)) for e in layout.exponents)
+    assert MODELS[model].moments == names
+    assert tuple(name.removeprefix("G1_").removeprefix("G") for name in names) == layout.labels
+
+    # the packed state holds the moments in the layout's order, and they read back
+    params = mm.ModelParams()
+    system = mm.build_sbth(params) if model == "sbth" else mm.build_lindblad(params)
+    a = np.random.default_rng(dim).normal(size=(dim, dim))
+    cov = mm.CovarianceMatrix(system.frame, a @ a.T + dim * np.eye(dim))
+    packed = _packed(system, mm.MeanVector(system.frame, np.arange(1.0, dim + 1.0)), cov)
+    moments = packed[dim:-1]
+    assert moments.tolist() == [cov.entries[i, j] for i, j in pairs]
+    assert np.array_equal(covariances_from_moments(moments[None], dim)[0], cov.entries)
+
+    # a file's moment columns land where the layout puts them, in both triangles
+    path = tmp_path / "run.csv"
+    assert cli.main(["simulate", "--model", model, "--t-end", "1", "--out", str(path)]) == 0
+    config, columns = read_csv(path)
+    n = len(columns["t"])
+    for k, name in enumerate(names):
+        columns[name] = np.full(n, 10.0 + k)
+    covs = trajectory_from_columns(config, columns, validate=False).covs
+    for k, (i, j) in enumerate(pairs):
+        assert (covs[:, i, j] == 10.0 + k).all() and (covs[:, j, i] == 10.0 + k).all()
+
+    for arr in (layout.rows, layout.cols, layout.units):
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 1
 
 
 def test_exponent_validation():
