@@ -18,8 +18,8 @@ stream whole first. Three rules fix that order:
 - a stream before its reader: an error of the stream itself (a non-finite
   step, a row that does not parse) is reported before any error raised
   while its blocks are used (:func:`_outranked_by`);
-- compare's ranks: run a's stream, then run b's, then among the errors of
-  their use the grid, then the analysis of run a, then that of run b;
+- compare's order: the grid, judged before any step; then run a's stream,
+  then run b's, then the analysis of run a, then that of run b;
 - check's file faults before its analysis: the row count, then the first
   row off the grid, then the first error of the analysis.
 """
@@ -230,40 +230,32 @@ def _analysed(run: TrajectoryBlocks, tol: float, names: list[str],
 
 def _compared(run_a: TrajectoryBlocks, run_b: TrajectoryBlocks, columns: list[str],
               joined: CompareJoin):
-    """The joint table of two runs (``t``, then each column of run a and of
-    run b) a block pair at a time, each pair's metrics folded into
-    ``joined``. Sample counts that differ are refused before any step. Else
-    the first error ends the table, but run a outranks run b
-    (:func:`_outranked_by`) and each later pair is held to the errors that
-    outrank it, so the error is that of the runs compared whole, in the
-    ranks the module names."""
-    if run_a.n_samples != run_b.n_samples:
-        raise GridMismatchError("trajectories do not share one sampling grid")
-    blocks_b, fault = run_b.blocks, (3, None)  # (rank, error)
+    """The joint table of two runs on one grid (``t``, then each column of
+    run a and of run b) a block pair at a time, each pair's metrics folded
+    into ``joined``. The first error ends the table, but run a's stream
+    outranks run b's (:func:`_outranked_by`), then run a's analysis run
+    b's in any block pair: the error of the runs compared whole."""
+    blocks_b, fault, a_clean = run_b.blocks, None, True
     for traj_a in run_a.blocks:
         with _outranked_by(run_a.blocks):
             traj_b = next(blocks_b)
         a, b = Run(traj_a), Run(traj_b)
-        if fault[1] is None:
+        if fault is None:
             try:
                 joined.add(compare(a, b, columns))
             except Exception as exc:
-                fault = (3, exc)
+                fault = exc
             else:
                 cols = [trajectory_columns(run, columns) for run in (a, b)]
                 yield [traj_a.ts, *(side[name] for name in columns for side in cols)]
                 continue
-        # the ranks: 0 the grid, 1 the analysis of run a, 2 of run b, 3 any other error
-        checks = (lambda: compare(a, b, []), lambda: trajectory_columns(a, columns),
-                  lambda: trajectory_columns(b, columns))
-        for rank, check in enumerate(checks[:fault[0]]):
+        if a_clean:  # the fault may be run b's, which run a's analysis outranks
             try:
-                check()
+                trajectory_columns(a, columns)
             except Exception as exc:
-                fault = (rank, exc)
-                break
-    if fault[1] is not None:
-        raise fault[1]
+                fault, a_clean = exc, False
+    if fault is not None:
+        raise fault
 
 
 def _write(out: str | None, config: dict, names: list[str], blocks) -> None:
@@ -382,6 +374,12 @@ def cmd_compare(args) -> int:
     else:
         columns = ["x", "p", "G20", "G02", "G11", "E_mean"]
     run_a, run_b = (_run_model(cfg["model"], *_params_and_grid(cfg)) for cfg in configs)
+    # the grids, before any step: sample counts, then each time bit for bit
+    grid_a, grid_b = run_a.grid, run_b.grid
+    if grid_a.n_samples != grid_b.n_samples or any(
+            grid_fault(grid_a.block_times(first, first + ANALYSIS_BLOCK), grid_b, first)
+            for first in range(0, grid_a.n_samples, ANALYSIS_BLOCK)):
+        raise GridMismatchError("trajectories do not share one sampling grid")
     joined = CompareJoin(run_a.n_samples)
     # compared, and the joint table written, block pair by block pair
     names = ["t", *(f"{name}_{side}" for name in columns for side in "ab")]

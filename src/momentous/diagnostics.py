@@ -485,7 +485,7 @@ def compare(
     """
     run_a, run_b = _as_run(traj_a), _as_run(traj_b)
     ts, ts_b = run_a.traj.ts, run_b.traj.ts
-    if ts.shape != ts_b.shape or not np.array_equal(ts, ts_b):
+    if not np.array_equal(ts, ts_b):
         raise GridMismatchError("trajectories do not share one sampling grid")
     cols_a = trajectory_columns(run_a, columns)
     cols_b = trajectory_columns(run_b, columns)

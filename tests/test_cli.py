@@ -443,6 +443,43 @@ def test_compare_refuses_sample_counts_that_differ_before_any_step(tmp_path, cap
     assert read == []
 
 
+def test_compare_refuses_sample_times_that_part_before_any_step(tmp_path, capsys, monkeypatch):
+    """Equal sample counts whose times part (dt = 1 against the next float
+    up, 5001 samples each) share no grid either: compare refuses them once
+    both are built, and reads no block of either. It held the times to
+    each other block pair by block pair, so run a, which fails at step
+    1813, was exit 3."""
+    read = []
+    integrate = cli.integrate
+
+    def spied(*args):
+        run = integrate(*args)
+        return dataclasses.replace(run, blocks=(read.append(b) or b for b in run.blocks))
+
+    monkeypatch.setattr(cli, "integrate", spied)
+    a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    a.write_text("model = sbth\ndt = 1\nsample-every = 1\nt-end = 5000\n")
+    b.write_text("model = lindblad\ndt = 1.0000000000000002\nsample-every = 1\nt-end = 5000\n")
+    assert run("compare", str(a), str(b)) == 2
+    assert capsys.readouterr() == ("", "error: trajectories do not share one sampling grid\n")
+    assert read == []
+
+
+def test_compare_holds_sample_times_not_configurations_to_each_other(tmp_path, capsys):
+    """dt = 0.5 storing every 2nd step and dt = 1 storing every step are
+    different configurations with the same sample times, bit for bit: they
+    are compared (their RK4 steps differ beyond the tolerance, exit 1)."""
+    a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    a.write_text("model = lindblad\ndt = 0.5\nsample-every = 2\nt-end = 20\n")
+    b.write_text("model = lindblad\ndt = 1\nsample-every = 1\nt-end = 20\n")
+    assert run("compare", str(a), str(b)) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[0] == "comparing lindblad vs lindblad on 21 samples (tol 1e-06)"
+    assert lines[-1] == "FAIL: tolerance exceeded"
+
+
 def test_compare_joint_csv_and_columns(tmp_path):
     out = tmp_path / "joint.csv"
     assert run("compare", "sbth", "classical", "--t-end", "2",
@@ -884,8 +921,8 @@ def test_compare_reports_its_errors_in_one_order(tmp_path, capsys, monkeypatch, 
                                                  code, err):
     """compare steps its two runs in lockstep, a block pair at a time, yet
     reports the error the runs compared whole report: run a's integration
-    error, then run b's, then the grid, then the analysis. An --out that
-    cannot be written comes after all of them; nothing is printed."""
+    error, then run b's, then the analysis. An --out that cannot be written
+    comes after all of them; nothing is printed."""
     monkeypatch.setattr(cli, "ANALYSIS_BLOCK", size)
     for out in ([], ["--out", str(tmp_path / "missing" / "joint.csv")]):
         capsys.readouterr()
