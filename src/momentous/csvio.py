@@ -288,10 +288,11 @@ def _words(text_bytes: np.ndarray) -> np.ndarray:
 def _render_tables():
     """The renderer's lookup tables, built on first use.
 
-    ``pow10``: the columns hi, hi's split halves and lo of 10^k at row
-    ``16 + _E_MAX − k``, with hi + lo within 2^-106 of the power: the
-    writer's 10^(16−E) at ``E + _E_MAX``, the reader's 10^(E−16) at
-    ``32 − E + _E_MAX``. Then 4-byte words: the digits of 0..9999; the head
+    ``pow10``: one ``(rows, 4)`` table whose row ``16 + _E_MAX − k`` holds
+    hi, hi's split halves and lo of 10^k, with hi + lo within 2^-106 of the
+    power: the writer's 10^(16−E) at ``E + _E_MAX``, the reader's 10^(E−16)
+    at ``32 − E + _E_MAX``. A value's four factors are one row, so one
+    gather fetches them. Then 4-byte words: the digits of 0..9999; the head
     ``[sign, lead digit, ".", 0]`` at ``lead + 10·negative``; the exponent
     ``["e", sign, hundreds, tens]`` and ``[ones, 0, 0, 0]`` at
     ``E + _E_MAX``; and the separator words ``[0, ",", 0, 0]`` and
@@ -304,7 +305,7 @@ def _render_tables():
         hi_num, hi_den = hi.as_integer_ratio()
         rows.append((hi, (num * hi_den - hi_num * den) / (den * hi_den)))
     hi, lo = np.array(rows).T
-    pow10 = (hi, *_split(hi), lo)
+    pow10 = np.column_stack((hi, *_split(hi), lo))
 
     zero, dot, plus, minus = (ord(c) for c in "0.+-")
     digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + zero
@@ -322,9 +323,9 @@ def _render_tables():
 
 
 def _scaled(a: np.ndarray, e: np.ndarray, pow10):
-    """``a·10^(16−e)`` as ``p + t``: ``p`` its rounded product, ``t`` the rest."""
-    e_row = e + _E_MAX
-    hi, hi_high, hi_low, lo = (column[e_row] for column in pow10)
+    """``a·10^(16−e)`` as ``p + t``: ``p`` its rounded product, ``t`` the
+    rest. Each value's row of ``pow10`` is taken in one gather."""
+    hi, hi_high, hi_low, lo = np.take(pow10, e + _E_MAX, axis=0).T
     p = a * hi
     a_high, a_low = _split(a)
     t = (((a_high * hi_high - p) + a_high * hi_low + a_low * hi_high) + a_low * hi_low) + a * lo
@@ -625,15 +626,18 @@ def _parse_rows(buf, window, lo: int, hi: int, width: int) -> np.ndarray:
 def _field_bounds(text: np.ndarray, width: int):
     """The offsets in ``text`` where each field starts and where its
     separator is; :class:`_OtherShape` unless every line has ``width``
-    fields separated by commas."""
-    # of a writer's row, only the separators and an exponent's "+" are bytes <= ","
-    marks = np.flatnonzero(text <= ord(","))
-    kinds = text[marks]
-    kept = kinds != ord("+")
-    ends, kinds = marks[kept], kinds[kept]
-    if ends.size % width:
+    fields separated by commas.
+
+    The separators are the bytes equal to ``,`` or ``\\n``. A byte of any
+    other kind inside a field, a ``\\r`` or a ``#`` say, is refused by
+    :func:`_mantissas_and_exponents`, which reads every byte of a field and
+    its length; so a buffer passes only if each run of ``width`` separators
+    is ``width − 1`` commas and a newline and each field between them has
+    the writer's shape."""
+    ends = np.flatnonzero((text == ord(",")) | (text == ord("\n")))
+    if not ends.size or ends.size % width:  # no separator: e.g. bare-CR lines
         raise _OtherShape
-    kinds = kinds.reshape(-1, width)
+    kinds = text[ends].reshape(-1, width)
     if not ((kinds[:, :-1] == ord(",")).all() and (kinds[:, -1] == ord("\n")).all()):
         raise _OtherShape
     starts = np.empty_like(ends)
@@ -645,13 +649,17 @@ def _field_bounds(text: np.ndarray, width: int):
 def _mantissas_and_exponents(buf, window, at, ends):
     """``N`` (the 17 digits as one integer) and ``E`` of each field, given
     its lead digit at ``at`` and its separator at ``ends``;
-    :class:`_OtherShape` unless each reads d.dddddddddddddddde[+-]dd(d)."""
+    :class:`_OtherShape` unless each reads d.dddddddddddddddde[+-]dd(d).
+
+    Each field's three 8-byte words (two digit groups, then the exponent)
+    are gathered once and copied into a ``(3, fields)`` array, so every
+    step below runs over contiguous rows."""
     long_exp = (ends - at - 22).astype(_U)  # 0: two exponent digits, 1: three
     lead = buf[at] - np.uint8(ord("0"))
     dot = buf[at + 1] ^ np.uint8(ord("."))
-    words = window[at + 2].view("<u8").reshape(-1, 3)  # first byte lowest
+    words = np.ascontiguousarray(window[at + 2].view("<u8").reshape(-1, 3).T)  # first byte lowest
     # the exponent word "e±dd?" becomes the digit word "000000dd" or "00000ddd"
-    exp = words[:, 2]
+    exp = words[2]
     exp_sign = (exp & _U(0xFFFF)) - _U(0x2B65)  # "e+": 0, "e-": 0x200
     shift = long_exp << _U(3)
     exp >>= _U(16)
@@ -661,7 +669,7 @@ def _mantissas_and_exponents(buf, window, at, ends):
     if (not_digits.any() or dot.any() or (lead > 9).any() or (long_exp >> _U(1)).any()
             or (exp_sign & ~_U(0x200)).any()):
         raise _OtherShape
-    n = (lead.astype(_U) * _U(10**8) + words[:, 0]) * _U(10**8) + words[:, 1]
+    n = (lead.astype(_U) * _U(10**8) + words[0]) * _U(10**8) + words[1]
     minus = exp_sign >> _U(9)
     return n, ((exp ^ -minus) + minus).view(np.int64)
 
@@ -676,7 +684,7 @@ def _nearest_doubles(n, e):
     nh = n.astype(np.float64)
     nl = (n - nh.astype(_U)).view(np.int64).astype(np.float64)
     p, t = _scaled(nh, mirrored, pow10)
-    t += nl * pow10[0][mirrored + _E_MAX]
+    t += nl * pow10[mirrored + _E_MAX, 0]
     r = p + t
     error = t - (r - p)  # exactly p + t − r
     # half the gap above r; below a power of two the gap is half as wide

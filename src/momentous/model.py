@@ -478,8 +478,9 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # frame transformations
 
-# Samples :func:`_transport` maps at a time: its temporaries are one or two
-# chunks of 4x4 covariances, 0.5 MB each, however long the run is.
+# Samples :func:`_transport` maps at a time: its temporaries are at most two
+# chunks of 4x4 covariances, 0.5 MB each (the chunk side by side and P times
+# it, then the copy the symmetrization makes), however long the run is.
 TRANSPORT_CHUNK = 4096
 
 # rows (x, p_x, y, p_y) in terms of columns (x1, p1, p2, x2):
@@ -535,17 +536,29 @@ def _transport(signs: np.ndarray, means: np.ndarray, covs: np.ndarray):
     or a stack of them, for a sign pattern ``P`` with ``P P^T = 2 I``, as
     new arrays. Each covariance entry is a signed sum of four entries of
     ``S``, halved exactly; the covariances are re-symmetrized exactly, in
-    place, so round-off cannot leak asymmetry downstream. A stack goes
-    through in chunks of ``TRANSPORT_CHUNK`` samples, written straight into
-    the output, so no temporary grows with the stack; each sample's
-    arithmetic is the same in any chunk."""
-    stack = covs.reshape(-1, *covs.shape[-2:])
+    place, so round-off cannot leak asymmetry downstream.
+
+    A stack goes through in chunks of ``TRANSPORT_CHUNK`` samples, written
+    straight into the output, so no temporary grows with the stack. Per
+    chunk of ``m`` samples, ``P S`` of every sample is one product of ``P``
+    with the chunk's matrices side by side, ``(d, m·d)``. Its row ``r``,
+    read as an ``(m, d)`` matrix, times ``P^T`` is row ``r`` of every
+    output matrix: one product per row, written into the output. Every
+    term is ``±1·x`` or ``0·x``, so each entry is the same rounded two-term
+    sum whichever BLAS kernel forms it, as in a 4x4 product of each sample
+    (``0·inf`` still makes NaN). Values beyond the float range give inf or
+    NaN without a warning: an audit reports them."""
+    d = covs.shape[-1]
+    stack = covs.reshape(-1, d, d)
     out = np.empty_like(stack)
-    for k in range(0, len(stack), TRANSPORT_CHUNK):
-        block = out[k:k + TRANSPORT_CHUNK]
-        np.matmul(signs @ stack[k:k + TRANSPORT_CHUNK], signs.T, out=block)
-        block += np.swapaxes(block, -1, -2)
-        block *= 0.25
-    new_means = means @ signs.T
-    new_means *= 1.0 / math.sqrt(2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(0, len(stack), TRANSPORT_CHUNK):
+            block = out[k:k + TRANSPORT_CHUNK]
+            ps = signs @ stack[k:k + TRANSPORT_CHUNK].transpose(1, 0, 2).reshape(d, -1)
+            np.matmul(ps.reshape(d, -1, d), signs.T, out=block.transpose(1, 0, 2))
+            del ps  # the symmetrization's copy is the chunk's second temporary
+            block += np.swapaxes(block, -1, -2)
+            block *= 0.25
+        new_means = means @ signs.T
+        new_means *= 1.0 / math.sqrt(2.0)
     return new_means, out.reshape(covs.shape)

@@ -1257,6 +1257,31 @@ def test_nan_xy_determinant_shows_in_the_summary(tmp_path, capsys):
     assert math.isnan(mm.audit(traj).min_uncertainty) and np.isfinite(u_pair1).all()
 
 
+@pytest.mark.parametrize("columns,text", [
+    (("G1_0011",), "inf"),
+    (("G1_0020", "G1_0011", "G1_0002"), "1.6e308"),
+    (("G1_0011",), "nan"),
+], ids=["inf", "overflow", "nan"])
+def test_a_nonfinite_mirror_moment_is_audited_without_a_warning(tmp_path, capsys, columns,
+                                                                 text):
+    """An inf moment in data row 2 (t = 0.1) of the paper-fig1 sbth file,
+    or moments of 1.6e308 whose XY sums overflow, make the XY view's
+    determinant NaN: check reports the violation (exit 1) with an empty
+    stderr. The transport warned "invalid value encountered in matmul" and
+    "overflow encountered in add"; a NaN moment was quiet already."""
+    out = tmp_path / "run.csv"
+    assert run("simulate", "--model", "sbth", "--preset", "paper-fig1", "--out", str(out)) == 0
+    for name in columns:
+        _corrupt(out, name, 2, text)
+    capsys.readouterr()
+    assert run("check", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert "uncertainty violations: 1 (bound 0.25, tol 1e-09, min determinant nan)" in lines
+    assert "first violation: t = 0.1, data row 2" in lines
+
+
 def test_thermal_margin_of_a_tiny_hbar_is_zero(tmp_path, capsys):
     """The margin's rounded terms near 1.6e-303 once left -3.23791e-319."""
     assert run("simulate", "--model", "lindblad", "--hbar", "1e-150", "--dt", "0.1",

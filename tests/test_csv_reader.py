@@ -274,6 +274,24 @@ def test_bad_field_in_a_later_block_names_its_file_line(tmp_path, field):
         read_csv(path)
 
 
+@pytest.mark.parametrize("row", [4, READ_BLOCK + 4], ids=["first buffer", "second buffer"])
+def test_a_row_split_into_two_lines_is_refused(tmp_path, capsys, row):
+    """A row of the writer's fields split into a 1-field line and a 2-field
+    line keeps the buffer's count of separators a multiple of the width, and
+    every ``width``-th separator a newline; its first line is refused all
+    the same, as line by line."""
+    rows = [["%.16e" % v for v in values] for values in np.arange(6 * READ_BLOCK).reshape(-1, 3)]
+    rows[row] = [f"{rows[row][0]}\n{rows[row][1]}", rows[row][2]]
+    path = tmp_path / "split.csv"
+    _write_fields(path, rows)
+    message = (f"{path}: data does not match header width at line {3 + row} "
+               "(1 fields, header has 3)")
+    with pytest.raises(CsvFormatError, match=re.escape(message)):
+        read_csv(path)
+    assert cli.main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_reader_never_holds_the_file(tmp_path, writer_shaped_only):
     """The text passes through one bounded buffer, so on a file of many
     blocks the reader's peak allocation is about the returned array (8 bytes

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import momentous as mm
-from momentous.model import TRANSPORT_CHUNK, _BT1_XY_SIGNS, covariances_from_moments, moment_order
+from momentous.model import (
+    TRANSPORT_CHUNK,
+    _BT1_XY_SIGNS,
+    _transport,
+    covariances_from_moments,
+    moment_order,
+)
 from momentous.systems import lindblad_diffusion, lindblad_margin, moment_rows, sbth_moment_rows
 
 RNG = np.random.default_rng(4711)
@@ -375,10 +381,10 @@ def test_xy_view_samples_are_read_only(sbth_run):
             arr[0] = 0.0
 
 
-def whole_stack_transport(means, covs):
-    """The BT1 -> XY transport of a whole stack at once, the reference for
-    the chunked one: ``(P z)/sqrt(2)`` and ``(P S P^T)/2``."""
-    signs = _BT1_XY_SIGNS
+def whole_stack_transport(means, covs, signs=_BT1_XY_SIGNS):
+    """The BT1 -> XY transport of a whole stack at once (XY -> BT1 with the
+    transposed signs), the reference for the chunked one: ``(P z)/sqrt(2)``
+    and ``(P S P^T)/2``, a 4x4 product of each sample."""
     covs = signs @ covs @ signs.T
     covs += np.swapaxes(covs, -1, -2)
     covs *= 0.25
@@ -395,6 +401,31 @@ def bits(arr):
     return arr.view(np.uint64)
 
 
+def edge_matrices():
+    """The transport's edge cases: all ``+0``, all ``-0``, equal entries
+    that cancel exactly, ``+inf``, ``-inf``, ``nan`` and one asymmetric
+    matrix."""
+    infinite = np.eye(4)
+    infinite[0, 0] = np.inf
+    negative = np.full((4, 4), -0.0)
+    negative[1, 2] = negative[2, 1] = -np.inf
+    missing = np.ones((4, 4))
+    missing[3, 3] = np.nan
+    return np.array([np.zeros((4, 4)), np.full((4, 4), -0.0), np.full((4, 4), 1.5),
+                     np.full((4, 4), -2.5), infinite, negative, missing,
+                     RNG.normal(size=(4, 4))])
+
+
+def edge_stack(n):
+    """Means and ``n`` random covariances with the edge matrices at the front
+    and the back of the stack."""
+    edges = edge_matrices()
+    covs = random_bt1_run(n).covs.copy()
+    covs[:len(edges)] = edges
+    covs[-len(edges):] = edges
+    return RNG.normal(size=(n, 4)), covs
+
+
 def test_chunked_transport_is_bit_identical_to_the_whole_stack():
     n = 20_001  # not a multiple of the chunk
     assert n % TRANSPORT_CHUNK
@@ -408,6 +439,15 @@ def test_chunked_transport_is_bit_identical_to_the_whole_stack():
     means, covs = whole_stack_transport(mean.values, cov.entries)
     assert np.array_equal(bits(mean_xy.values), bits(means))
     assert np.array_equal(bits(cov_xy.entries), bits(covs))
+    # signed zeros, cancellations, infinities, NaN and an asymmetric matrix,
+    # both ways: each as one state, and in stacks of one chunk and of two
+    states = [(RNG.normal(size=4), edge) for edge in edge_matrices()]
+    for means, covs in [*states, edge_stack(101), edge_stack(TRANSPORT_CHUNK + 1)]:
+        for signs in (_BT1_XY_SIGNS, _BT1_XY_SIGNS.T):
+            with np.errstate(invalid="ignore"):
+                expected = whole_stack_transport(means, covs, signs)
+            for got, want in zip(_transport(signs, means, covs), expected):
+                assert np.array_equal(bits(got), bits(want)), (covs.shape, signs.tolist())
 
 
 def test_xy_view_temporaries_are_bounded_by_a_chunk(traced_peak):
